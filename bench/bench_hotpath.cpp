@@ -7,18 +7,21 @@
 //                     the speedup of each SIMD variant over scalar on the
 //                     same inputs. Acceptance: AVX2 >= 1.5x scalar on the
 //                     64-slot join/leq rows.
-//   shadow_cache      ShadowSpace::of() (thread-local page cache) vs
-//                     of_uncached() (hash + chain walk every lookup) on a
-//                     sequential sweep, 1..max threads, at both a
-//                     cache-resident and a >= 4 MiB-shadow working set.
+//   shadow_cache      PackedShadowSpace::cell_of() (thread-local page
+//                     cache) vs cell_of_uncached() (hash + chain walk
+//                     every lookup) on a sequential sweep, 1..max threads,
+//                     at both a cache-resident and a >= 4 MiB-shadow
+//                     working set.
 //   packed_cell       ISSUE-3 A/B: same-epoch sweeps through the packed
-//                     64-bit cell fast path vs the ShadowSpace + detector
-//                     call path, small and >= 4 MiB-shadow working sets.
-//                     Acceptance: packed read >= 3x on the large sweep.
-//   abi_dispatch      vft_read8 through the C ABI (TLS session lookup +
-//                     reentrancy guard + SessionBackend vtable) vs the
-//                     inlined wrapper path reaching the same tool handler;
-//                     the delta is the per-access interposition tax.
+//                     64-bit cell fast path vs the detector handler on one
+//                     VarState per word, small and >= 4 MiB-shadow working
+//                     sets. Acceptance: packed read >= 3x on the large
+//                     sweep.
+//   abi_dispatch      vft_read8 through the C ABI (header-inlined fast
+//                     path, falling back to the reentrancy guard + entry
+//                     table dispatch) vs the inlined wrapper path over the
+//                     same packed shadow; the delta is the per-access
+//                     interposition tax.
 //   report_ctx        ISSUE-6 A/B: the same vft_read8 sweep with the
 //                     stack-capture event context armed per access (the
 //                     two TLS stores every __tsan_* wrapper pays) vs left
@@ -180,7 +183,7 @@ void vc_kernel_section(JsonReport& json, std::size_t scale) {
 }
 
 // ---------------------------------------------------------------------------
-// Section 2: ShadowSpace lookup, page cache on vs off.
+// Section 2: shadow-space lookup, page cache on vs off.
 // ---------------------------------------------------------------------------
 
 void shadow_cache_section(JsonReport& json, std::uint32_t max_threads,
@@ -195,7 +198,8 @@ void shadow_cache_section(JsonReport& json, std::uint32_t max_threads,
   // words (>= 4 MiB of shadow, exceeding L2 on the reference container) so
   // the page-cache win is measured both when the directory walk is
   // cache-hot and when every page touch goes to memory.
-  std::printf("ShadowSpace lookup: of() [page cache] vs of_uncached()\n");
+  std::printf("shadow-space lookup: cell_of() [page cache] vs "
+              "cell_of_uncached()\n");
   std::printf("%8s %8s %8s %14s %14s %9s %14s\n", "pattern", "words",
               "threads", "cached ns/op", "uncached ns/op", "speedup",
               "cache misses");
@@ -208,7 +212,7 @@ void shadow_cache_section(JsonReport& json, std::uint32_t max_threads,
       RaceCollector races;
       rt::Runtime<rt::NullTool> R{rt::NullTool(&races)};
       rt::Runtime<rt::NullTool>::MainScope scope(R);
-      auto& space = R.shadow_space();
+      auto& space = R.packed_space();
 
       auto run = [&](bool cached) {
         const auto t0 = std::chrono::steady_clock::now();
@@ -217,8 +221,9 @@ void shadow_cache_section(JsonReport& json, std::uint32_t max_threads,
           for (std::size_t s = 0; s < sweeps; ++s) {
             for (std::size_t i = 0; i < words; ++i) {
               const void* p = hammer ? &buf[0] : &buf[i];
-              auto& vs = cached ? space.of(p) : space.of_uncached(p);
-              sink += reinterpret_cast<std::uintptr_t>(&vs);
+              auto& cell =
+                  cached ? space.cell_of(p) : space.cell_of_uncached(p);
+              sink += reinterpret_cast<std::uintptr_t>(&cell);
             }
           }
           g_sink.fetch_add(sink, std::memory_order_relaxed);
@@ -255,12 +260,12 @@ void shadow_cache_section(JsonReport& json, std::uint32_t max_threads,
 // ---------------------------------------------------------------------------
 
 /// Sweeps a pre-owned buffer through (a) PackedShadowSpace - the inlined
-/// 64-bit cell compare - and (b) ShadowSpace - page lookup plus a full
-/// detector handler on the word's VarState. Both runs are pure same-epoch
-/// traffic (main's clock never moves), so the delta is exactly the
-/// fast-path saving. The small working set is cache-resident; the large
-/// one puts >= 4 MiB of shadow behind every sweep, where the packed cell's
-/// 16 B/word footprint (vs a full VarState) also wins on memory traffic.
+/// 64-bit cell compare - and (b) the full detector handler on one VarState
+/// per word. Both runs are pure same-epoch traffic (main's clock never
+/// moves), so the delta is the fast-path saving. The small working set is
+/// cache-resident; the large one puts >= 4 MiB of shadow behind every
+/// sweep, where the packed cell's 16 B/word footprint (vs a full VarState)
+/// also wins on memory traffic.
 template <Detector D>
 void packed_ab_rows(JsonReport& json, std::size_t scale) {
   for (const std::size_t words : {std::size_t{1} << 12, std::size_t{1} << 21}) {
@@ -271,30 +276,33 @@ void packed_ab_rows(JsonReport& json, std::size_t scale) {
     typename rt::Runtime<D>::MainScope scope(R);
     std::vector<std::uint64_t> buf(words, 1);
     auto& pspace = R.packed_space();
-    auto& vspace = R.shadow_space();
-    for (const std::uint64_t& w : buf) {
-      rt::instrumented_write(R, pspace, &w);
-      rt::instrumented_write(R, vspace, &w);
+    std::vector<typename D::VarState> vstates(words);
+    ThreadState& self = R.self();
+    for (std::size_t i = 0; i < words; ++i) {
+      vstates[i].id = reinterpret_cast<std::uint64_t>(&buf[i]);
+      rt::instrumented_write(R, pspace, &buf[i]);
+      R.tool().write(self, vstates[i]);
     }
 
-    auto time_pass = [&](auto& space, bool is_write) {
+    auto time_pass = [&](auto&& access) {
       const auto t0 = std::chrono::steady_clock::now();
       std::uint64_t sink = 0;
       for (std::size_t s = 0; s < sweeps; ++s) {
-        for (const std::uint64_t& w : buf) {
-          sink += is_write ? rt::instrumented_write(R, space, &w)
-                           : rt::instrumented_read(R, space, &w);
-        }
+        for (std::size_t i = 0; i < words; ++i) sink += access(i);
       }
       g_sink.fetch_add(sink, std::memory_order_relaxed);
       return 1e9 * now_minus(t0) /
              (static_cast<double>(sweeps) * static_cast<double>(words));
     };
 
-    const double det_r = time_pass(vspace, false);
-    const double pk_r = time_pass(pspace, false);
-    const double det_w = time_pass(vspace, true);
-    const double pk_w = time_pass(pspace, true);
+    const double det_r =
+        time_pass([&](std::size_t i) { return R.tool().read(self, vstates[i]); });
+    const double pk_r = time_pass(
+        [&](std::size_t i) { return rt::instrumented_read(R, pspace, &buf[i]); });
+    const double det_w = time_pass(
+        [&](std::size_t i) { return R.tool().write(self, vstates[i]); });
+    const double pk_w = time_pass(
+        [&](std::size_t i) { return rt::instrumented_write(R, pspace, &buf[i]); });
     VFT_CHECK(races.empty());
     VFT_CHECK(pspace.spilled() == 0);  // pure same-epoch: nothing escalated
 
@@ -324,7 +332,7 @@ void packed_ab_rows(JsonReport& json, std::size_t scale) {
 
 void packed_section(JsonReport& json, std::size_t scale) {
   std::printf("packed-cell same-epoch fast path vs detector call "
-              "(1 thread; packed vs ShadowSpace ns/op)\n");
+              "(1 thread; packed vs detector-handler ns/op)\n");
   packed_ab_rows<VftV2>(json, scale);
   packed_ab_rows<FtCas>(json, scale);
   packed_ab_rows<VftV1>(json, scale);
@@ -336,11 +344,12 @@ void packed_section(JsonReport& json, std::size_t scale) {
 // ---------------------------------------------------------------------------
 
 /// What a real binary pays per access through the interposition stack:
-/// vft_read8 crosses the TLS session lookup, the reentrancy guard, the
-/// size/alignment split, and the SessionBackend vtable before reaching
-/// the same Runtime<VftV2> tool handler the inlined wrapper path calls
+/// vft_read8 tries the header-inlined descriptor first and otherwise
+/// crosses the reentrancy guard and the entry-table dispatch before
+/// reaching the same packed-cell fast path the inlined wrapper path calls
 /// directly. Both runs are single-threaded pure same-epoch sweeps over a
-/// cache-resident buffer, so the delta is exactly the dispatch overhead.
+/// cache-resident buffer against packed shadow, so the delta is the
+/// dispatch overhead alone.
 void abi_section(JsonReport& json, std::size_t scale) {
   const std::size_t words = std::size_t{1} << 12;
   const std::size_t sweeps = 2048 * scale;
@@ -362,20 +371,20 @@ void abi_section(JsonReport& json, std::size_t scale) {
   vft_detach();
   rt::ambient::Session::instance().reset();
 
-  // Inlined wrapper path: same traffic on a private runtime, the tool
-  // handler reached without any erased dispatch.
+  // Inlined wrapper path: same traffic on a private runtime's packed
+  // shadow, the cell fast path reached without any erased dispatch.
   RaceCollector races;
   rt::Runtime<VftV2> R{VftV2(&races)};
   rt::Runtime<VftV2>::MainScope scope(R);
-  auto& vspace = R.shadow_space();
+  auto& space = R.packed_space();
   for (const std::uint64_t& w : buf) {
-    rt::instrumented_write(R, vspace, &w);
+    rt::instrumented_write(R, space, &w);
   }
   const auto t1 = std::chrono::steady_clock::now();
   std::uint64_t sink = 0;
   for (std::size_t s = 0; s < sweeps; ++s) {
     for (const std::uint64_t& w : buf) {
-      sink += rt::instrumented_read(R, vspace, &w);
+      sink += rt::instrumented_read(R, space, &w);
     }
   }
   g_sink.fetch_add(sink, std::memory_order_relaxed);
@@ -480,10 +489,10 @@ void report_ctx_section(JsonReport& json, std::size_t scale) {
 
 /// What an always-on deployment pays for the accesses the gate throws
 /// away. Three vft_read8 sweeps over the same cache-resident buffer:
-///   exact   sampling off - the full ABI dispatch path (the 17-18 ns
-///           baseline from abi_dispatch).
+///   exact   sampling off - the ABI path of abi_dispatch (header-inlined
+///           hits once the descriptor is armed).
 ///   drop    policy=drop at a near-zero fixed rate: the gate fires in the
-///           ABI macro before the TLS-session/vtable dispatch, so a
+///           ABI macro before the entry-table dispatch, so a
 ///           sampled-out access is one atomic flag load, one gate check
 ///           and a countdown decrement. Acceptance: within 2x of the
 ///           packed-cell inline floor (packed_cell.packed_read_ns).

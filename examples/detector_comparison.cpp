@@ -4,13 +4,12 @@
 //
 // The optional second argument selects the shadow backend for kernels
 // ported to the address-keyed API (sor, lufact), doubling as a smoke test
-// for the --shadow plumbing: per-run backend stats are printed so a
+// for the --shadow plumbing: per-run packed-space stats are printed so a
 // misrouted backend is visible immediately.
 //
 //   $ ./detector_comparison              # sparse (read-shared-heavy)
 //   $ ./detector_comparison raytracer    # any kernel from the suite
-//   $ ./detector_comparison sor space    # grid shadow from the ShadowSpace
-//   $ ./detector_comparison lufact table # ... or the sharded hash table
+//   $ ./detector_comparison sor packed   # grid shadow from the packed cells
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -51,13 +50,9 @@ void run_one(const char* kernel_name, ShadowBackend backend, Args&&... args) {
                 total ? 100.0 * static_cast<double>(fast) /
                             static_cast<double>(total)
                       : 0.0);
-    if (R.has_shadow_space()) {
-      std::printf("%-16s   shadow space: %s\n", "",
-                  rt::str(R.shadow_space().stats()).c_str());
-    }
-    if (R.has_shadow_table()) {
-      std::printf("%-16s   shadow table: entries=%zu\n", "",
-                  R.shadow_table().size());
+    if (R.has_packed_space()) {
+      std::printf("%-16s   packed space: %s\n", "",
+                  rt::str(R.packed_space().stats()).c_str());
     }
     return;
   }
@@ -90,12 +85,10 @@ int main(int argc, char** argv) {
   const char* kernel = argc > 1 ? argv[1] : "sparse";
   ShadowBackend backend = ShadowBackend::kInline;
   if (argc > 2) {
-    if (std::strcmp(argv[2], "table") == 0) {
-      backend = ShadowBackend::kTable;
-    } else if (std::strcmp(argv[2], "space") == 0) {
-      backend = ShadowBackend::kSpace;
+    if (std::strcmp(argv[2], "packed") == 0) {
+      backend = ShadowBackend::kPacked;
     } else if (std::strcmp(argv[2], "inline") != 0) {
-      std::fprintf(stderr, "unknown shadow backend %s (inline|table|space)\n",
+      std::fprintf(stderr, "unknown shadow backend %s (inline|packed)\n",
                    argv[2]);
       return 2;
     }
@@ -110,6 +103,6 @@ int main(int argc, char** argv) {
   run_one<FtCas>(kernel, backend);
   run_one<Djit>(kernel, backend);
   std::printf("\nSee bench_table1 for the full suite with warm-up and "
-              "repetition, bench_shadow for the backend lookup costs.\n");
+              "repetition.\n");
   return 0;
 }

@@ -5,9 +5,9 @@
 // Whole-struct stores use the sized on_range_write - one event per shadow
 // word, the memcpy-annotation shape.
 //
-// The ambient session is backed by the lock-free two-level ShadowSpace
-// (word-granular, like TSan); the final stats line shows the shadow pages
-// the run materialized.
+// The ambient session is backed by the lock-free two-level packed shadow
+// space (word-granular, like TSan); the final stats line shows the shadow
+// pages the run materialized.
 //
 //   $ ./raw_instrumentation
 //
@@ -78,7 +78,8 @@ int main() {
   std::printf("book entries: %d (expected 40)\n", book.count);
   std::printf("tallies: %ld / %ld, hot_total: %ld\n", tallies[0], tallies[1],
               std::atomic_ref<long>(hot_total).load());
-  std::printf("shadow: %s\n", vft::rt::str(amb::shadow().stats()).c_str());
+  std::printf("shadow: %s\n",
+              vft::rt::str(amb::runtime().packed_space().stats()).c_str());
   std::printf("race reports: %zu\n", amb::races().count());
   for (const auto& r : amb::races().all()) {
     std::printf("  %s\n", amb::races().describe(r).c_str());

@@ -63,14 +63,13 @@ SessionBackend& backend() { return Session::instance().backend(); }
 ///     sampled-out accesses resolve entirely inline. Only the descriptor's
 ///     generation+countdown half is armed here - the cell half stays
 ///     disarmed under sampling so inline hits can't bypass the gate.
-///  3. Dispatch through the devirtualized entry table when its generation
-///     snapshot is current; fall back to the virtual backend otherwise
-///     (first event, mid-reset, or a table published under an older gen).
+///  3. Dispatch through the session's entry table (created with the
+///     backend on the first event). One access slot per direction covers
+///     every size: the session picks the scalar or range path itself.
 ///  4. Consume the event context exactly once, on the way out - the
 ///     single clear the whole access path performs (inline hits neither
 ///     read nor clear it).
-void slow_access(const void* addr, size_t size, bool is_write,
-                 bool is_range) {
+void slow_access(const void* addr, size_t size, bool is_write) {
   vft_fastpath_s& fp = vft_tl_fastpath;
   const uint64_t gen =
       __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
@@ -88,26 +87,8 @@ void slow_access(const void* addr, size_t size, bool is_write,
       }
     }
   }
-  const EntryTable* t = Session::instance().entry_table();
-  if (t != nullptr && t->generation == gen) {
-    (is_range ? (is_write ? t->range_write : t->range_read)
-              : (is_write ? t->write : t->read))(t->self, addr, size);
-  } else {
-    SessionBackend& b = backend();
-    if (is_range) {
-      if (is_write) {
-        b.range_write(addr, size);
-      } else {
-        b.range_read(addr, size);
-      }
-    } else {
-      if (is_write) {
-        b.write(addr, size);
-      } else {
-        b.read(addr, size);
-      }
-    }
-  }
+  const EntryTable& t = Session::instance().entries();
+  (is_write ? t.write : t.read)(t.self, addr, size);
   vft_tl_event_ctx.pc = nullptr;
 }
 
@@ -115,21 +96,13 @@ void slow_access(const void* addr, size_t size, bool is_write,
 /// out of range degrades to seq_cst (the conservative reading).
 int clamp_mo(int mo) { return mo >= 0 && mo <= 5 ? mo : 5; }
 
-/// Atomic sync dispatch: devirtualized entry table when its generation
-/// snapshot is current, virtual backend otherwise (same protocol as
-/// slow_access; atomics never route through the inline descriptor, so
-/// there is no descriptor re-sync to do here).
+/// Atomic sync dispatch through the session's entry table (atomics never
+/// route through the inline descriptor, so there is no descriptor re-sync
+/// to do here).
 void atomic_event(const void* addr, int mo,
-                  EntryTable::AtomicFn EntryTable::* slot,
-                  void (SessionBackend::*virt)(const void*, int)) {
-  mo = clamp_mo(mo);
-  const uint64_t gen = __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
-  const EntryTable* t = Session::instance().entry_table();
-  if (t != nullptr && t->generation == gen) {
-    (t->*slot)(t->self, addr, mo);
-  } else {
-    (backend().*virt)(addr, mo);
-  }
+                  EntryTable::AtomicFn EntryTable::* slot) {
+  const EntryTable& t = Session::instance().entries();
+  (t.*slot)(t.self, addr, clamp_mo(mo));
 }
 
 int write_report(const char* path, int json, int clean) {
@@ -214,14 +187,14 @@ void vft_thread_detach(uint64_t token) {
     if (vft_fastpath_try_read(addr, (size))) return;     \
     AbiScope guard;                                      \
     if (!guard.entered()) return;                        \
-    slow_access(addr, (size), /*is_write=*/false, false); \
+    slow_access(addr, (size), /*is_write=*/false);       \
   }
 #define VFT_ABI_WRITE(name, size)                        \
   void name(const void* addr) {                          \
     if (vft_fastpath_try_write(addr, (size))) return;    \
     AbiScope guard;                                      \
     if (!guard.entered()) return;                        \
-    slow_access(addr, (size), /*is_write=*/true, false); \
+    slow_access(addr, (size), /*is_write=*/true);        \
   }
 
 VFT_ABI_READ(vft_read1, 1)
@@ -241,13 +214,13 @@ int vft_abi_in_runtime(void) { return tl_in_abi ? 1 : 0; }
 void vft_abi_slow_read(const void* addr, size_t size) {
   AbiScope guard;
   if (!guard.entered()) return;
-  slow_access(addr, size, /*is_write=*/false, /*is_range=*/false);
+  slow_access(addr, size, /*is_write=*/false);
 }
 
 void vft_abi_slow_write(const void* addr, size_t size) {
   AbiScope guard;
   if (!guard.entered()) return;
-  slow_access(addr, size, /*is_write=*/true, /*is_range=*/false);
+  slow_access(addr, size, /*is_write=*/true);
 }
 
 void vft_range_read(const void* addr, size_t size) {
@@ -256,54 +229,44 @@ void vft_range_read(const void* addr, size_t size) {
   // One gate draw covers the whole range: a range is one program event.
   // A drop-countdown skip the inline path prepaid also covers it (ranges
   // and straddles arriving mid-gap consume one unit in admit_and_refill).
-  slow_access(addr, size, /*is_write=*/false, /*is_range=*/true);
+  slow_access(addr, size, /*is_write=*/false);
 }
 
 void vft_range_write(const void* addr, size_t size) {
   AbiScope guard;
   if (!guard.entered() || size == 0) return;
-  slow_access(addr, size, /*is_write=*/true, /*is_range=*/true);
+  slow_access(addr, size, /*is_write=*/true);
 }
 
 void vft_atomic_load(const void* addr, int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  atomic_event(addr, mo, &EntryTable::atomic_load,
-               &SessionBackend::atomic_load);
+  atomic_event(addr, mo, &EntryTable::atomic_load);
 }
 
 void vft_atomic_store(const void* addr, int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  atomic_event(addr, mo, &EntryTable::atomic_store,
-               &SessionBackend::atomic_store);
+  atomic_event(addr, mo, &EntryTable::atomic_store);
 }
 
 void vft_atomic_rmw_pre(const void* addr, int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  atomic_event(addr, mo, &EntryTable::atomic_rmw_pre,
-               &SessionBackend::atomic_rmw_pre);
+  atomic_event(addr, mo, &EntryTable::atomic_rmw_pre);
 }
 
 void vft_atomic_rmw_post(const void* addr, int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  atomic_event(addr, mo, &EntryTable::atomic_rmw_post,
-               &SessionBackend::atomic_rmw_post);
+  atomic_event(addr, mo, &EntryTable::atomic_rmw_post);
 }
 
 void vft_atomic_fence(int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  mo = clamp_mo(mo);
-  const uint64_t gen = __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
-  const EntryTable* t = Session::instance().entry_table();
-  if (t != nullptr && t->generation == gen) {
-    t->atomic_fence(t->self, mo);
-  } else {
-    backend().atomic_fence(mo);
-  }
+  const EntryTable& t = Session::instance().entries();
+  t.atomic_fence(t.self, clamp_mo(mo));
 }
 
 void vft_mutex_lock(const void* m) {

@@ -29,22 +29,15 @@ namespace vft::kernels {
 /// Where a kernel's dominant arrays keep their element shadow:
 ///   kInline  a private VarState allocation inside rt::Array (the default,
 ///            and what the Table 1 runs measure);
-///   kTable   carved from the runtime's sharded-hash ShadowTable;
-///   kSpace   carved from the runtime's lock-free two-level ShadowSpace,
-///            so raw-pointer and wrapper instrumentation agree;
-///   kPacked  carved from the runtime's PackedShadowSpace: accesses run
-///            the 64-bit packed-cell same-epoch fast path inline and only
-///            escalated words materialize a VarState (spill-capable
-///            detectors; NullTool falls back to kInline).
-enum class ShadowBackend : std::uint8_t { kInline, kTable, kSpace, kPacked };
+///   kPacked  carved from the runtime's PackedShadowSpace, so raw-pointer
+///            and wrapper instrumentation agree: accesses run the 64-bit
+///            packed-cell same-epoch fast path inline and only escalated
+///            words materialize a VarState (spill-capable detectors;
+///            NullTool falls back to kInline).
+enum class ShadowBackend : std::uint8_t { kInline, kPacked };
 
 inline const char* shadow_backend_name(ShadowBackend b) {
-  switch (b) {
-    case ShadowBackend::kTable: return "table";
-    case ShadowBackend::kSpace: return "space";
-    case ShadowBackend::kPacked: return "packed";
-    default: return "inline";
-  }
+  return b == ShadowBackend::kPacked ? "packed" : "inline";
 }
 
 struct KernelConfig {
@@ -119,24 +112,16 @@ inline Slice slice_of(std::size_t n, std::uint32_t w, std::uint32_t p) {
 }
 
 /// An rt::Array whose shadow placement follows cfg.shadow: inline, or
-/// carved from one of the runtime-owned address-keyed backends.
+/// carved from the runtime-owned packed shadow space.
 template <typename T, Detector D>
 rt::Array<T, D> make_shadowed_array(rt::Runtime<D>& R, const KernelConfig& cfg,
                                     std::size_t n, T initial = T{}) {
-  switch (cfg.shadow) {
-    case ShadowBackend::kTable:
-      return rt::Array<T, D>(R, R.shadow_table(), n, initial);
-    case ShadowBackend::kSpace:
-      return rt::Array<T, D>(R, R.shadow_space(), n, initial);
-    case ShadowBackend::kPacked:
-      if constexpr (rt::kPackedCapable<D>) {
-        return rt::Array<T, D>(R, R.packed_space(), n, initial);
-      } else {
-        return rt::Array<T, D>(R, n, initial);  // nothing to pack (NullTool)
-      }
-    default:
-      return rt::Array<T, D>(R, n, initial);
+  if constexpr (rt::kPackedCapable<D>) {
+    if (cfg.shadow == ShadowBackend::kPacked) {
+      return rt::Array<T, D>(R, R.packed_space(), n, initial);
+    }
   }
+  return rt::Array<T, D>(R, n, initial);  // inline, or nothing to pack
 }
 
 }  // namespace vft::kernels

@@ -21,9 +21,9 @@ template <Detector D>
 KernelResult lufact(rt::Runtime<D>& R, const KernelConfig& cfg) {
   const std::size_t n = 64 * cfg.scale + 32;
   // Ported to the address-keyed shadow API (see kernel.h). The matrix is
-  // 8-byte doubles: one VarState per element under every backend. piv is
-  // 4-byte entries, so adjacent pivots share a shadow word under the
-  // word-granular ShadowSpace - harmless here, since piv has a single
+  // 8-byte doubles: one shadow word per element under every backend. piv
+  // is 4-byte entries, so adjacent pivots share a shadow word under the
+  // word-granular packed space - harmless here, since piv has a single
   // instrumented writer (worker 0) and is only raw-read afterwards.
   rt::Array<double, D> m = make_shadowed_array<double>(R, cfg, n * n);
   rt::Array<std::uint32_t, D> piv = make_shadowed_array<std::uint32_t>(R, cfg, n);

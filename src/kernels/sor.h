@@ -24,10 +24,10 @@ KernelResult sor(rt::Runtime<D>& R, const KernelConfig& cfg) {
   const double omega = 1.25;
 
   // Ported to the address-keyed shadow API: cfg.shadow selects where the
-  // grid's element shadow lives (inline, sharded table, or the two-level
-  // ShadowSpace). Elements are 8-byte doubles, so even the word-granular
-  // ShadowSpace keeps one VarState per cell and the access profile - and
-  // the race verdict - is identical across backends.
+  // grid's element shadow lives (inline VarStates or the two-level packed
+  // space). Elements are 8-byte doubles, so even the word-granular packed
+  // space keeps one shadow word per cell and the race verdict is
+  // identical across backends.
   rt::Array<double, D> grid = make_shadowed_array<double>(R, cfg, g * g);
   rt::Barrier<D> barrier(R, cfg.threads);
 

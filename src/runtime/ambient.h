@@ -6,16 +6,16 @@
 // The VFT_AMBIENT_READ/WRITE macros annotate accesses to *existing* data
 // structures; the ambient::Thread/Lock wrappers supply the fork/join and
 // acquire/release events. One Session per process (see session.h; reset()
-// for tests); every event routes through its detector-erased backend, the
-// same entry point the C ABI (src/abi/vft_abi.h) uses, so annotated code
-// and interposed binaries share one analysis state.
+// for tests); every access routes through its entry table, the same route
+// the C ABI (src/abi/vft_abi.h) takes, so annotated code and interposed
+// binaries share one analysis state.
 //
 // The default ambient detector is VerifiedFT-v2 over the lock-free
-// two-level ShadowSpace - the configuration a production deployment would
-// pick; VFT_DETECTOR selects another at launch. The typed wrappers below
-// (Thread, Lock, MainScope) are v2-only and fatal under a different
-// detector. Shadow is word-granular: accesses within the same 8-byte word
-// map to one VarState (see shadow_space.h).
+// two-level packed shadow space - the configuration a production
+// deployment would pick; VFT_DETECTOR selects another at launch. The typed
+// wrappers below (Thread, Lock, MainScope) are v2-only and fatal under a
+// different detector. Shadow is word-granular: accesses within the same
+// 8-byte word map to one packed cell (see shadow_space.h).
 #pragma once
 
 #include "runtime/instrument.h"
@@ -24,11 +24,9 @@
 
 namespace vft::rt::ambient {
 
-// Reference-forwarding accessors that survive reset(). runtime()/shadow()
-// are the typed v2 views; backend() is the detector-erased session every
-// event below routes through.
+// Reference-forwarding accessors that survive reset(). runtime() is the
+// typed v2 view; backend() is the detector-erased session surface.
 inline SessionBackend& backend() { return Session::instance().backend(); }
-inline ShadowSpace<VftV2>& shadow() { return Session::instance().shadow(); }
 inline Runtime<VftV2>& runtime() { return Session::instance().runtime(); }
 inline RaceCollector& races() { return Session::instance().races(); }
 
@@ -41,21 +39,23 @@ class MainScope {
   Registry::ThreadScope scope_;
 };
 
-/// The event a compiler pass emits before a load of *addr.
-inline void on_read(const void* addr) { backend().read(addr, 1); }
-
-/// The event a compiler pass emits before a store to *addr.
-inline void on_write(const void* addr) { backend().write(addr, 1); }
-
 /// The events a pass emits before a sized access (memcpy-style or a
 /// whole-struct read/write): one event per overlapped shadow word.
 inline void on_range_read(const void* addr, std::size_t size) {
-  backend().range_read(addr, size);
+  const EntryTable& t = Session::instance().entries();
+  t.read(t.self, addr, size);
 }
 
 inline void on_range_write(const void* addr, std::size_t size) {
-  backend().range_write(addr, size);
+  const EntryTable& t = Session::instance().entries();
+  t.write(t.self, addr, size);
 }
+
+/// The event a compiler pass emits before a load of *addr.
+inline void on_read(const void* addr) { on_range_read(addr, 1); }
+
+/// The event a compiler pass emits before a store to *addr.
+inline void on_write(const void* addr) { on_range_write(addr, 1); }
 
 /// Instrumented thread over the ambient session.
 class Thread {

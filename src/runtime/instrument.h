@@ -134,9 +134,9 @@ class Var {
 
 /// Instrumented array: one shadow VarState per element (RoadRunner's
 /// fine-grained array shadow mode). Shadow lives either inline (private
-/// allocation, the default) or carved out of an address-keyed backend so
+/// allocation, the default) or carved out of the packed shadow space so
 /// that raw-pointer instrumentation of the same memory hits the same
-/// VarStates.
+/// cells.
 template <typename T, Detector D>
 class Array {
  public:
@@ -151,29 +151,12 @@ class Array {
     }
   }
 
-  /// Carve the element shadow out of `backend` (a ShadowSpace or
-  /// ShadowTable), keyed by each element's address. Wrapper accesses and
-  /// instrumented_read/write on &data()[i] then agree on the VarState.
-  /// Note: under ShadowSpace's word granularity, elements smaller than the
-  /// shadow word share a VarState with their word neighbors.
-  template <typename B>
-    requires ShadowBackendFor<B, D>
-  Array(Runtime<D>& rt, B& backend, std::size_t n, T initial = T{})
-      : rt_(&rt),
-        n_(n),
-        data_(std::make_unique<std::atomic<T>[]>(n)),
-        shadow_ptrs_(std::make_unique<typename D::VarState*[]>(n)) {
-    for (std::size_t i = 0; i < n; ++i) {
-      data_[i].store(initial, std::memory_order_relaxed);
-      shadow_ptrs_[i] = &backend.of(&data_[i]);
-    }
-  }
-
-  /// Carve packed cells out of `space` instead: element accesses run the
-  /// same-epoch fast path inline against 8-byte cells and only escalated
-  /// elements ever materialize a VarState (word granularity applies, as
-  /// with any address-keyed backend). instrumented_read/write on
-  /// &data()[i] through the same space agree on cell and spill state.
+  /// Carve packed cells out of `space`, keyed by each element's address:
+  /// element accesses run the same-epoch fast path inline against 8-byte
+  /// cells and only escalated elements ever materialize a VarState.
+  /// instrumented_read/write on &data()[i] through the same space agree on
+  /// cell and spill state. Under the space's word granularity, elements
+  /// smaller than the shadow word share a cell with their word neighbors.
   Array(Runtime<D>& rt, PackedShadowSpace<D>& space, std::size_t n,
         T initial = T{})
     requires kPackedCapable<D>
@@ -239,7 +222,7 @@ class Array {
     if constexpr (kPackedCapable<D>) {
       if (pspace_ != nullptr) return pspace_->escalated(pslots_[i]);
     }
-    return shadow_ ? shadow_[i] : *shadow_ptrs_[i];
+    return shadow_[i];
   }
 
   /// The element's race-report id, without materializing any spill state.
@@ -247,20 +230,19 @@ class Array {
     if constexpr (kPackedCapable<D>) {
       if (pspace_ != nullptr) return pslots_[i].id;
     }
-    return shadow_ ? shadow_[i].id : shadow_ptrs_[i]->id;
+    return shadow_[i].id;
   }
 
   /// The element storage, for raw-pointer instrumentation of the same
-  /// memory (meaningful with the backend-carving constructors).
+  /// memory (meaningful with the packed-carving constructor).
   std::atomic<T>* data() { return data_.get(); }
 
  private:
   Runtime<D>* rt_;
   std::size_t n_;
   std::unique_ptr<std::atomic<T>[]> data_;
-  std::unique_ptr<typename D::VarState[]> shadow_;        // inline mode
-  std::unique_ptr<typename D::VarState*[]> shadow_ptrs_;  // carved mode
-  PackedShadowSpace<D>* pspace_ = nullptr;                // packed mode
+  std::unique_ptr<typename D::VarState[]> shadow_;  // inline mode
+  PackedShadowSpace<D>* pspace_ = nullptr;          // packed mode
   std::unique_ptr<typename PackedShadowSpace<D>::Slot[]> pslots_;
 };
 

@@ -4,8 +4,8 @@
 //
 // The rt::Mutex wrapper owns its LockState inline; an unmodified binary's
 // mutexes are just addresses the interposer observes, so the session keeps
-// this side table instead - the lock analogue of ShadowSpace's
-// address->VarState mapping, with the same two properties the Section 4
+// this side table instead - the lock analogue of the shadow space's
+// address->cell mapping, with the same two properties the Section 4
 // runtime discipline needs:
 //
 //   Stability  a LockState reference stays valid for the whole session
@@ -14,7 +14,7 @@
 //              only the target lock itself.
 //   Agreement  every alias of the lock address maps to the same LockState.
 //
-// Reuse safety mirrors ShadowSpace: if the target frees a mutex and the
+// Reuse safety mirrors the shadow space: if the target frees a mutex and the
 // allocator recycles the address for a new one, the new lock would inherit
 // the old release clock (sound - it only adds happens-before edges - but
 // stale). free()/munmap() interposition calls reset_range(), which drops

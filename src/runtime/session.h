@@ -6,18 +6,21 @@
 //
 //   target binary ──pthread/tsan events──> interposer ──C ABI──> Session
 //                                                                  │
-//                                               SessionBackend (virtual)
+//                      EntryTable (accesses, atomics) / SessionBackend
+//                                                   (lifecycle, locks)
 //                                                                  │
-//                                  SessionImpl<D>: Runtime<D> + ShadowSpace
-//                                                + LockRegistry + lifecycle
+//                            SessionImpl<D>: Runtime<D> + PackedShadowSpace
+//                                          + LockRegistry + lifecycle
 //
 // The detector D is fixed for the whole process but selectable at launch
 // (VFT_DETECTOR environment variable, or Session::configure before first
 // use): the ABI entry points are plain C functions, so the detector
-// dispatch happens once per event through SessionBackend's vtable instead
-// of per call-site templates. bench_hotpath's `abi_dispatch` section
-// tracks exactly what that indirection costs against the inlined wrapper
-// path.
+// dispatch happens once per event through one indirect call instead of
+// per call-site templates. Every event kind has exactly one route: memory
+// accesses and atomics go through the devirtualized EntryTable, thread
+// lifecycle, native locks and free hints through SessionBackend's vtable.
+// bench_hotpath's `abi_dispatch` section tracks what the access route
+// costs against the inlined wrapper path.
 //
 // Implicit thread lifecycle: any thread is attached on its first event
 // (OS-thread identity lives in Registry's thread_local binding). Threads
@@ -52,16 +55,18 @@
 
 namespace vft::rt::ambient {
 
-/// Devirtualized event dispatch for the ABI slow path. SessionImpl is
-/// `final`, so the captureless-lambda thunks below compile to direct
-/// calls into the template-inlined handlers - the C ABI pays one indirect
-/// call through this table instead of the backend() acquire-load plus a
-/// vtable hop per event. The table is built once in the SessionImpl
-/// constructor and published by Session::create_backend(); `generation`
-/// snapshots vft_g_fastpath_gen at creation, and Session::reset() bumps
-/// that global, so a consumer that checks `generation` against the
-/// current global can never dispatch into a torn-down backend.
+/// Devirtualized dispatch for memory accesses and atomic sync events, the
+/// only route those events take. SessionImpl is `final`, so the
+/// captureless-lambda thunks below compile to direct calls into the
+/// template-inlined handlers - the C ABI pays one indirect call through
+/// this table per event. The table is built once in the SessionImpl
+/// constructor, published by Session::create_backend() and withdrawn by
+/// Session::reset() before the backend dies. `generation` snapshots
+/// vft_g_fastpath_gen at creation (reset() bumps that global); the
+/// header-inlined descriptors the backend arms carry the same stamp.
 struct EntryTable {
+  /// Access entries: (self, addr, size), one per direction for every size
+  /// - a word, a straddle, or a memcpy-style range.
   using AccessFn = void (*)(void*, const void*, std::size_t);
   /// Atomic sync entries: (self, addr, morder). morder is the TSan ABI
   /// value (== __ATOMIC_*); address identity is the sync-state key, so no
@@ -72,8 +77,6 @@ struct EntryTable {
   void* self = nullptr;
   AccessFn read = nullptr;
   AccessFn write = nullptr;
-  AccessFn range_read = nullptr;
-  AccessFn range_write = nullptr;
   AtomicFn atomic_load = nullptr;
   AtomicFn atomic_store = nullptr;
   AtomicFn atomic_rmw_pre = nullptr;
@@ -82,40 +85,21 @@ struct EntryTable {
   std::uint64_t generation = 0;
 };
 
-/// The detector-erased session surface. One virtual hop per event; the
-/// handlers behind it are the same template-inlined fast paths the
-/// wrappers use.
+/// The detector-erased session surface for everything but accesses and
+/// atomics (those dispatch through entries()). One virtual hop per event;
+/// the handlers behind it are the same template-inlined ones the wrappers
+/// use.
 class SessionBackend {
  public:
   virtual ~SessionBackend() = default;
 
   virtual const char* detector_name() const = 0;
 
-  // --- memory accesses (word-granular; an access spilling over its
-  // 8-byte shadow word takes the range path). Handlers run *before* the
-  // target access, per the §4 ordering discipline.
-  virtual void read(const void* addr, std::size_t size) = 0;
-  virtual void write(const void* addr, std::size_t size) = 0;
-  virtual void range_read(const void* addr, std::size_t size) = 0;
-  virtual void range_write(const void* addr, std::size_t size) = 0;
-
   // --- native locks, keyed by address (pthread_mutex_t*). Per §4 the
   // caller invokes mutex_lock *after* the native acquire succeeded and
   // mutex_unlock *before* the native release.
   virtual void mutex_lock(const void* m) = 0;
   virtual void mutex_unlock(const void* m) = 0;
-
-  // --- __tsan_atomic* sync events, keyed by address like locks. The
-  // ordering discipline mirrors §4: store/rmw_pre run *before* the real
-  // operation (publish before the value is visible), load/rmw_post run
-  // *after* it (join once the value was observed). `mo` is the target's
-  // declared memory order (TSan ABI == __ATOMIC_* values); the VFT_ATOMICS
-  // mode is applied inside.
-  virtual void atomic_load(const void* a, int mo) = 0;
-  virtual void atomic_store(const void* a, int mo) = 0;
-  virtual void atomic_rmw_pre(const void* a, int mo) = 0;
-  virtual void atomic_rmw_post(const void* a, int mo) = 0;
-  virtual void atomic_fence(int mo) = 0;
 
   // --- thread lifecycle. attach() binds the calling OS thread to a fresh
   // (implicitly detached) target thread; detach() is its end-of-thread
@@ -131,7 +115,7 @@ class SessionBackend {
   /// dead locks so recycled addresses start from bottom state.
   virtual void free_hint(const void* addr, std::size_t size) = 0;
 
-  /// The backend's devirtualized access-entry table (see EntryTable).
+  /// The backend's devirtualized access and atomic table (see EntryTable).
   virtual const EntryTable& entries() const = 0;
 
   // --- introspection for end-of-run reports.
@@ -151,6 +135,9 @@ inline thread_local SessionTls tl_session{};
 
 template <Detector D>
 class SessionImpl final : public SessionBackend {
+  static_assert(SpillableVarState<typename D::VarState>,
+                "the session shadows raw addresses with packed cells only");
+
  public:
   SessionImpl(RaceCollector* races, RuleStats* stats,
               std::uint64_t generation)
@@ -164,16 +151,10 @@ class SessionImpl final : public SessionBackend {
     // compile to direct calls into the handlers below.
     entries_.self = this;
     entries_.read = [](void* s, const void* a, std::size_t n) {
-      static_cast<SessionImpl*>(s)->read(a, n);
+      static_cast<SessionImpl*>(s)->access</*IsWrite=*/false>(a, n);
     };
     entries_.write = [](void* s, const void* a, std::size_t n) {
-      static_cast<SessionImpl*>(s)->write(a, n);
-    };
-    entries_.range_read = [](void* s, const void* a, std::size_t n) {
-      static_cast<SessionImpl*>(s)->range_read(a, n);
-    };
-    entries_.range_write = [](void* s, const void* a, std::size_t n) {
-      static_cast<SessionImpl*>(s)->range_write(a, n);
+      static_cast<SessionImpl*>(s)->access</*IsWrite=*/true>(a, n);
     };
     entries_.atomic_load = [](void* s, const void* a, int mo) {
       static_cast<SessionImpl*>(s)->atomic_load(a, mo);
@@ -192,27 +173,25 @@ class SessionImpl final : public SessionBackend {
     };
     entries_.generation =
         __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
-    if constexpr (SpillableVarState<typename D::VarState>) {
-      // Header-inlined fast-path descriptor arming: ungated runs only.
-      // Under cell-policy sampling an inline hit would bypass the gate's
-      // countdown and controller probes (starving the overhead budget);
-      // under the drop policy the ABI slow path arms the countdown half
-      // of the descriptor and the cell half stays disarmed.
-      fastpath_arm_ =
-          gate_ == nullptr && stats != nullptr && fastpath_env_enabled();
-      if (stats != nullptr) {
-        static_assert(sizeof(std::atomic<std::uint64_t>) ==
-                      sizeof(std::uint64_t));
-        static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
-        rule_read_hit_[0] = reinterpret_cast<std::uint64_t*>(
-            stats->counter_addr(Rule::kReadSameEpoch));
-        rule_read_hit_[1] = reinterpret_cast<std::uint64_t*>(
-            stats->counter_addr(Rule::kFastReadHit));
-        rule_write_hit_[0] = reinterpret_cast<std::uint64_t*>(
-            stats->counter_addr(Rule::kWriteSameEpoch));
-        rule_write_hit_[1] = reinterpret_cast<std::uint64_t*>(
-            stats->counter_addr(Rule::kFastWriteHit));
-      }
+    // Header-inlined fast-path descriptor arming: ungated runs only.
+    // Under cell-policy sampling an inline hit would bypass the gate's
+    // countdown and controller probes (starving the overhead budget);
+    // under the drop policy the ABI slow path arms the countdown half
+    // of the descriptor and the cell half stays disarmed.
+    fastpath_arm_ =
+        gate_ == nullptr && stats != nullptr && fastpath_env_enabled();
+    if (stats != nullptr) {
+      static_assert(sizeof(std::atomic<std::uint64_t>) ==
+                    sizeof(std::uint64_t));
+      static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
+      rule_read_hit_[0] = reinterpret_cast<std::uint64_t*>(
+          stats->counter_addr(Rule::kReadSameEpoch));
+      rule_read_hit_[1] = reinterpret_cast<std::uint64_t*>(
+          stats->counter_addr(Rule::kFastReadHit));
+      rule_write_hit_[0] = reinterpret_cast<std::uint64_t*>(
+          stats->counter_addr(Rule::kWriteSameEpoch));
+      rule_write_hit_[1] = reinterpret_cast<std::uint64_t*>(
+          stats->counter_addr(Rule::kFastWriteHit));
     }
   }
 
@@ -225,99 +204,59 @@ class SessionImpl final : public SessionBackend {
 
   const EntryTable& entries() const override { return entries_; }
 
-  // Spillable detectors (all six production ones) route every ABI access
-  // through the packed-cell space whether or not a sampling gate is
-  // installed: the packed fast path is the scalar flank of the
-  // header-inlined one, so the inline path's cached cell pointers stay
-  // the authoritative shadow and a slow-path access leaves exactly the
-  // {R, W} the next inline hit tests against. Non-spillable detectors
-  // keep the full-VarState ShadowSpace route.
-
-  void read(const void* addr, std::size_t size) override {
+  /// The one access entry, behind both EntryTable access slots: every
+  /// ABI access of any size runs against the packed-cell space. The packed
+  /// fast path is the scalar flank of the header-inlined one, so the inline
+  /// path's cached cell pointers stay the authoritative shadow and a
+  /// slow-path access leaves exactly the {R, W} the next inline hit tests
+  /// against. An access inside one shadow word takes the scalar cell path;
+  /// anything wider (a straddle, a memcpy-style range) the SIMD range scan,
+  /// whose same-epoch prefix bumps the same two rules the scalar hit does.
+  ///
+  /// With no sampling gate every access is sampled. Under a gate, one draw
+  /// covers the whole access (ranges are one program event; per-word draws
+  /// would just multiply the rate by the range length): the drop policy
+  /// already drew at the ABI entry point, so only a controller probe opens
+  /// here, while the cell policy draws now - the probe opens inside
+  /// should_sample, before the gate's own slow path, so the controller
+  /// charges gate bookkeeping plus the shadow access, the true marginal
+  /// cost of the rate. A sampled-out access costs one cell fast path at
+  /// most; spills feed the gate's reheat hook.
+  template <bool IsWrite>
+  void access(const void* addr, std::size_t size) {
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
     // Size hint for history entries; only consumed on the slow path.
     history::tl_access_size = static_cast<std::uint32_t>(size);
-    if constexpr (SpillableVarState<typename D::VarState>) {
-      if (gate_ != nullptr) {
-        gated_access</*IsWrite=*/false>(*ts, addr, size);
-        return;
-      }
-      auto& packed = rt_.packed_space();
-      if (one_word(addr, size)) {
-        packed.read(rt_.tool(), *ts, addr);
+    std::uint64_t probe = 0;
+    bool sampled = true;
+    if (gate_ != nullptr) {
+      if (drop_mode_) {
+        probe = gate_->maybe_time_begin();
       } else {
-        packed.range_read(rt_.tool(), *ts, addr, size, /*sampled=*/true);
+        sampled = gate_->should_sample(addr, &probe);
       }
-      arm_fastpath(*ts, addr);
-      return;
     }
-    auto& shadow = rt_.shadow_space();
+    auto& packed = rt_.packed_space();
+    auto& tool = rt_.tool();
+    bool spilled = false;
+    bool ok;
     if (one_word(addr, size)) {
-      rt_.tool().read(*ts, shadow.of(addr));
+      ok = IsWrite ? packed.write_gated(tool, *ts, addr, sampled, &spilled)
+                   : packed.read_gated(tool, *ts, addr, sampled, &spilled);
     } else {
-      instrumented_range_read(rt_, shadow, addr, size);
+      ok = IsWrite
+               ? packed.range_write(tool, *ts, addr, size, sampled, &spilled)
+               : packed.range_read(tool, *ts, addr, size, sampled, &spilled);
     }
-  }
-
-  void write(const void* addr, std::size_t size) override {
-    ThreadState* ts = self_or_attach();
-    if (ts == nullptr) return;
-    history::tl_access_size = static_cast<std::uint32_t>(size);
-    if constexpr (SpillableVarState<typename D::VarState>) {
-      if (gate_ != nullptr) {
-        gated_access</*IsWrite=*/true>(*ts, addr, size);
-        return;
+    if (gate_ != nullptr) {
+      if (sampled) {
+        if (spilled) gate_->on_spill(addr);
+        if (!ok) gate_->on_race(addr);
       }
-      auto& packed = rt_.packed_space();
-      if (one_word(addr, size)) {
-        packed.write(rt_.tool(), *ts, addr);
-      } else {
-        packed.range_write(rt_.tool(), *ts, addr, size, /*sampled=*/true);
-      }
-      arm_fastpath(*ts, addr);
-      return;
+      gate_->time_end(probe);  // 0 token (unprobed / sampled-out): no-op
     }
-    auto& shadow = rt_.shadow_space();
-    if (one_word(addr, size)) {
-      rt_.tool().write(*ts, shadow.of(addr));
-    } else {
-      instrumented_range_write(rt_, shadow, addr, size);
-    }
-  }
-
-  void range_read(const void* addr, std::size_t size) override {
-    ThreadState* ts = self_or_attach();
-    if (ts == nullptr) return;
-    history::tl_access_size = static_cast<std::uint32_t>(size);
-    if constexpr (SpillableVarState<typename D::VarState>) {
-      if (gate_ != nullptr) {
-        gated_access</*IsWrite=*/false>(*ts, addr, size);
-        return;
-      }
-      rt_.packed_space().range_read(rt_.tool(), *ts, addr, size,
-                                    /*sampled=*/true);
-      arm_fastpath(*ts, addr);
-      return;
-    }
-    instrumented_range_read(rt_, rt_.shadow_space(), addr, size);
-  }
-
-  void range_write(const void* addr, std::size_t size) override {
-    ThreadState* ts = self_or_attach();
-    if (ts == nullptr) return;
-    history::tl_access_size = static_cast<std::uint32_t>(size);
-    if constexpr (SpillableVarState<typename D::VarState>) {
-      if (gate_ != nullptr) {
-        gated_access</*IsWrite=*/true>(*ts, addr, size);
-        return;
-      }
-      rt_.packed_space().range_write(rt_.tool(), *ts, addr, size,
-                                     /*sampled=*/true);
-      arm_fastpath(*ts, addr);
-      return;
-    }
-    instrumented_range_write(rt_, rt_.shadow_space(), addr, size);
+    arm_fastpath(*ts, addr);  // no-op under a gate (fastpath_arm_ is off)
   }
 
   void mutex_lock(const void* m) override {
@@ -332,12 +271,19 @@ class SessionImpl final : public SessionBackend {
     rt_.tool().release(*ts, locks_.of(m));
   }
 
+  // --- __tsan_atomic* sync events (behind the EntryTable atomic slots),
+  // keyed by address like locks. The ordering discipline mirrors §4:
+  // store/rmw_pre run *before* the real operation (publish before the
+  // value is visible), load/rmw_post run *after* it (join once the value
+  // was observed). `mo` is the target's declared memory order (TSan ABI ==
+  // __ATOMIC_* values); the VFT_ATOMICS mode is applied inside.
+  //
   // Atomic sync events run ungated (like mutex_lock/unlock: sampling
   // thins data accesses, never synchronization - a dropped edge would
   // manufacture false races, the one thing the sampling layer must never
   // do). VFT_ATOMICS=off restores the PR-5 interposer-only behaviour.
 
-  void atomic_load(const void* a, int mo) override {
+  void atomic_load(const void* a, int mo) {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
@@ -346,7 +292,7 @@ class SessionImpl final : public SessionBackend {
                            atomics::effective_mo(atomics_mode_, mo));
   }
 
-  void atomic_store(const void* a, int mo) override {
+  void atomic_store(const void* a, int mo) {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
@@ -355,7 +301,7 @@ class SessionImpl final : public SessionBackend {
                             atomics::effective_mo(atomics_mode_, mo));
   }
 
-  void atomic_rmw_pre(const void* a, int mo) override {
+  void atomic_rmw_pre(const void* a, int mo) {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
@@ -364,7 +310,7 @@ class SessionImpl final : public SessionBackend {
                               atomics::effective_mo(atomics_mode_, mo));
   }
 
-  void atomic_rmw_post(const void* a, int mo) override {
+  void atomic_rmw_post(const void* a, int mo) {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
@@ -373,7 +319,7 @@ class SessionImpl final : public SessionBackend {
                                atomics::effective_mo(atomics_mode_, mo));
   }
 
-  void atomic_fence(int mo) override {
+  void atomic_fence(int mo) {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
@@ -483,10 +429,7 @@ class SessionImpl final : public SessionBackend {
 
   void free_hint(const void* addr, std::size_t size) override {
     if (size == 0) return;
-    if (rt_.has_shadow_space()) rt_.shadow_space().reset_range(addr, size);
-    if constexpr (SpillableVarState<typename D::VarState>) {
-      if (rt_.has_packed_space()) rt_.packed_space().reset_range(addr, size);
-    }
+    if (rt_.has_packed_space()) rt_.packed_space().reset_range(addr, size);
     locks_.reset_range(addr, size);
     atomics_.reset_range(addr, size);
     // Recycled addresses are new variables: any cooled sampling state
@@ -507,13 +450,9 @@ class SessionImpl final : public SessionBackend {
   std::size_t locks_seen() const override { return locks_.size(); }
 
   std::size_t shadow_words() const override {
-    std::size_t n = rt_.has_shadow_space()
-                        ? const_cast<Runtime<D>&>(rt_).shadow_space().size()
-                        : 0;
-    if (rt_.has_packed_space()) {
-      n += const_cast<Runtime<D>&>(rt_).packed_space().size();
-    }
-    return n;
+    return rt_.has_packed_space()
+               ? const_cast<Runtime<D>&>(rt_).packed_space().size()
+               : 0;
   }
 
  private:
@@ -568,75 +507,29 @@ class SessionImpl final : public SessionBackend {
         fp.epoch_addr == ts.epoch_bits_addr()) {
       return;
     }
-    if constexpr (SpillableVarState<typename D::VarState>) {
-      if (fp.gen == entries_.generation) {
-        // Page-switch re-arm: credit pending tallies before the rewrite.
-        vft_fastpath_flush_hits(&fp);
-      } else {
-        // Stale descriptor from an older backend: its tallies were accrued
-        // against counters that have since been reset - drop them.
-        fp.hit_reads = 0;
-        fp.hit_writes = 0;
-      }
-      fp.epoch_addr = ts.epoch_bits_addr();
-      fp.page_base = base;
-      fp.cells = rt_.packed_space().page_cells(base);
-      fp.drop_countdown = 0;
-      fp.drop_pending = 0;
-      fp.rule_read[0] = rule_read_hit_[0];
-      fp.rule_read[1] = rule_read_hit_[1];
-      fp.rule_write[0] = rule_write_hit_[0];
-      fp.rule_write[1] = rule_write_hit_[1];
-      // entries_.generation snapshots the global at backend creation; if
-      // a reset bumped the global since, this stamp leaves the descriptor
-      // stale and the inline path keeps falling through - correct, since
-      // this backend is being torn down.
-      fp.gen = entries_.generation;
-    }
-  }
-
-  /// The sampling route: accesses run against the packed-cell space so a
-  /// sampled-out access costs one cell fast path at most and spills feed
-  /// the gate's reheat hook. One gate decision covers a whole range
-  /// (ranges are one program event; per-word draws would just multiply
-  /// the rate by the range length). Under the drop policy the ABI entry
-  /// point already drew the gate, so every access arriving here counts as
-  /// sampled - there must be exactly one draw per event.
-  template <bool IsWrite>
-  void gated_access(ThreadState& ts, const void* addr, std::size_t size) {
-    std::uint64_t probe = 0;
-    bool sampled;
-    if (drop_mode_) {
-      sampled = true;  // the ABI entry point already drew the gate
-      probe = gate_->maybe_time_begin();
+    if (fp.gen == entries_.generation) {
+      // Page-switch re-arm: credit pending tallies before the rewrite.
+      vft_fastpath_flush_hits(&fp);
     } else {
-      // The probe (when armed) opens inside should_sample, before the
-      // gate's own slow path, so the controller charges gate bookkeeping
-      // plus the shadow access - the true marginal cost of the rate.
-      sampled = gate_->should_sample(addr, &probe);
+      // Stale descriptor from an older backend: its tallies were accrued
+      // against counters that have since been reset - drop them.
+      fp.hit_reads = 0;
+      fp.hit_writes = 0;
     }
-    auto& packed = rt_.packed_space();
-    auto& tool = rt_.tool();
-    bool spilled = false;
-    bool ok = true;
-    if (one_word(addr, size)) {
-      if constexpr (IsWrite) {
-        ok = packed.write_gated(tool, ts, addr, sampled, &spilled);
-      } else {
-        ok = packed.read_gated(tool, ts, addr, sampled, &spilled);
-      }
-    } else {
-      if constexpr (IsWrite) {
-        ok = packed.range_write(tool, ts, addr, size, sampled, &spilled);
-      } else {
-        ok = packed.range_read(tool, ts, addr, size, sampled, &spilled);
-      }
-    }
-    if (sampled) {
-      if (spilled) gate_->on_spill(addr);
-      if (!ok) gate_->on_race(addr);
-    }
-    gate_->time_end(probe);  // 0 token (unprobed / sampled-out): no-op
+    fp.epoch_addr = ts.epoch_bits_addr();
+    fp.page_base = base;
+    fp.cells = rt_.packed_space().page_cells(base);
+    fp.drop_countdown = 0;
+    fp.drop_pending = 0;
+    fp.rule_read[0] = rule_read_hit_[0];
+    fp.rule_read[1] = rule_read_hit_[1];
+    fp.rule_write[0] = rule_write_hit_[0];
+    fp.rule_write[1] = rule_write_hit_[1];
+    // entries_.generation snapshots the global at backend creation; if a
+    // reset bumped the global since, this stamp leaves the descriptor stale
+    // and the inline path keeps falling through - correct, since this
+    // backend is being torn down.
+    fp.gen = entries_.generation;
   }
 
   /// The calling thread's state, attaching implicitly on first contact.
@@ -694,7 +587,7 @@ class SessionImpl final : public SessionBackend {
   atomics::AtomicRegistry atomics_;
   const atomics::Mode atomics_mode_ = atomics::mode_from_env();
   const std::uint64_t generation_;
-  sampling::Gate* const gate_;  ///< nullptr: sampling off, classic route
+  sampling::Gate* const gate_;  ///< nullptr: sampling off, every access sampled
   const bool drop_mode_;
   EntryTable entries_;
   bool fastpath_arm_ = false;  ///< ungated + stats + env allow arming
@@ -738,11 +631,17 @@ class Session {
   RaceCollector& races() { return races_; }
   RuleStats& rule_stats() { return stats_; }
 
-  /// The live backend's devirtualized entry table, or nullptr before the
-  /// first event / after reset(). Consumers must compare the table's
-  /// generation snapshot against vft_g_fastpath_gen before dispatching
-  /// through it (src/abi/vft_abi.cpp does); a stale table may point into
-  /// a backend that reset() is about to destroy.
+  /// The live backend's entry table, the one route of every access and
+  /// atomic event; the backend is created on first use like backend()'s.
+  /// Under LD_PRELOAD the interposer's constructor already created it.
+  const EntryTable& entries() {
+    if (const EntryTable* t = entry_table()) return *t;
+    return create_backend().entries();
+  }
+
+  /// The published entry table without creating a backend: nullptr before
+  /// the first event and after reset(), which withdraws it before the
+  /// backend it points into is destroyed.
   const EntryTable* entry_table() const {
     return entry_table_.load(std::memory_order_acquire);
   }
@@ -794,8 +693,6 @@ class Session {
     }
     return v2_->runtime();
   }
-
-  ShadowSpace<VftV2>& shadow() { return runtime().shadow_space(); }
 
   /// Monotone session generation; bumped by reset() so thread-local
   /// bindings from a previous backend can never be mistaken for live.

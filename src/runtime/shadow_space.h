@@ -1,6 +1,5 @@
 // Two-level shadow memory: the production-shaped mapping from target
-// addresses to analysis state, replacing the mutex-sharded hash table
-// as the primary raw-pointer backend.
+// addresses to analysis state, the one raw-pointer backend.
 //
 // Layout (the Valgrind-DRD primary/secondary map, adapted to 64-bit
 // address spaces the way ThreadSanitizer-style tools do):
@@ -13,14 +12,10 @@
 //             └─ bits [kGranularityLog2,
 //                      kPageSpanLog2)      ──> slot inside the page
 //
-// Two page flavors share that directory machinery (PageDirectory below):
-//
-//   ShadowSpace        one full VarState per 8-byte word - every access is
-//                      a detector call against production analysis state.
-//   PackedShadowSpace  one 64-bit packed {R, W} cell per word plus a lazy
-//                      spill slot - the same-epoch/exclusive fast path of
-//                      vft/packed_cell.h runs inline against the cell, and
-//                      only escalated words ever materialize a VarState.
+// Each page (PackedShadowSpace below, over the PageDirectory machinery)
+// holds one 64-bit packed {R, W} cell per word plus a lazy spill slot: the
+// same-epoch/exclusive fast path of vft/packed_cell.h runs inline against
+// the cell, and only escalated words ever materialize a VarState.
 //
 // Pages are allocated on first touch and published with a CAS into the
 // bucket's chain - no lock anywhere on the lookup path. Distinct page
@@ -29,20 +24,19 @@
 //
 // Two properties the Section 4 runtime assumptions need:
 //
-//   Stability  pages are never freed or moved during a session, so a
-//              VarState& (or cell&) stays valid forever (the one-to-one
-//              persistent variable->VarState mapping). The flip side: if
-//              the target frees memory and the allocator reuses the
-//              address, the new object inherits the old shadow word (real
-//              tools hook free() to clear shadow; see docs/ALGORITHM.md §8).
-//   Agreement  every alias of an address maps to the same VarState, so
+//   Stability  pages are never freed or moved during a session, so a cell
+//              (and a spilled VarState) stays valid forever (the
+//              one-to-one persistent variable->VarState mapping). The flip
+//              side: if the target frees memory and the allocator reuses
+//              the address, the new object inherits the old shadow word
+//              (real tools hook free() to clear shadow; see
+//              docs/ALGORITHM.md §8).
+//   Agreement  every alias of an address maps to the same cell, so
 //              wrapper-based (rt::Array carving) and raw-pointer
 //              instrumentation of the same memory see the same history.
 //
-// Granularity: accesses within the same 8-byte word share a VarState
-// (word-granular shadow, as in TSan's default). The fallback ShadowTable
-// keys exact addresses instead; use word-aligned data when comparing
-// backends.
+// Granularity: accesses within the same 8-byte word share a cell
+// (word-granular shadow, as in TSan's default).
 #pragma once
 
 #include <atomic>
@@ -59,10 +53,10 @@ namespace vft::rt {
 template <Detector D>
 class Runtime;
 
-/// Geometry shared by every ShadowSpace instantiation (non-template so the
-/// formatting helpers can live in shadow_space.cpp).
+/// Geometry shared by every PackedShadowSpace instantiation (non-template
+/// so the formatting helpers can live in shadow_space.cpp).
 struct ShadowGeometry {
-  /// log2 bytes per shadow slot: 8-byte words, one VarState each.
+  /// log2 bytes per shadow slot: 8-byte words, one cell each.
   static constexpr std::size_t kGranularityLog2 = 3;
   static constexpr std::size_t kGranularity = 1u << kGranularityLog2;
   /// log2 slots per page: 512 slots -> a page spans 4 KiB of target memory.
@@ -119,7 +113,7 @@ struct ShadowSpaceStats {
 /// "pages=N slots=N mem=N.NMiB collisions=N ..." (shadow_space.cpp).
 std::string str(const ShadowSpaceStats& s);
 
-/// The lock-free two-level page table both shadow flavors share. PageT
+/// The lock-free two-level page table behind the shadow space. PageT
 /// must expose `const std::uintptr_t base`, `std::atomic<PageT*> next`,
 /// and a PageT(std::uintptr_t base) constructor.
 ///
@@ -259,116 +253,13 @@ class PageDirectory {
   std::atomic<std::size_t> cache_misses_{0};
 };
 
-template <Detector D>
-class ShadowSpace {
- public:
-  using Geometry = ShadowGeometry;
-
-  ShadowSpace() = default;
-  ShadowSpace(const ShadowSpace&) = delete;
-  ShadowSpace& operator=(const ShadowSpace&) = delete;
-
-  /// The VarState shadowing the word containing `addr` (page allocated on
-  /// first touch). Lock-free; the returned reference is stable forever.
-  typename D::VarState& of(const void* addr) {
-    const auto a = reinterpret_cast<std::uintptr_t>(addr);
-    return dir_.page(Geometry::base_of(a)).slot(a);
-  }
-
-  /// The pre-cache lookup path, for bench_hotpath's cache A/B.
-  typename D::VarState& of_uncached(const void* addr) {
-    const auto a = reinterpret_cast<std::uintptr_t>(addr);
-    return dir_.page_uncached(Geometry::base_of(a)).slot(a);
-  }
-
-  /// Reset every shadow word overlapping [addr, addr+size) to its initial
-  /// (bottom) VarState, keeping the word's report id. This is the shadow
-  /// half of free()/munmap() interposition: without it, memory the
-  /// allocator recycles would inherit the dead object's access history and
-  /// report false races against its previous life (docs/ALGORITHM.md s8).
-  ///
-  /// Only pages that already exist are touched - clearing never allocates.
-  /// The caller must guarantee no thread concurrently accesses the range
-  /// being cleared; for the free() path that is the target's own
-  /// correctness obligation (freeing memory another thread still uses is a
-  /// bug this very tool exists to find).
-  void reset_range(const void* addr, std::size_t size) {
-    if (size == 0) return;
-    const auto lo = reinterpret_cast<std::uintptr_t>(addr);
-    const std::uintptr_t hi = lo + size;
-    for (std::uintptr_t base = Geometry::base_of(lo); base < hi;
-         base += Geometry::kPageSpan) {
-      Page* p = dir_.find_page(base);
-      if (p == nullptr) continue;
-      const std::uintptr_t first = base < lo ? lo : base;
-      const std::uintptr_t last =
-          base + Geometry::kPageSpan < hi ? base + Geometry::kPageSpan : hi;
-      std::size_t i = Geometry::slot_index(first);
-      const std::size_t end =
-          ((last - 1 - base) >> Geometry::kGranularityLog2) + 1;
-      for (; i < end; ++i) {
-        auto& vs = p->slots[i];
-        const std::uint64_t id = vs.id;
-        std::destroy_at(&vs);
-        std::construct_at(&vs);
-        vs.id = id;
-      }
-      words_reset_.fetch_add(end - Geometry::slot_index(first),
-                             std::memory_order_relaxed);
-    }
-  }
-
-  /// Pages allocated so far (racy snapshot).
-  std::size_t pages() const { return dir_.pages(); }
-
-  /// VarState slots materialized so far (pages * slots-per-page).
-  std::size_t size() const { return pages() * Geometry::kSlotsPerPage; }
-
-  /// Shadow words cleared by reset_range so far.
-  std::size_t words_reset() const {
-    return words_reset_.load(std::memory_order_relaxed);
-  }
-
-  ShadowSpaceStats stats() const {
-    ShadowSpaceStats s;
-    s.pages = pages();
-    s.slots = s.pages * Geometry::kSlotsPerPage;
-    s.bytes = Geometry::kBuckets * sizeof(std::atomic<Page*>) +
-              s.pages * sizeof(Page);
-    s.collisions = dir_.collisions();
-    s.cache_misses = dir_.cache_misses();
-    s.words_reset = words_reset();
-    return s;
-  }
-
- private:
-  struct Page {
-    explicit Page(std::uintptr_t b) : base(b) {
-      for (std::size_t i = 0; i < Geometry::kSlotsPerPage; ++i) {
-        slots[i].id = base + (i << Geometry::kGranularityLog2);
-      }
-    }
-
-    typename D::VarState& slot(std::uintptr_t addr) {
-      return slots[Geometry::slot_index(addr)];
-    }
-
-    const std::uintptr_t base;
-    std::atomic<Page*> next{nullptr};
-    typename D::VarState slots[Geometry::kSlotsPerPage];
-  };
-
-  PageDirectory<Page> dir_;
-  std::atomic<std::size_t> words_reset_{0};
-};
-
 /// Packed-cell shadow space: 16 bytes of page payload per target word (an
 /// 8-byte {R, W} cell plus an 8-byte lazy spill pointer) instead of a full
 /// VarState. Accesses run the vft/packed_cell.h fast path inline; only
 /// escalated words allocate a VarState, published through the cell's
 /// ESCALATING->ESCALATED protocol (the spill directory of the packed
-/// design). The spilled VarState's id is the word's base address, the same
-/// id ShadowSpace assigns, so race reports agree across flavors.
+/// design). The spilled VarState's id is the word's base address, so race
+/// reports name a word the same way whichever path touched it.
 template <Detector D>
 class PackedShadowSpace {
  public:
@@ -401,9 +292,16 @@ class PackedShadowSpace {
     return dir_.page(Geometry::base_of(a)).cells[Geometry::slot_index(a)];
   }
 
-  /// Force-escalated VarState access, so external probes (and the generic
-  /// backend concept) stay coherent with the cell protocol. Prefer
-  /// read()/write(): this defeats the fast path for the word it touches.
+  /// The pre-cache lookup path, for bench_hotpath's cache A/B.
+  PackedCell& cell_of_uncached(const void* addr) {
+    const auto a = reinterpret_cast<std::uintptr_t>(addr);
+    return dir_.page_uncached(Geometry::base_of(a))
+        .cells[Geometry::slot_index(a)];
+  }
+
+  /// Force-escalated VarState access, so external probes stay coherent
+  /// with the cell protocol. Prefer read()/write(): this defeats the fast
+  /// path for the word it touches.
   VarState& of(const void* addr) { return escalated(slot_of(addr)); }
 
   /// One instrumented access: fast path inline against the cell, detector
@@ -487,12 +385,20 @@ class PackedShadowSpace {
   }
 
   /// Reset every shadow word overlapping [addr, addr+size) to bottom
-  /// state, the packed-flavor counterpart of ShadowSpace::reset_range
-  /// (same caller obligations: no concurrent access to the range). An
-  /// epoch-mode cell goes back to {bottom, bottom}; an escalated word
-  /// stays escalated and its spilled VarState is re-bottomed in place,
-  /// keeping the report id - re-entering epoch mode would need to
-  /// un-publish the VarState other threads may have cached.
+  /// state. This is the shadow half of free()/munmap() interposition:
+  /// without it, memory the allocator recycles would inherit the dead
+  /// object's access history and report false races against its previous
+  /// life (docs/ALGORITHM.md s8). An epoch-mode cell goes back to {bottom,
+  /// bottom}; an escalated word stays escalated and its spilled VarState
+  /// is re-bottomed in place, keeping the report id - re-entering epoch
+  /// mode would need to un-publish the VarState other threads may have
+  /// cached.
+  ///
+  /// Only pages that already exist are touched - clearing never allocates.
+  /// The caller must guarantee no thread concurrently accesses the range
+  /// being cleared; for the free() path that is the target's own
+  /// correctness obligation (freeing memory another thread still uses is a
+  /// bug this very tool exists to find).
   void reset_range(const void* addr, std::size_t size) {
     if (size == 0) return;
     const auto lo = reinterpret_cast<std::uintptr_t>(addr);
@@ -671,36 +577,12 @@ class PackedShadowSpace {
   std::atomic<std::size_t> words_reset_{0};
 };
 
-/// Anything mapping addresses to stable VarStates can back the raw-pointer
-/// entry points: ShadowSpace (primary), ShadowTable (fallback), and
-/// PackedShadowSpace (via its force-escalating of(); the dedicated
-/// overloads below keep its fast path instead).
-template <typename S, typename D>
-concept ShadowBackendFor = requires(S& s, const void* p) {
-  { s.of(p) } -> std::same_as<typename D::VarState&>;
-};
-
 // --- Raw-pointer instrumentation entry points -------------------------------
 //
 // The API a compiler pass or binary-instrumentation front end would call
-// (TSan's __tsan_readN/__tsan_writeN shape), generic over the backend so
-// tools can switch between ShadowSpace, ShadowTable, and the packed cells
-// with a flag.
+// (TSan's __tsan_readN/__tsan_writeN shape) against the runtime's packed
+// shadow space: the cell fast path per word.
 
-template <Detector D, typename S>
-  requires ShadowBackendFor<S, D>
-bool instrumented_read(Runtime<D>& rt, S& shadow, const void* addr) {
-  return rt.tool().read(rt.self(), shadow.of(addr));
-}
-
-template <Detector D, typename S>
-  requires ShadowBackendFor<S, D>
-bool instrumented_write(Runtime<D>& rt, S& shadow, const void* addr) {
-  return rt.tool().write(rt.self(), shadow.of(addr));
-}
-
-/// Packed-cell overloads: more specialized than the generic backend
-/// template, so they win overload resolution and keep the fast path.
 template <Detector D>
 bool instrumented_read(Runtime<D>& rt, PackedShadowSpace<D>& shadow,
                        const void* addr) {
@@ -713,67 +595,10 @@ bool instrumented_write(Runtime<D>& rt, PackedShadowSpace<D>& shadow,
   return shadow.write(rt.tool(), rt.self(), addr);
 }
 
-/// Hint-prefetch the shadow word `slots_ahead` slots past `vs`. Inside a
-/// shadow page consecutive target words shadow to consecutive VarStates,
-/// so a range sweep's next few shadow words sit right after the current
-/// one; pulling them toward L1 while the detector handler runs hides the
-/// VarState-sized stride. Prefetch never faults, so running past a page
-/// end (or, for the ShadowTable backend, into unrelated heap) is merely a
-/// wasted hint.
-template <typename V>
-inline void prefetch_shadow_ahead(const V& vs, std::size_t slots_ahead = 4) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(
-      reinterpret_cast<const char*>(&vs) + slots_ahead * sizeof(V), 1, 3);
-#else
-  (void)vs;
-  (void)slots_ahead;
-#endif
-}
-
-/// Access-size/range variant: one read event per shadow word overlapped by
-/// [addr, addr+size) - the __tsan_read8/memcpy-annotation shape. Returns
+/// Access-size/range variant: one event per shadow word overlapped by
+/// [addr, addr+size) - the __tsan_read8/memcpy-annotation shape. Cells are
+/// 8 bytes apart, so the hardware prefetcher covers the stride. Returns
 /// false iff any word reported a race.
-template <Detector D, typename S>
-  requires ShadowBackendFor<S, D>
-bool instrumented_range_read(Runtime<D>& rt, S& shadow, const void* addr,
-                             std::size_t size) {
-  if (size == 0) return true;
-  ThreadState& self = rt.self();
-  auto& tool = rt.tool();
-  std::uintptr_t a = reinterpret_cast<std::uintptr_t>(addr) &
-                     ~static_cast<std::uintptr_t>(ShadowGeometry::kGranularity - 1);
-  const std::uintptr_t end = reinterpret_cast<std::uintptr_t>(addr) + size;
-  bool ok = true;
-  for (; a < end; a += ShadowGeometry::kGranularity) {
-    auto& vs = shadow.of(reinterpret_cast<const void*>(a));
-    prefetch_shadow_ahead(vs);
-    ok &= tool.read(self, vs);
-  }
-  return ok;
-}
-
-template <Detector D, typename S>
-  requires ShadowBackendFor<S, D>
-bool instrumented_range_write(Runtime<D>& rt, S& shadow, const void* addr,
-                              std::size_t size) {
-  if (size == 0) return true;
-  ThreadState& self = rt.self();
-  auto& tool = rt.tool();
-  std::uintptr_t a = reinterpret_cast<std::uintptr_t>(addr) &
-                     ~static_cast<std::uintptr_t>(ShadowGeometry::kGranularity - 1);
-  const std::uintptr_t end = reinterpret_cast<std::uintptr_t>(addr) + size;
-  bool ok = true;
-  for (; a < end; a += ShadowGeometry::kGranularity) {
-    auto& vs = shadow.of(reinterpret_cast<const void*>(a));
-    prefetch_shadow_ahead(vs);
-    ok &= tool.write(self, vs);
-  }
-  return ok;
-}
-
-/// Packed range variants: the fast path per word; cells are 8 bytes apart,
-/// so the hardware prefetcher covers the stride and no hint is needed.
 template <Detector D>
 bool instrumented_range_read(Runtime<D>& rt, PackedShadowSpace<D>& shadow,
                              const void* addr, std::size_t size) {

@@ -12,7 +12,6 @@
 
 #include "runtime/registry.h"
 #include "runtime/shadow_space.h"
-#include "runtime/shadow_table.h"
 #include "vft/detector.h"
 
 namespace vft::rt {
@@ -55,38 +54,20 @@ class Runtime {
   D& tool() { return tool_; }
   Registry& registry() { return registry_; }
 
-  /// The session's raw-pointer shadow memory, created on first use (so
-  /// wrapper-only targets pay nothing). Tools and examples use this
-  /// instead of hand-threading a backend next to the runtime.
-  ShadowSpace<D>& shadow_space() {
-    std::call_once(space_once_,
-                   [this] { space_ = std::make_unique<ShadowSpace<D>>(); });
-    return *space_;
-  }
-
-  /// The fallback sharded-hash backend, also lazy (kept for exact
-  /// byte-granular keying and for backend A/B comparisons).
-  ShadowTable<D>& shadow_table() {
-    std::call_once(table_once_,
-                   [this] { table_ = std::make_unique<ShadowTable<D>>(); });
-    return *table_;
-  }
-
-  /// The packed-cell shadow space (the inline same-epoch fast path with
-  /// VarState spill-on-escalation), also lazy. Meaningful for detectors
-  /// whose VarState is SpillableVarState - all six production detectors;
-  /// a NullTool instantiation compiles but has nothing to spill to, so
-  /// callers gate on the concept (see kernels::make_shadowed_array).
+  /// The session's raw-pointer shadow memory: packed cells (the inline
+  /// same-epoch fast path with VarState spill-on-escalation), created on
+  /// first use so wrapper-only targets pay nothing. Meaningful for
+  /// detectors whose VarState is SpillableVarState - all six production
+  /// detectors; a NullTool instantiation compiles but has nothing to spill
+  /// to, so callers gate on the concept (see kernels::make_shadowed_array).
   PackedShadowSpace<D>& packed_space() {
     std::call_once(packed_once_,
                    [this] { packed_ = std::make_unique<PackedShadowSpace<D>>(); });
     return *packed_;
   }
 
-  /// True iff shadow_space() has been materialized (stats reporting can
+  /// True iff packed_space() has been materialized (stats reporting can
   /// avoid forcing an allocation).
-  bool has_shadow_space() const { return space_ != nullptr; }
-  bool has_shadow_table() const { return table_ != nullptr; }
   bool has_packed_space() const { return packed_ != nullptr; }
 
   /// The calling thread's state; the thread must be inside a ThreadScope
@@ -120,11 +101,7 @@ class Runtime {
  private:
   D tool_;
   Registry registry_;
-  std::once_flag space_once_;
-  std::once_flag table_once_;
   std::once_flag packed_once_;
-  std::unique_ptr<ShadowSpace<D>> space_;
-  std::unique_ptr<ShadowTable<D>> table_;
   std::unique_ptr<PackedShadowSpace<D>> packed_;
 };
 

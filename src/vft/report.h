@@ -60,10 +60,10 @@ struct RaceReport {
   ///   - wrapper shadows (rt::Var, rt::Array inline mode): the address of
   ///     the VarState itself - uniform across wrapper kinds, and distinct
   ///     per element for arrays;
-  ///   - address-keyed backends (rt::ShadowSpace pages, rt::ShadowTable,
-  ///     and rt::Array's carved mode, which borrows backend slots): the
-  ///     *target* address being shadowed (word-aligned for ShadowSpace),
-  ///     so a report names the racing memory, not the shadow's location;
+  ///   - the address-keyed packed shadow (rt::PackedShadowSpace, and
+  ///     rt::Array's carved mode, which borrows its slots): the word-aligned
+  ///     *target* address being shadowed, so a report names the racing
+  ///     memory, not the shadow's location;
   ///   - explicit ids passed to Var's constructor override the default.
   /// Ids only need to be stable and unique per logical variable; name_var
   /// attaches the human-readable names reports print.

@@ -12,7 +12,14 @@
 //                calling thread's descriptor, and retracts the published
 //                entry table before the backend dies; a re-selected
 //                detector republishes a table stamped with the new
-//                generation and events flow again.
+//                generation and events flow again;
+//   first event  with no backend published, the first event of any kind
+//                (from a thread that never attached) creates it and is
+//                itself analyzed - the entry table is the only route;
+//   one entry    ranges and the sized accesses covering the same words
+//                produce identical rule counters: both land in the same
+//                session entry, and the SIMD range prefix bumps exactly
+//                the rules the scalar same-epoch hit does.
 //
 // Tests share the process-global Session; each begins by reconfiguring
 // the environment and resetting.
@@ -71,6 +78,8 @@ struct EnvGuard {
 
 alignas(64) long g_buf[1024];
 long g_lock_standin = 0;
+alignas(16) long g_word[2] = {0, 0};
+long g_atomic_standin = 0;
 
 /// Deterministic mixed workload: repeated same-epoch hits (the inline
 /// path's target), exclusive->shared read transitions via a forked
@@ -212,6 +221,81 @@ TEST(Fastpath, ResetRetractsDescriptorAndEntryTable) {
   EXPECT_EQ(std::string(vft_detector_name()), "FT-CAS");
   vft_detach();
   Session::instance().configure("v2");
+  Session::instance().reset();
+}
+
+TEST(Fastpath, FirstEventAfterResetIsAnalyzed) {
+  struct Case {
+    const char* name;
+    void (*event)();
+    Rule rule;
+  };
+  const Case kCases[] = {
+      {"vft_atomic_fence", [] { vft_atomic_fence(5); }, Rule::kAtomicFence},
+      {"vft_atomic_store", [] { vft_atomic_store(&g_atomic_standin, 5); },
+       Rule::kAtomicStore},
+      {"vft_range_write", [] { vft_range_write(&g_word[0], 8); },
+       Rule::kWriteExclusive},
+      {"vft_read8", [] { vft_read8(&g_word[0]); }, Rule::kReadExclusive},
+  };
+  unsetenv("VFT_FASTPATH");
+  unsetenv("VFT_SAMPLING");
+  unsetenv("VFT_BUDGET");
+  ASSERT_TRUE(Session::instance().configure("v2"));
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.name);
+    Session::instance().reset();
+    ASSERT_EQ(Session::instance().entry_table(), nullptr);
+    // A fresh OS thread that never called vft_attach: its first event is
+    // also the session's first event since the reset.
+    std::thread t([&c] {
+      c.event();
+      vft_detach();
+    });
+    t.join();
+    EXPECT_NE(Session::instance().entry_table(), nullptr);
+    EXPECT_GT(Session::instance().rule_stats().count(c.rule), 0u);
+  }
+  Session::instance().reset();
+}
+
+TEST(Fastpath, RangeMatchesSizedAccesses) {
+  // One-word ranges, then two-word ranges whose first word is already in
+  // this epoch: the SIMD prefix resolves it, the scalar path the second.
+  auto range_leg = [] {
+    vft_range_write(&g_word[0], 8);
+    vft_range_read(&g_word[0], 8);
+    vft_range_write(&g_word[0], 16);
+    vft_range_read(&g_word[0], 16);
+  };
+  auto sized_leg = [] {
+    vft_write8(&g_word[0]);
+    vft_read8(&g_word[0]);
+    vft_write8(&g_word[0]);  // same epoch
+    vft_write8(&g_word[1]);
+    vft_read8(&g_word[0]);  // same epoch
+    vft_read8(&g_word[1]);
+  };
+  for (const char* det : kDetectors) {
+    for (const bool inline_on : {true, false}) {
+      SCOPED_TRACE(std::string(det) + (inline_on ? " / inline" : " / off"));
+      // Each leg starts from a fresh session, so g_word is fresh shadow.
+      configure(det, inline_on, nullptr);
+      range_leg();
+      vft_detach();  // credits any pending inline-hit tallies
+      const auto via_range = snapshot();
+      configure(det, inline_on, nullptr);
+      sized_leg();
+      vft_detach();
+      const auto via_sized = snapshot();
+      for (std::size_t i = 0; i < RuleStats::kN; ++i) {
+        EXPECT_EQ(via_range[i], via_sized[i])
+            << vft::rule_name(static_cast<Rule>(i));
+      }
+      EXPECT_GT(via_sized[static_cast<std::size_t>(Rule::kWriteSameEpoch)],
+                0u);
+    }
+  }
   Session::instance().reset();
 }
 

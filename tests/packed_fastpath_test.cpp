@@ -8,9 +8,8 @@
 //     Figure 2 Spec oracle, across all six detectors, comparing the first
 //     race position and (for epoch detectors) the final {R, W} state
 //     whether it still lives in the cell or spilled into the VarState;
-//   - cross-backend parity: the same traces against real memory through
-//     PackedShadowSpace, ShadowSpace, and ShadowTable must agree with each
-//     other and with the oracle;
+//   - backend parity: the same traces against real memory through
+//     PackedShadowSpace must agree with the oracle;
 //   - deterministic schedules scripted in the schedule explorer's replay
 //     format (sched::ScriptedOrder) and concurrent stress through
 //     the production wrappers (rt::Var packed mode), including forced
@@ -26,7 +25,6 @@
 #include "runtime/adaptive_array.h"
 #include "runtime/coarse_array.h"
 #include "runtime/instrument.h"
-#include "runtime/shadow_table.h"
 #include "sched/script.h"
 #include "trace/generator.h"
 #include "trace/replay.h"
@@ -293,11 +291,9 @@ void run_backend_parity(RuleSet rules) {
     // cannot alias distinct VarIds.
     alignas(8) std::array<std::uint64_t, kVars> mem{};
 
-    RaceCollector rc1, rc2, rc3;
-    D d1(&rc1), d2(&rc2), d3(&rc3);
+    RaceCollector rc1;
+    D d1(&rc1);
     rt::PackedShadowSpace<D> packed;
-    rt::ShadowSpace<D> space;
-    rt::ShadowTable<D> table;
 
     const auto fr_packed = replay_against_backend(
         t, d1,
@@ -307,25 +303,9 @@ void run_backend_parity(RuleSet rules) {
                                           : packed.write(d, st, a);
         },
         sr.error_index);
-    const auto fr_space = replay_against_backend(
-        t, d2,
-        [&](D& d, ThreadState& st, const Op& op) {
-          auto& vs = space.of(&mem[op.target]);
-          return op.kind == OpKind::kRead ? d.read(st, vs) : d.write(st, vs);
-        },
-        sr.error_index);
-    const auto fr_table = replay_against_backend(
-        t, d3,
-        [&](D& d, ThreadState& st, const Op& op) {
-          auto& vs = table.of(&mem[op.target]);
-          return op.kind == OpKind::kRead ? d.read(st, vs) : d.write(st, vs);
-        },
-        sr.error_index);
 
     EXPECT_EQ(fr_packed, sr.error_index)
         << D::kName << " packed, seed " << seed << "\n" << trace::to_string(t);
-    EXPECT_EQ(fr_space, sr.error_index) << D::kName << " space, seed " << seed;
-    EXPECT_EQ(fr_table, sr.error_index) << D::kName << " table, seed " << seed;
   }
 }
 

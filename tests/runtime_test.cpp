@@ -1,10 +1,8 @@
 // Runtime substrate: registry lifecycle (allocation, thread_local scoping,
-// tid reuse with clock continuation), the instrumented wrappers, and the
-// shadow table.
+// tid reuse with clock continuation) and the instrumented wrappers.
 #include <gtest/gtest.h>
 
 #include "runtime/instrument.h"
-#include "runtime/shadow_table.h"
 
 namespace vft::rt {
 namespace {
@@ -177,51 +175,6 @@ TEST(Runtime, DetectsRealRaceThroughWrappers) {
     v.store(static_cast<int>(w));  // unsynchronized conflicting writes
   });
   EXPECT_GE(rc.count(), 1u);
-}
-
-TEST(ShadowTable, SameAddressSameState) {
-  Runtime<VftV2> R{VftV2{}};
-  ShadowTable<VftV2> tab;
-  int a = 0, b = 0;
-  EXPECT_EQ(&tab.of(&a), &tab.of(&a));
-  EXPECT_NE(&tab.of(&a), &tab.of(&b));
-  EXPECT_EQ(tab.size(), 2u);
-}
-
-TEST(ShadowTable, DetectsRacesOnRawPointers) {
-  RaceCollector rc;
-  Runtime<VftV2> R{VftV2(&rc)};
-  Runtime<VftV2>::MainScope scope(R);
-  ShadowTable<VftV2> tab;
-  int target = 0;
-  instrumented_write(R, tab, &target);
-  Thread<VftV2> t(R, [&] {
-    instrumented_write(R, tab, &target);  // ordered by fork: fine
-  });
-  t.join();
-  EXPECT_TRUE(rc.empty());
-  // Now two genuinely concurrent writers.
-  Thread<VftV2> t1(R, [&] { instrumented_write(R, tab, &target); });
-  Thread<VftV2> t2(R, [&] { instrumented_write(R, tab, &target); });
-  t1.join();
-  t2.join();
-  EXPECT_GE(rc.count(), 1u);
-}
-
-TEST(ShadowTable, ConcurrentLookupsAreSafe) {
-  Runtime<VftV2> R{VftV2{}};
-  ShadowTable<VftV2> tab;
-  std::vector<int> targets(256);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (std::size_t i = 0; i < targets.size(); ++i) {
-        (void)tab.of(&targets[i]);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(tab.size(), targets.size());
 }
 
 }  // namespace

@@ -1,16 +1,14 @@
-// The two-level ShadowSpace: geometry (word granularity, page
+// The two-level PackedShadowSpace: geometry (word granularity, page
 // straddling), lock-free publication under thread hammering, the range
 // entry points, and - the load-bearing property - parity: wrapper-based
-// and raw-pointer instrumentation of the same memory, and the table and
-// space backends, produce identical race verdicts for every detector
-// variant.
+// and raw-pointer instrumentation of the same memory produce identical
+// race verdicts for every detector variant.
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
 #include "runtime/instrument.h"
-#include "runtime/shadow_table.h"
 
 namespace vft::rt {
 namespace {
@@ -18,61 +16,65 @@ namespace {
 using Geometry = ShadowGeometry;
 
 TEST(ShadowSpace, WordGranularSlots) {
-  ShadowSpace<VftV2> space;
+  PackedShadowSpace<VftV2> space;
   alignas(8) char bytes[24] = {};
-  // Same 8-byte word -> same VarState; different word -> different.
-  EXPECT_EQ(&space.of(&bytes[0]), &space.of(&bytes[7]));
-  EXPECT_NE(&space.of(&bytes[0]), &space.of(&bytes[8]));
-  EXPECT_NE(&space.of(&bytes[8]), &space.of(&bytes[16]));
-  // The id is the word base address (stable across aliases).
+  // Same 8-byte word -> same cell; different word -> different.
+  EXPECT_EQ(&space.cell_of(&bytes[0]), &space.cell_of(&bytes[7]));
+  EXPECT_NE(&space.cell_of(&bytes[0]), &space.cell_of(&bytes[8]));
+  EXPECT_NE(&space.cell_of(&bytes[8]), &space.cell_of(&bytes[16]));
+  // The id is the word base address (stable across aliases), and a spilled
+  // VarState inherits it.
+  EXPECT_EQ(space.slot_of(&bytes[7]).id,
+            reinterpret_cast<std::uint64_t>(&bytes[0]));
   EXPECT_EQ(space.of(&bytes[7]).id, reinterpret_cast<std::uint64_t>(&bytes[0]));
   EXPECT_EQ(space.pages(), 1u);
 }
 
 TEST(ShadowSpace, PageStraddlingAddressesGetDistinctPages) {
-  ShadowSpace<VftV2> space;
+  PackedShadowSpace<VftV2> space;
   std::vector<double> big(3 * Geometry::kPageSpan / sizeof(double));
   const auto base = reinterpret_cast<std::uintptr_t>(big.data());
   // Words just left and right of every page boundary in the buffer.
-  std::vector<typename VftV2::VarState*> states;
+  std::vector<PackedShadowSpace<VftV2>::Slot> slots;
   for (std::uintptr_t a = (base + Geometry::kPageSpan) &
                           ~static_cast<std::uintptr_t>(Geometry::kPageSpan - 1);
        a + Geometry::kGranularity <
        base + 3 * Geometry::kPageSpan / sizeof(double) * sizeof(double);
        a += Geometry::kPageSpan) {
-    auto* left = &space.of(reinterpret_cast<void*>(a - Geometry::kGranularity));
-    auto* right = &space.of(reinterpret_cast<void*>(a));
-    EXPECT_NE(left, right);
-    states.push_back(left);
-    states.push_back(right);
+    const auto left =
+        space.slot_of(reinterpret_cast<void*>(a - Geometry::kGranularity));
+    const auto right = space.slot_of(reinterpret_cast<void*>(a));
+    EXPECT_NE(left.cell, right.cell);
+    slots.push_back(left);
+    slots.push_back(right);
   }
   EXPECT_GE(space.pages(), 2u);
-  // Lookups are idempotent: every state re-resolves to the same object.
-  for (auto* s : states) {
-    EXPECT_EQ(&space.of(reinterpret_cast<void*>(s->id)), s);
+  // Lookups are idempotent: every word re-resolves to the same cell.
+  for (const auto& s : slots) {
+    EXPECT_EQ(&space.cell_of(reinterpret_cast<void*>(s.id)), s.cell);
   }
 }
 
 TEST(ShadowSpace, ConcurrentLookupsAgreeOnOverlappingAddresses) {
-  ShadowSpace<VftV2> space;
+  PackedShadowSpace<VftV2> space;
   // A window spanning several pages; every thread resolves every word,
   // including the page-straddling ones, racing on first-touch publication.
   constexpr std::size_t kWords = 4 * Geometry::kSlotsPerPage + 17;
   std::vector<std::uint64_t> data(kWords);
   constexpr int kThreads = 8;
-  std::vector<std::vector<typename VftV2::VarState*>> seen(kThreads);
+  std::vector<std::vector<PackedCell*>> seen(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       seen[t].reserve(kWords);
       for (std::size_t i = 0; i < kWords; ++i) {
-        seen[t].push_back(&space.of(&data[i]));
+        seen[t].push_back(&space.cell_of(&data[i]));
       }
     });
   }
   for (auto& th : threads) th.join();
   for (int t = 1; t < kThreads; ++t) {
-    ASSERT_EQ(seen[t], seen[0]);  // all threads resolved identical VarStates
+    ASSERT_EQ(seen[t], seen[0]);  // all threads resolved identical cells
   }
   // kWords words never straddle more than pages+1 pages.
   EXPECT_GE(space.pages(), kWords / Geometry::kSlotsPerPage);
@@ -84,7 +86,7 @@ TEST(ShadowSpace, RangeVariantsWalkWords) {
   RuleStats stats;
   Runtime<VftV2> R{VftV2(&rc, &stats)};
   Runtime<VftV2>::MainScope scope(R);
-  ShadowSpace<VftV2>& space = R.shadow_space();
+  PackedShadowSpace<VftV2>& space = R.packed_space();
   struct Blob {
     std::uint64_t a, b, c;
   };
@@ -108,7 +110,7 @@ TEST(ShadowSpace, ConcurrentRangeAccessesUnderRealThreads) {
   RaceCollector rc;
   Runtime<VftV2> R{VftV2(&rc)};
   Runtime<VftV2>::MainScope scope(R);
-  ShadowSpace<VftV2>& space = R.shadow_space();
+  PackedShadowSpace<VftV2>& space = R.packed_space();
   // Page-straddling buffer: a 64-word read-only prefix every thread
   // sweeps (read-shared) plus disjoint written slices behind it. Threads
   // race on page *publication* at slice boundaries, never on data.
@@ -133,14 +135,14 @@ TEST(ShadowSpace, ArrayCarvedFromSpaceAgreesWithRawPointers) {
   RaceCollector rc;
   Runtime<VftV2> R{VftV2(&rc)};
   Runtime<VftV2>::MainScope scope(R);
-  Array<double, VftV2> a(R, R.shadow_space(), 8, 0.0);
+  Array<double, VftV2> a(R, R.packed_space(), 8, 0.0);
   for (std::size_t i = 0; i < a.size(); ++i) {
     // The wrapper's VarState is exactly the space's VarState for the
     // element address: wrapper and raw instrumentation agree.
-    EXPECT_EQ(&a.shadow(i), &R.shadow_space().of(&a.data()[i]));
+    EXPECT_EQ(&a.shadow(i), &R.packed_space().of(&a.data()[i]));
   }
   a.store(3, 1.0);
-  EXPECT_TRUE(instrumented_read(R, R.shadow_space(), &a.data()[3]));
+  EXPECT_TRUE(instrumented_read(R, R.packed_space(), &a.data()[3]));
   EXPECT_TRUE(rc.empty());
 }
 
@@ -186,21 +188,17 @@ Verdict run_schedule(Access&& acc) {
 
 template <typename D>
 void expect_parity() {
-  // Raw-pointer paths over both backends, on word-aligned locations.
+  // Raw-pointer path, on word-aligned locations.
   alignas(8) static thread_local std::uint64_t raw_locs[3];
-  auto raw = [](auto& backend) {
-    return [&backend](Runtime<D>& R, int op, int loc) {
-      if (op == 1) {
-        instrumented_write(R, backend, &raw_locs[loc]);
-      } else {
-        instrumented_read(R, backend, &raw_locs[loc]);
-      }
-    };
-  };
-  ShadowSpace<D> space;
-  ShadowTable<D> table;
-  const Verdict via_space = run_schedule<D>(raw(space));
-  const Verdict via_table = run_schedule<D>(raw(table));
+  PackedShadowSpace<D> space;
+  const Verdict via_space =
+      run_schedule<D>([&space](Runtime<D>& R, int op, int loc) {
+        if (op == 1) {
+          instrumented_write(R, space, &raw_locs[loc]);
+        } else {
+          instrumented_read(R, space, &raw_locs[loc]);
+        }
+      });
 
   // Wrapper path: an Array carved from a fresh space, driven through
   // load/store (needs a live runtime reference inside the accessor).
@@ -208,7 +206,7 @@ void expect_parity() {
   Runtime<D> R{D(&rc)};
   ThreadState& t0 = R.registry().create();
   ThreadState& t1 = R.registry().create();
-  Array<std::uint64_t, D> arr(R, R.shadow_space(), 3, 0);
+  Array<std::uint64_t, D> arr(R, R.packed_space(), 3, 0);
   auto wrapped_step = [&](ThreadState& ts, int op, int loc) {
     Registry::ThreadScope scope(ts);
     if (op == 1) {
@@ -228,11 +226,10 @@ void expect_parity() {
   for (const auto& r : rc.all()) via_wrapper.kinds.push_back(r.kind);
 
   EXPECT_GE(via_space.reports, 2u) << D::kName;  // both races reported
-  EXPECT_EQ(via_space, via_table) << D::kName;
   EXPECT_EQ(via_space, via_wrapper) << D::kName;
 }
 
-TEST(ShadowParity, IdenticalVerdictsAcrossBackendsAndApis) {
+TEST(ShadowParity, IdenticalVerdictsAcrossApis) {
   expect_parity<VftV1>();
   expect_parity<VftV15>();
   expect_parity<VftV2>();
@@ -241,18 +238,17 @@ TEST(ShadowParity, IdenticalVerdictsAcrossBackendsAndApis) {
   expect_parity<Djit>();
 }
 
-TEST(ShadowParity, OrderedAccessesStayCleanOnEveryBackend) {
+TEST(ShadowParity, OrderedAccessesStayClean) {
   RaceCollector rc;
   Runtime<VftV2> R{VftV2(&rc)};
   Runtime<VftV2>::MainScope scope(R);
   alignas(8) std::uint64_t x = 0;
-  instrumented_write(R, R.shadow_space(), &x);
+  instrumented_write(R, R.packed_space(), &x);
   Thread<VftV2> child(R, [&] {
-    instrumented_write(R, R.shadow_space(), &x);  // ordered by fork
-    instrumented_write(R, R.shadow_table(), &x);  // distinct history, clean
+    instrumented_write(R, R.packed_space(), &x);  // ordered by fork
   });
   child.join();
-  instrumented_read(R, R.shadow_space(), &x);  // ordered by join
+  instrumented_read(R, R.packed_space(), &x);  // ordered by join
   EXPECT_TRUE(rc.empty()) << rc.first()->str();
 }
 

@@ -11,11 +11,10 @@
 //       `vft analyze @-` nicely).
 //
 //   vft bench <kernel> [--tool ...] [--threads T] [--scale S]
-//             [--shadow inline|table|space|packed]
+//             [--shadow inline|packed]
 //       Time one kernel of the Table 1 suite under one detector.
 //       --shadow picks where ported kernels (sor, lufact) keep their
-//       element shadow: inline VarStates (default), the sharded-hash
-//       ShadowTable, the lock-free two-level ShadowSpace, or the packed
+//       element shadow: inline VarStates (default) or the packed
 //       64-bit-cell PackedShadowSpace (prints the fast-path hit/miss/
 //       spill counters next to the rule totals).
 //
@@ -112,7 +111,7 @@ int usage() {
                "                    [--vars V] [--locks L] [--disciplined P]"
                " [--seed S]\n"
                "       vft bench <kernel> [--tool NAME] [--threads T]"
-               " [--scale S] [--shadow inline|table|space|packed]\n"
+               " [--scale S] [--shadow inline|packed]\n"
                "       vft minimize <trace|@file>\n"
                "       vft sched list\n"
                "       vft sched <scenario> [--bound K] [--seed N"
@@ -243,13 +242,6 @@ int bench_with(const std::string& kernel, kernels::KernelConfig cfg) {
                 std::chrono::duration<double>(t1 - t0).count(),
                 result.valid ? 1 : 0, races.count(), result.checksum,
                 kernels::shadow_backend_name(cfg.shadow));
-    if (R.has_shadow_space()) {
-      std::printf("  shadow space: %s\n",
-                  rt::str(R.shadow_space().stats()).c_str());
-    }
-    if (R.has_shadow_table()) {
-      std::printf("  shadow table: entries=%zu\n", R.shadow_table().size());
-    }
     if (R.has_packed_space()) {
       std::printf("  packed space: %s\n",
                   rt::str(R.packed_space().stats()).c_str());
@@ -283,11 +275,7 @@ int cmd_bench(int argc, char** argv) {
   cfg.scale = static_cast<std::uint32_t>(
       std::atoi(arg_value(argc, argv, "--scale", "2").c_str()));
   const std::string shadow = arg_value(argc, argv, "--shadow", "inline");
-  if (shadow == "table") {
-    cfg.shadow = kernels::ShadowBackend::kTable;
-  } else if (shadow == "space") {
-    cfg.shadow = kernels::ShadowBackend::kSpace;
-  } else if (shadow == "packed") {
+  if (shadow == "packed") {
     cfg.shadow = kernels::ShadowBackend::kPacked;
   } else if (shadow != "inline") {
     std::fprintf(stderr, "unknown shadow backend %s\n", shadow.c_str());
