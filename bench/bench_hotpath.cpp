@@ -35,12 +35,13 @@
 //                     (packed-cell fast path only) at a 1/4096 fixed
 //                     rate, vs the exact path; plus the target-overhead
 //                     controller's settling point under VFT_BUDGET=5.
-//   history           ISSUE-10 A/B: the bounded access-history ring on the
+//   history           A/B: the per-thread access history on the
 //                     detector slow path ([Write Exclusive] traffic: epoch
-//                     bumped every sweep so every access records a ring
-//                     entry) vs the same traffic with the ring uninstalled,
-//                     plus a same-epoch row where the fast path must never
-//                     touch the ring (pinned by check_bench_floor.sh).
+//                     bumped every sweep so every access records an
+//                     entry) vs the same traffic with the history
+//                     uninstalled, plus a same-epoch row where the fast
+//                     path must never touch it (pinned by
+//                     check_bench_floor.sh).
 //   range_memcpy      interposed bulk copy: vft_range_read + vft_range_write
 //                     (the mem* wrappers' SIMD packed-cell prefix kernel)
 //                     plus the real memcpy, vs the raw copy alone, on warm
@@ -589,9 +590,9 @@ void sampling_section(JsonReport& json, std::size_t scale) {
 /// What the two-stack report machinery costs, and where. Recording is
 /// slow-path-only by construction, so two interleaved A/B rows:
 ///   spill_write  every write is [Write Exclusive] (the thread's epoch is
-///                bumped between sweeps), so with the ring installed every
-///                access captures its stack, interns it, and pushes a ring
-///                entry under the shard lock. The on/off delta is the full
+///                bumped between sweeps), so with the history installed
+///                every access captures its stack, interns it, and writes
+///                its thread's table slot. The on/off delta is the full
 ///                per-record cost - paid only on epoch transitions, which
 ///                the Section 5 access mix puts at ~1% of accesses.
 ///   same_epoch_write  the same traffic without the epoch bump: pure
@@ -611,8 +612,8 @@ void history_section(JsonReport& json, std::size_t scale) {
     vars[i].id = 0x1000 + 8 * i;
   }
 
-  // One shared history instance for every "on" block: steady-state rings
-  // and a warm intern table, not first-touch allocation.
+  // One shared history instance for every "on" block: a steady-state
+  // table and a warm intern table, not first-touch allocation.
   auto* hist = new history::AccessHistory();
 
   auto block = [&](bool slow, bool with_history) {
@@ -634,7 +635,7 @@ void history_section(JsonReport& json, std::size_t scale) {
            (static_cast<double>(block_sweeps) * static_cast<double>(vars_n));
   };
 
-  std::printf("access-history ring on the v2 slow path "
+  std::printf("access history on the v2 slow path "
               "(%d interleaved blocks/mode)\n", kBlocks);
   std::printf("%18s %12s %12s %14s %12s\n", "", "off ns/op", "on ns/op",
               "overhead ns", "spread ns");
@@ -666,9 +667,7 @@ void history_section(JsonReport& json, std::size_t scale) {
               {"ratio", on_ns / off_ns}});
   }
   VFT_CHECK(races.empty());
-  std::printf("recorded=%llu interned_stacks=%zu\n\n",
-              static_cast<unsigned long long>(hist->recorded()),
-              hist->interned_stacks());
+  std::printf("interned_stacks=%zu\n\n", hist->interned_stacks());
 }
 
 // ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@
 #   atomic_dispatch / load acquire_ns - armed fast-epoch acquire load
 #   atomic_dispatch / load relaxed_ns - locked accumulate relaxed load
 #   history / same_epoch_write on_ns  - same-epoch writes with the access
-#                                       history installed: the ring records
+#                                       history installed: the history records
 #                                       only on the slow path, so this row
 #                                       pins "installed but never touched"
 #                                       at the inline fast-path cost

@@ -226,8 +226,6 @@ class SessionImpl final : public SessionBackend {
   void access(const void* addr, std::size_t size) {
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
-    // Size hint for history entries; only consumed on the slow path.
-    history::tl_access_size = static_cast<std::uint32_t>(size);
     std::uint64_t probe = 0;
     bool sampled = true;
     if (gate_ != nullptr) {
@@ -435,8 +433,8 @@ class SessionImpl final : public SessionBackend {
     // Recycled addresses are new variables: any cooled sampling state
     // covering them goes back to full rate.
     if (gate_ != nullptr) gate_->on_page_reset(addr, size);
-    // Drop access-history rings too: a freed allocation's stacks must not
-    // appear as the prior side of a race on recycled memory.
+    // Drop access-history records too: a freed allocation's stacks must
+    // not appear as the prior side of a race on recycled memory.
     if (history::AccessHistory* h = history::active()) {
       h->reset_range(reinterpret_cast<std::uint64_t>(addr), size);
     }

@@ -5,10 +5,37 @@
 
 namespace vft::history {
 
-thread_local std::uint32_t tl_access_size = 0;
-
 namespace {
+
 std::atomic<AccessHistory*> g_active{nullptr};
+
+/// Per-thread front of every StackTable: a direct-mapped cache of
+/// (table, hash) -> id. The table tag is the instance's uid_, never reused,
+/// so an entry left behind by a destroyed table can never hit.
+struct FrontSlot {
+  std::uint64_t table = 0;  ///< 0 never matches a table
+  std::uint64_t hash = 0;
+  std::uint32_t id = 0;
+};
+constexpr int kFrontBits = 6;
+/// constinit: direct TLS access, no dynamic-init wrapper (see the shadow
+/// space's page cache).
+constinit thread_local FrontSlot tl_front[std::size_t{1} << kFrontBits] = {};
+
+std::atomic<std::uint64_t> g_next_table_uid{1};
+
+/// Claim a slot's seqlock: even -> odd. Fails (the caller skips the slot)
+/// while another writer holds it.
+bool claim(std::atomic<std::uint32_t>& seq, std::uint32_t* held) {
+  std::uint32_t s = seq.load(std::memory_order_relaxed);
+  do {
+    if ((s & 1) != 0) return false;
+  } while (!seq.compare_exchange_weak(s, s + 1, std::memory_order_acquire,
+                                      std::memory_order_relaxed));
+  *held = s + 1;
+  return true;
+}
+
 }  // namespace
 
 AccessHistory* active() { return g_active.load(std::memory_order_acquire); }
@@ -27,126 +54,145 @@ bool enabled_from_env() {
            std::strcmp(env, "false") == 0);
 }
 
+StackTable::StackTable()
+    : uid_(g_next_table_uid.fetch_add(1, std::memory_order_relaxed)) {}
+
+StackTable::~StackTable() {
+  for (auto& c : chunks_) delete[] c.load(std::memory_order_relaxed);
+}
+
 std::uint32_t StackTable::intern(const CallStack& cs) {
   if (cs.empty()) return 0;
   const std::uint64_t h = hash_stack(cs);
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = by_hash_.find(h);
-  if (it != by_hash_.end()) {
-    for (std::uint32_t id : it->second) {
-      if (stacks_[id - 1] == cs) return id;
-    }
-  }
-  if (stacks_.size() >= kMaxStacks) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return 0;
-  }
-  stacks_.push_back(cs);
-  const auto id = static_cast<std::uint32_t>(stacks_.size());
-  by_hash_[h].push_back(id);
+  // Indexed by the hash's high bits, where every frame lands.
+  FrontSlot& f = tl_front[h >> (64 - kFrontBits)];
+  if (f.table == uid_ && f.hash == h && at(f.id) == cs) return f.id;
+  const std::uint32_t id = intern_locked(cs, h);
+  if (id != 0) f = FrontSlot{uid_, h, id};
   return id;
 }
 
-bool StackTable::lookup(std::uint32_t id, CallStack* out) const {
-  if (id == 0) return false;
+std::uint32_t StackTable::intern_locked(const CallStack& cs, std::uint64_t h) {
   std::lock_guard<std::mutex> lk(mu_);
-  if (id > stacks_.size()) return false;
-  *out = stacks_[id - 1];
+  if (auto it = by_hash_.find(h); it != by_hash_.end()) {
+    for (std::uint32_t id : it->second) {
+      if (at(id) == cs) return id;
+    }
+  }
+  const std::uint32_t n = size_.load(std::memory_order_relaxed);
+  if (n >= kMaxStacks) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return 0;
+  }
+  std::atomic<CallStack*>& slot = chunks_[n / kChunkStacks];
+  CallStack* chunk = slot.load(std::memory_order_relaxed);
+  if (chunk == nullptr) {
+    chunk = new CallStack[kChunkStacks];
+    slot.store(chunk, std::memory_order_release);
+  }
+  chunk[n % kChunkStacks] = cs;
+  // Publish the stack before its id: lookup() trusts every id <= size().
+  size_.store(n + 1, std::memory_order_release);
+  by_hash_[h].push_back(n + 1);
+  return n + 1;
+}
+
+bool StackTable::lookup(std::uint32_t id, CallStack* out) const {
+  if (id == 0 || id > size()) return false;
+  *out = at(id);
   return true;
 }
 
-std::size_t StackTable::size() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return stacks_.size();
+AccessHistory::~AccessHistory() {
+  for (auto& t : tables_) delete t.load(std::memory_order_relaxed);
 }
 
-void AccessHistory::record(std::uint64_t var, Tid tid, Epoch epoch,
-                           AccessKind kind, std::uint16_t size,
-                           const CallStack& stack) {
-  // Intern outside the shard lock: interning takes the (distinct) table
-  // lock and may compare frame arrays, which has no business serializing
-  // unrelated variables.
-  const std::uint32_t sid = stacks_.intern(stack);
-  Entry e;
-  e.stack_id = sid;
-  e.epoch = epoch;
-  e.tid = tid;
-  e.kind = kind;
-  e.valid = 1;
-  e.size = size;
-
-  Shard& s = shard_of(var);
-  std::lock_guard<std::mutex> lk(s.mu);
-  auto it = s.rings.find(var);
-  if (it == s.rings.end()) {
-    if (var_count_.load(std::memory_order_relaxed) >= kMaxVars) {
-      var_drops_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    var_count_.fetch_add(1, std::memory_order_relaxed);
-    it = s.rings.emplace(var, Ring{}).first;
+AccessHistory::Table& AccessHistory::publish_table(Tid t) {
+  // First record under this tid slot: allocate and CAS-publish. A thread
+  // that loses the race frees its copy and uses the winner's.
+  auto* fresh = new Table();
+  Table* expected = nullptr;
+  if (tables_[t].compare_exchange_strong(expected, fresh,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+    return *fresh;
   }
-  it->second.push(e);
-  recorded_.fetch_add(1, std::memory_order_relaxed);
+  delete fresh;
+  return *expected;
 }
 
-void AccessHistory::record_current(std::uint64_t var, Tid tid, Epoch epoch,
-                                   AccessKind kind) {
-  const CallStack cs = capture_event_stack();
-  std::uint32_t size = tl_access_size;
-  if (size > 0xffffu) size = 0xffffu;
-  record(var, tid, epoch, kind, static_cast<std::uint16_t>(size), cs);
+void AccessHistory::record(std::uint64_t var, Epoch epoch, AccessKind kind,
+                           const CallStack& stack) {
+  const std::uint32_t sid = stacks_.intern(stack);
+  Slot& s = table_of(epoch.tid()).slots[slot_index(var, kind)];
+  std::uint32_t held;
+  // A held slot means a concurrent reset_range is clearing it; dropping
+  // this record degrades at most this access's future prior to its epoch.
+  if (!claim(s.seq, &held)) return;
+  // Release stores: a reader that sees any new field synchronizes with the
+  // claim before it, so its version re-check sees the odd value and
+  // retries instead of pairing new and old fields.
+  s.var.store(var, std::memory_order_release);
+  s.epoch.store(epoch.bits(), std::memory_order_release);
+  s.stack_id.store(sid, std::memory_order_release);
+  s.seq.store(held + 1, std::memory_order_release);
 }
 
 bool AccessHistory::find(std::uint64_t var, Epoch epoch, AccessKind want,
                          Entry* out) const {
-  const Shard& s = shard_of(var);
-  std::lock_guard<std::mutex> lk(s.mu);
-  auto it = s.rings.find(var);
-  if (it == s.rings.end()) return false;
-  const Entry* e = it->second.find(epoch, want);
-  if (e == nullptr) return false;
-  *out = *e;
-  return true;
+  if (epoch.is_shared()) return false;
+  const Table* t = tables_[epoch.tid()].load(std::memory_order_acquire);
+  if (t == nullptr) return false;
+  const Slot& s = t->slots[slot_index(var, want)];
+  // A writer holds a slot for three stores; a reader that keeps meeting
+  // one (a preempted writer) gives up and degrades to the bare epoch.
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    const std::uint32_t v0 = s.seq.load(std::memory_order_acquire);
+    if ((v0 & 1) != 0) continue;
+    const std::uint64_t v = s.var.load(std::memory_order_acquire);
+    const std::uint32_t e = s.epoch.load(std::memory_order_acquire);
+    const std::uint32_t sid = s.stack_id.load(std::memory_order_acquire);
+    if (s.seq.load(std::memory_order_relaxed) != v0) continue;
+    if (v != var || e != epoch.bits()) return false;
+    *out = Entry{sid, epoch, want};
+    return true;
+  }
+  return false;
 }
 
 void AccessHistory::reset_range(std::uint64_t addr, std::size_t size) {
   if (size == 0) return;
-  const std::uint64_t lo = addr;
+  const std::uint64_t lo = addr & ~std::uint64_t{7};
   const std::uint64_t hi = addr + size;
-  // Small ranges: erase per word-aligned key. Large ranges (a munmap of a
-  // big arena) would touch too many keys that were never tracked, so scan
-  // the shards instead.
-  constexpr std::size_t kPerKeyLimit = 4096;
-  if (size <= kPerKeyLimit) {
-    for (std::uint64_t v = lo & ~std::uint64_t{7}; v < hi; v += 8) {
-      Shard& s = shard_of(v);
-      std::lock_guard<std::mutex> lk(s.mu);
-      if (s.rings.erase(v) != 0) {
-        var_count_.fetch_sub(1, std::memory_order_relaxed);
-      }
+  auto doomed = [lo, hi](std::uint64_t v) { return v >= lo && v < hi; };
+  auto clear = [&doomed](Slot& s) {
+    if (!doomed(s.var.load(std::memory_order_relaxed))) return;
+    std::uint32_t held;
+    // A held slot is being rewritten by its owner or cleared by another
+    // reset: either way it stops holding the doomed record.
+    if (!claim(s.seq, &held)) return;
+    if (doomed(s.var.load(std::memory_order_relaxed))) {
+      s.var.store(0, std::memory_order_release);
+      s.epoch.store(0, std::memory_order_release);
+      s.stack_id.store(0, std::memory_order_release);
     }
-    return;
-  }
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    for (auto it = s.rings.begin(); it != s.rings.end();) {
-      if (it->first >= lo && it->first < hi) {
-        it = s.rings.erase(it);
-        var_count_.fetch_sub(1, std::memory_order_relaxed);
-      } else {
-        ++it;
-      }
+    s.seq.store(held + 1, std::memory_order_release);
+  };
+  // Per-word probes cost two slots per word per table, a scan kSlots per
+  // table: probe up to half a table's worth of words.
+  const bool scan = (hi - lo) / 8 > kSlots / 2;
+  for (auto& tp : tables_) {
+    Table* t = tp.load(std::memory_order_acquire);
+    if (t == nullptr) continue;
+    if (scan) {
+      for (Slot& s : t->slots) clear(s);
+      continue;
+    }
+    for (std::uint64_t v = lo; v < hi; v += 8) {
+      clear(t->slots[slot_index(v, AccessKind::kRead)]);
+      clear(t->slots[slot_index(v, AccessKind::kWrite)]);
     }
   }
-}
-
-void AccessHistory::clear() {
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    s.rings.clear();
-  }
-  var_count_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace vft::history

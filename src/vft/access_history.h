@@ -1,32 +1,38 @@
-// Bounded per-variable access history: the metadata substrate that lets a
-// race report carry BOTH racing stacks.
+// Per-thread access history: the metadata substrate that lets a race
+// report carry BOTH racing stacks.
 //
 // FastTrack-style last-access shadow state (VarState / PackedCell) keeps
 // no history: when a race fires, the prior side is a bare epoch t@c and
-// only the *current* access has a capturable stack. This layer records a
-// small ring of recent slow-path accesses per variable - entries of
-// {interned stack id, epoch, tid, access kind, size} - so the detector
-// can look the prior epoch back up and attach its stack to the report.
+// only the *current* access has a capturable stack. This layer remembers,
+// per thread id slot, each (variable, kind)'s newest slow-path access -
+// {variable, full epoch, interned stack id} - so the detector can look the
+// prior epoch back up and attach its stack to the report.
+//
+// Retention contract: each tid slot keeps its newest record per (variable,
+// access kind), in a direct-mapped table of kSlots slots. That is exactly
+// what a race lookup asks for: W, an exclusive R, and a read-shared V[u]
+// always name their thread's newest access of that kind. A record lost to
+// a slot collision (another variable of the same thread mapping to the
+// same slot) degrades the report to the bare prior epoch, never to a
+// wrong stack: lookups match variable and full epoch exactly.
 //
 // Cost discipline (the SmartTrack argument: per-variable access metadata
 // is affordable iff it stays off the fast path):
 //   - recording happens ONLY on the slow path: a same-epoch packed-cell
 //     hit and a sampled-out access never reach note_access();
-//   - stacks are hash-consed into a bounded intern table, so the ring
-//     entry is 16 bytes and repeated sites cost one hash lookup;
-//   - both the ring count per variable (kRingCapacity) and the total
-//     tracked variables / interned stacks are hard-bounded; overflow is
-//     counted and degrades to "no prior stack", never to growth.
+//   - record and find take no lock: a thread writes only its own tid's
+//     table, and each slot is a seqlock whose writers claim the version
+//     with a CAS, so reset_range from a freeing thread never interleaves
+//     with the owner's record and readers retry instead of blocking;
+//   - stacks are hash-consed into a bounded intern table; a stack the
+//     thread interned before resolves through a per-thread front cache
+//     without the table's mutex, and lookup() never locks.
 //
 // Lookup correctness under tid-slot reuse (PR 5): a reused thread slot
 // *continues* its predecessor's clock (ThreadState(tid, predecessor)
 // copies V and increments), so epochs are strictly monotone per slot and
 // an exact full-epoch match (t@c, not just t) can never confuse a
 // successor thread's entry with its predecessor's.
-//
-// This layer is also the seam for the SmartTrack/WCP predictive tier:
-// a predictive analysis needs exactly this per-variable window of recent
-// accesses with stacks and clocks to re-order against.
 #pragma once
 
 #include <atomic>
@@ -50,46 +56,12 @@ inline const char* access_kind_name(AccessKind k) {
   return k == AccessKind::kWrite ? "write" : "read";
 }
 
-/// One recorded slow-path access. 16 bytes; stack_id 0 means "no stack
-/// was interned" (empty capture or intern table full).
+/// One recorded slow-path access, as find() returns it. stack_id 0 means
+/// "no stack was interned" (empty capture or intern table full).
 struct Entry {
   std::uint32_t stack_id = 0;
-  Epoch epoch;                           ///< full t@c at the access
-  Tid tid = 0;
+  Epoch epoch;  ///< full t@c at the access; the tid names the table
   AccessKind kind = AccessKind::kRead;
-  std::uint8_t valid = 0;                ///< 0 = slot never written
-  std::uint16_t size = 0;                ///< access size hint (bytes)
-};
-
-static_assert(sizeof(Entry) == 16);
-
-/// Fixed ring capacity per variable. Eight entries comfortably cover the
-/// gap between a racing pair (the prior access is by construction one of
-/// the last few slow-path touches before the current one).
-inline constexpr std::size_t kRingCapacity = 8;
-
-/// The per-variable bounded ring. `next` counts pushes forever; the slot
-/// index is next % kRingCapacity, so wraparound silently evicts the
-/// oldest entry.
-struct Ring {
-  std::uint32_t next = 0;
-  Entry entries[kRingCapacity];
-
-  void push(const Entry& e) {
-    entries[next % kRingCapacity] = e;
-    ++next;
-  }
-
-  /// Newest-to-oldest scan for an exact (epoch, kind) match.
-  const Entry* find(Epoch epoch, AccessKind kind) const {
-    const std::uint32_t n =
-        next < kRingCapacity ? next : static_cast<std::uint32_t>(kRingCapacity);
-    for (std::uint32_t back = 1; back <= n; ++back) {
-      const Entry& e = entries[(next - back) % kRingCapacity];
-      if (e.valid != 0 && e.epoch == epoch && e.kind == kind) return &e;
-    }
-    return nullptr;
-  }
 };
 
 /// Hash-consed bounded stack interning. Ids are 1-based; 0 is reserved
@@ -97,9 +69,18 @@ struct Ring {
 /// distinct stacks; beyond that intern() returns 0 and counts the drop
 /// (reports then degrade to a stack-less prior, exactly like pre-history
 /// reports).
+///
+/// Stacks live in append-only chunks published with release stores, so
+/// lookup() reads without a lock. intern() first tries a per-thread
+/// front cache tagged by table instance; only a miss takes the mutex.
 class StackTable {
  public:
   static constexpr std::size_t kMaxStacks = std::size_t{1} << 16;
+
+  StackTable();
+  ~StackTable();
+  StackTable(const StackTable&) = delete;
+  StackTable& operator=(const StackTable&) = delete;
 
   /// Intern `cs`, returning its id (0 for an empty stack or a full table).
   std::uint32_t intern(const CallStack& cs);
@@ -107,36 +88,70 @@ class StackTable {
   /// Copy the stack for `id` into *out. False for id 0 / unknown ids.
   bool lookup(std::uint32_t id, CallStack* out) const;
 
-  std::size_t size() const;
+  std::size_t size() const { return size_.load(std::memory_order_acquire); }
   std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
  private:
-  mutable std::mutex mu_;
+  static constexpr std::size_t kChunkStacks = 256;
+  static constexpr std::size_t kChunks = kMaxStacks / kChunkStacks;
+
+  /// The stack for `id` in [1, size()]: published, never rewritten.
+  const CallStack& at(std::uint32_t id) const {
+    const CallStack* chunk =
+        chunks_[(id - 1) / kChunkStacks].load(std::memory_order_acquire);
+    return chunk[(id - 1) % kChunkStacks];
+  }
+
+  std::uint32_t intern_locked(const CallStack& cs, std::uint64_t h);
+
+  const std::uint64_t uid_;  ///< front-cache tag; unique per instance
+  std::mutex mu_;            ///< front-cache misses only
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_hash_;
-  std::vector<CallStack> stacks_;  ///< id - 1 indexes this
+  std::atomic<CallStack*> chunks_[kChunks] = {};
+  std::atomic<std::uint32_t> size_{0};
   std::atomic<std::uint64_t> dropped_{0};
 };
 
-/// The process-wide access history: sharded var -> Ring maps plus the
-/// shared stack intern table. All methods are thread-safe; none are on
-/// the same-epoch fast path.
+/// The process-wide access history: one lazily allocated, direct-mapped
+/// table per tid slot plus the shared stack intern table. All methods are
+/// thread-safe; none are on the same-epoch fast path.
 class AccessHistory {
  public:
-  static constexpr std::size_t kShards = 64;
-  /// Hard bound on tracked variables across all shards; beyond it new
-  /// variables are dropped (counted), existing rings keep recording.
-  static constexpr std::size_t kMaxVars = std::size_t{1} << 20;
+  /// Slots per tid table: 24 bytes each, so 96 KiB per recording tid.
+  static constexpr std::size_t kSlots = 4096;
 
-  /// Record one slow-path access with an explicit stack (tests, replay).
-  void record(std::uint64_t var, Tid tid, Epoch epoch, AccessKind kind,
-              std::uint16_t size, const CallStack& stack);
+  AccessHistory() = default;
+  ~AccessHistory();
+  AccessHistory(const AccessHistory&) = delete;
+  AccessHistory& operator=(const AccessHistory&) = delete;
 
-  /// Record the in-flight access: captures the armed event-ctx stack
-  /// (capture_event_stack) and the thread's tl_access_size hint.
-  void record_current(std::uint64_t var, Tid tid, Epoch epoch, AccessKind kind);
+  /// The slot (var, kind) occupies in every tid's table. The kind picks
+  /// the slot's parity, so a variable's read and write never evict each
+  /// other. Production variable ids are word addresses: any run of fewer
+  /// than kSlots / 2 consecutive words fills distinct slots, and adding
+  /// in the higher bits spreads power-of-two strides. The low three bits
+  /// are added in too, for variable ids that are not addresses.
+  static std::size_t slot_index(std::uint64_t var, AccessKind kind) {
+    const std::uint64_t w = (var >> 3) + (var >> 14) + ((var & 7) << 8);
+    return static_cast<std::size_t>(((w << 1) | static_cast<unsigned>(kind)) &
+                                    (kSlots - 1));
+  }
 
-  /// Look up the prior side of a race: the entry for exactly (epoch,
-  /// want) on `var`. False when the ring evicted it (or never saw it).
+  /// Record one slow-path access with an explicit stack (tests, replay)
+  /// into epoch.tid()'s table, replacing that slot's previous record.
+  void record(std::uint64_t var, Epoch epoch, AccessKind kind,
+              const CallStack& stack);
+
+  /// Record the in-flight access with the armed event-ctx stack
+  /// (capture_event_stack).
+  void record_current(std::uint64_t var, Epoch epoch, AccessKind kind) {
+    record(var, epoch, kind, capture_event_stack());
+  }
+
+  /// Look up the prior side of a race: epoch.tid()'s record of exactly
+  /// (var, want, epoch). False when that thread recorded a newer access of
+  /// the same (var, want), a collision evicted it, it was never recorded,
+  /// or `epoch` is SHARED (no single prior).
   bool find(std::uint64_t var, Epoch epoch, AccessKind want, Entry* out) const;
 
   /// Resolve an interned stack id; false for 0 / unknown.
@@ -144,37 +159,43 @@ class AccessHistory {
     return stacks_.lookup(id, out);
   }
 
-  /// Drop rings for variables in [addr, addr+size): called from the
-  /// free-hint path so recycled heap memory cannot leak a dead
-  /// allocation's stacks into a new allocation's report.
+  /// Drop every thread's records of variables in [addr, addr+size): called
+  /// from the free-hint path so recycled heap memory cannot leak a dead
+  /// allocation's stacks into a new allocation's report. Probes per word
+  /// for ranges up to half a table; scans each allocated table once above.
   void reset_range(std::uint64_t addr, std::size_t size);
 
-  /// Drop all rings (stack interning survives; ids stay valid).
-  void clear();
-
-  std::uint64_t recorded() const { return recorded_.load(std::memory_order_relaxed); }
-  std::uint64_t var_drops() const { return var_drops_.load(std::memory_order_relaxed); }
   std::uint64_t stack_drops() const { return stacks_.dropped(); }
   std::size_t interned_stacks() const { return stacks_.size(); }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, Ring> rings;
+  /// A seqlock-versioned record. `seq` is even when stable; a writer (the
+  /// owning thread's record, or any thread's reset) claims it by CAS to
+  /// odd, stores the fields, and releases it at the next even value. An
+  /// empty slot holds epoch 0@0, which no access carries (clocks start
+  /// at 1).
+  struct Slot {
+    std::atomic<std::uint32_t> seq{0};
+    std::atomic<std::uint32_t> epoch{0};  ///< Epoch::bits()
+    std::atomic<std::uint64_t> var{0};
+    std::atomic<std::uint32_t> stack_id{0};
+  };
+  static_assert(sizeof(Slot) == 24);
+
+  struct Table {
+    Slot slots[kSlots];
   };
 
-  Shard& shard_of(std::uint64_t var) {
-    return shards_[(var >> 3) & (kShards - 1)];
-  }
-  const Shard& shard_of(std::uint64_t var) const {
-    return shards_[(var >> 3) & (kShards - 1)];
-  }
+  static constexpr std::size_t kTables = std::size_t{Epoch::kMaxTid} + 1;
 
-  Shard shards_[kShards];
+  Table& table_of(Tid t) {
+    Table* cur = tables_[t].load(std::memory_order_acquire);
+    return cur != nullptr ? *cur : publish_table(t);
+  }
+  Table& publish_table(Tid t);
+
+  std::atomic<Table*> tables_[kTables] = {};
   StackTable stacks_;
-  std::atomic<std::size_t> var_count_{0};
-  std::atomic<std::uint64_t> recorded_{0};
-  std::atomic<std::uint64_t> var_drops_{0};
 };
 
 /// The installed history, or nullptr when the layer is off. Same
@@ -187,16 +208,11 @@ void install(AccessHistory* h);
 /// VFT_HISTORY env gate: default ON; "0"/"off"/"false" disables.
 bool enabled_from_env();
 
-/// Best-effort access-size hint, set by the session layer's per-access
-/// handlers before detector dispatch. Zero when no handler armed it.
-extern thread_local std::uint32_t tl_access_size;
-
 /// The detector-side hook: record the in-flight slow-path access. A
 /// single predicted-null load when the layer is off. NEVER call this
 /// from a same-epoch hit or a sampled-out access.
-inline void note_access(std::uint64_t var, Tid tid, Epoch epoch,
-                        AccessKind kind) {
-  if (AccessHistory* h = active()) h->record_current(var, tid, epoch, kind);
+inline void note_access(std::uint64_t var, Epoch epoch, AccessKind kind) {
+  if (AccessHistory* h = active()) h->record_current(var, epoch, kind);
 }
 
 }  // namespace vft::history

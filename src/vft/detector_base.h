@@ -235,10 +235,10 @@ class DetectorBase {
   /// access never record - see access_history.h). One predicted-null
   /// load when the history layer is off.
   void record_read(std::uint64_t var, const ThreadState& st) {
-    history::note_access(var, st.t, st.epoch(), history::AccessKind::kRead);
+    history::note_access(var, st.epoch(), history::AccessKind::kRead);
   }
   void record_write(std::uint64_t var, const ThreadState& st) {
-    history::note_access(var, st.t, st.epoch(), history::AccessKind::kWrite);
+    history::note_access(var, st.epoch(), history::AccessKind::kWrite);
   }
 
   void report(RaceKind kind, std::uint64_t var, const ThreadState& st,
@@ -256,15 +256,15 @@ class DetectorBase {
       // reaches this line. Yields an empty stack unless an interposition
       // boundary armed the per-thread event context (vft/stack.h).
       r.stack = capture_event_stack();
-      // Look the prior side up in the access history: an exact full-epoch
-      // match (t@c) on the opposite access kind. Exact matching makes
-      // tid-slot reuse safe: a reused slot continues its predecessor's
-      // clock, so the same t@c can never denote two different accesses.
-      // A SHARED prior (read-shared write race) carries no single epoch
-      // and finds nothing; the report then degrades to a bare epoch,
-      // exactly like pre-history reports.
-      if (history::AccessHistory* h = history::active();
-          h != nullptr && !prior.is_shared()) {
+      // Look the prior side up in the access history: the prior thread's
+      // record of this variable, matched on the opposite access kind and
+      // the exact full epoch (t@c). Exact matching makes tid-slot reuse
+      // safe: a reused slot continues its predecessor's clock, so the same
+      // t@c can never denote two different accesses. A SHARED prior
+      // (read-shared write race) carries no single epoch and finds
+      // nothing; the report then degrades to a bare epoch, exactly like
+      // pre-history reports.
+      if (history::AccessHistory* h = history::active()) {
         const history::AccessKind want =
             (kind == RaceKind::kReadWrite || kind == RaceKind::kSharedWrite)
                 ? history::AccessKind::kRead

@@ -270,8 +270,7 @@ inline bool packed_read(Tool& tool, ThreadState& st, PackedCell& cell,
       // (the packed shadow space) pass it; var 0 (trace tests, benches)
       // keeps the historical un-instrumented behaviour.
       if (var != 0) {
-        history::note_access(var, st.t, st.epoch(),
-                             history::AccessKind::kRead);
+        history::note_access(var, st.epoch(), history::AccessKind::kRead);
       }
       return true;
     case PackedCell::Fast::kSlow:
@@ -301,8 +300,7 @@ inline bool packed_write(Tool& tool, ThreadState& st, PackedCell& cell,
       // See packed_read: the advanced last-write epoch is the prior a
       // racing access will look up, so it must be in the history.
       if (var != 0) {
-        history::note_access(var, st.t, st.epoch(),
-                             history::AccessKind::kWrite);
+        history::note_access(var, st.epoch(), history::AccessKind::kWrite);
       }
       return true;
     case PackedCell::Fast::kSlow:

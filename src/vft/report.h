@@ -78,11 +78,11 @@ struct RaceReport {
   /// The racing (current) access's call stack, captured when the race
   /// fired (vft/stack.h). Empty when no interposition boundary was armed.
   CallStack stack;
-  /// The prior access's call stack, looked up in the bounded access
+  /// The prior access's call stack, looked up in the per-thread access
   /// history (vft/access_history.h) by exact prior epoch. Empty when the
-  /// history layer is off, the ring evicted the entry, or the prior is
-  /// SHARED - the report then degrades to a bare prior epoch, exactly
-  /// like pre-history reports.
+  /// history layer is off, the prior thread's record was replaced or
+  /// evicted, or the prior is SHARED - the report then degrades to a bare
+  /// prior epoch, exactly like pre-history reports.
   CallStack prior_stack;
 
   std::string str() const;

@@ -614,7 +614,7 @@ std::string render_plain(const ReportDoc& doc) {
     o += "\n";
     // Both sides of the race, indented under the scraper-stable "race:"
     // line. The prior side's stack comes from the access history; when
-    // the ring evicted it the side renders with "(no stack)".
+    // the record was evicted the side renders with "(no stack)".
     for (const Access& a : c.accesses) {
       o += "  " + a.role;
       if (!a.kind.empty()) o += " " + a.kind;

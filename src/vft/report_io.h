@@ -26,9 +26,9 @@
 //                          "symbol": "fn", "symbol_offset": "0x..",
 //                          "file": "x.cpp", "line": 12 } ] },
 //           { "role": "prior", "kind": "write", "tid": 1, "epoch": "1@5",
-//             "stack": [ ...the prior access's frames, from the bounded
+//             "stack": [ ...the prior access's frames, from the per-thread
 //                        access history (vft/access_history.h); empty when
-//                        the ring evicted the entry or history is off... ] }
+//                        the record was evicted or history is off... ] }
 //         ]
 //       }
 //     ],

@@ -65,7 +65,7 @@ Spec::StepResult Spec::on_read(Tid t, VarId x) {
   // History hook, past the same-epoch rules: the oracle records through
   // the same installed AccessHistory as the production detectors, so
   // differential runs see consistent prior-side metadata.
-  history::note_access(x, t, e, history::AccessKind::kRead);
+  history::note_access(x, e, history::AccessKind::kRead);
 
   // [Write-Read Race]: Sx.W not happens-before St.V.
   if (!epoch_leq(sx.W, st)) return error(Rule::kWriteReadRace);
@@ -101,7 +101,7 @@ Spec::StepResult Spec::on_write(Tid t, VarId x) {
   if (sx.W == e) return ok(Rule::kWriteSameEpoch);
 
   // History hook, past the same-epoch rule (see on_read).
-  history::note_access(x, t, e, history::AccessKind::kWrite);
+  history::note_access(x, e, history::AccessKind::kWrite);
 
   // [Write-Write Race].
   if (!epoch_leq(sx.W, st)) return error(Rule::kWriteWriteRace);

@@ -61,9 +61,10 @@ struct CallStack {
 /// (default 16). Read once per process.
 int stack_depth_limit();
 
-/// FNV-1a over the raw program counters (process-local identity; the
-/// ASLR-stable cross-run key is computed from resolved module+offset
-/// frames, see report.h).
+/// FNV-1a over the raw program counters, one 64-bit word per step
+/// (process-local identity; the ASLR-stable cross-run key is computed from
+/// resolved module+offset frames, see report.h). The multiply carries every
+/// frame into the high bits, so callers indexing by hash use those.
 std::uint64_t hash_stack(const CallStack& s);
 
 /// Capture the current thread's stack for a race firing inside the

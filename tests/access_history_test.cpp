@@ -1,15 +1,18 @@
-// Unit tests for the bounded per-variable access history
-// (vft/access_history.h): ring wraparound, stack interning, tid-slot
-// reuse safety, range reset, the shadow-stack fallback in
-// capture_event_stack (prior-side capture with no armed boundary), the
-// detector-level prior-stack lookup, and rule-counter parity with the
-// history layer on vs off.
+// Unit tests for the per-thread access history (vft/access_history.h):
+// stack interning and its per-thread front cache, the newest-record-per-
+// (variable, kind) retention contract, tid-slot reuse safety, slot
+// collisions, range reset from another thread, concurrent record / reset
+// / find, the shadow-stack fallback in capture_event_stack (prior-side
+// capture with no armed boundary), the detector-level prior-stack lookup,
+// and rule-counter parity with the history layer on vs off.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "vft/access_history.h"
@@ -33,78 +36,6 @@ CallStack stack_of(std::initializer_list<std::uintptr_t> pcs) {
   CallStack cs;
   for (std::uintptr_t pc : pcs) cs.push(pc);
   return cs;
-}
-
-// ---------------------------------------------------------------------------
-// Ring
-
-TEST(Ring, FindsRecordedEntry) {
-  history::Ring ring;
-  history::Entry e;
-  e.stack_id = 7;
-  e.epoch = Epoch::make(1, 5);
-  e.tid = 1;
-  e.kind = history::AccessKind::kWrite;
-  e.valid = 1;
-  e.size = 4;
-  ring.push(e);
-
-  const history::Entry* hit =
-      ring.find(Epoch::make(1, 5), history::AccessKind::kWrite);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->stack_id, 7u);
-  EXPECT_EQ(hit->size, 4u);
-  // Same epoch, wrong kind: no match.
-  EXPECT_EQ(ring.find(Epoch::make(1, 5), history::AccessKind::kRead), nullptr);
-  // Wrong epoch: no match.
-  EXPECT_EQ(ring.find(Epoch::make(1, 6), history::AccessKind::kWrite), nullptr);
-}
-
-TEST(Ring, WraparoundEvictsOldestFirst) {
-  history::Ring ring;
-  const int n = static_cast<int>(history::kRingCapacity) + 3;
-  for (int i = 0; i < n; ++i) {
-    history::Entry e;
-    e.stack_id = static_cast<std::uint32_t>(100 + i);
-    e.epoch = Epoch::make(1, static_cast<Clock>(i + 1));
-    e.tid = 1;
-    e.kind = history::AccessKind::kWrite;
-    e.valid = 1;
-    ring.push(e);
-  }
-  // The three oldest entries were overwritten...
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(ring.find(Epoch::make(1, static_cast<Clock>(i + 1)),
-                        history::AccessKind::kWrite),
-              nullptr)
-        << "entry " << i << " should have been evicted";
-  }
-  // ...and the newest kRingCapacity entries all survive, with their ids.
-  for (int i = 3; i < n; ++i) {
-    const history::Entry* hit = ring.find(
-        Epoch::make(1, static_cast<Clock>(i + 1)), history::AccessKind::kWrite);
-    ASSERT_NE(hit, nullptr) << "entry " << i << " should survive";
-    EXPECT_EQ(hit->stack_id, static_cast<std::uint32_t>(100 + i));
-  }
-}
-
-TEST(Ring, NewestWinsWhenEpochsCollide) {
-  // Two entries with the same (epoch, kind) - e.g. a re-recorded slow-path
-  // access - must resolve to the most recent stack.
-  history::Ring ring;
-  for (std::uint32_t id : {1u, 2u}) {
-    history::Entry e;
-    e.stack_id = id;
-    e.epoch = Epoch::make(2, 9);
-    e.tid = 2;
-    e.kind = history::AccessKind::kRead;
-    e.valid = 1;
-    ring.push(e);
-  }
-  const history::Entry* hit =
-      ring.find(Epoch::make(2, 9), history::AccessKind::kRead);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->stack_id, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -140,19 +71,39 @@ TEST(StackTable, EmptyStackIsIdZeroAndLookupFails) {
   EXPECT_FALSE(table.lookup(42, &out));  // never interned
 }
 
+TEST(StackTable, FrontCacheIsPerTableInstance) {
+  // The calling thread's front cache remembers a -> 1 and b -> 2 for the
+  // first table. A second table must not hit those entries: it interns b
+  // first, so b is its id 1.
+  const CallStack a = stack_of({0x1000});
+  const CallStack b = stack_of({0x2000});
+  {
+    history::StackTable first;
+    EXPECT_EQ(first.intern(a), 1u);
+    EXPECT_EQ(first.intern(b), 2u);
+    EXPECT_EQ(first.intern(b), 2u);  // front-cache hit
+  }
+  history::StackTable second;
+  EXPECT_EQ(second.intern(b), 1u);
+  EXPECT_EQ(second.intern(a), 2u);
+  CallStack out;
+  ASSERT_TRUE(second.lookup(1, &out));
+  EXPECT_EQ(out, b);
+}
+
 // ---------------------------------------------------------------------------
 // AccessHistory
 
 TEST(AccessHistory, RecordThenFindExactEpochAndKind) {
   history::AccessHistory h;
   const std::uint64_t var = 0xdead00;
-  h.record(var, 1, Epoch::make(1, 3), history::AccessKind::kWrite, 8,
+  h.record(var, Epoch::make(1, 3), history::AccessKind::kWrite,
            stack_of({0x5000, 0x5100}));
 
   history::Entry e;
   ASSERT_TRUE(h.find(var, Epoch::make(1, 3), history::AccessKind::kWrite, &e));
-  EXPECT_EQ(e.tid, 1u);
-  EXPECT_EQ(e.size, 8u);
+  EXPECT_EQ(e.epoch, Epoch::make(1, 3));
+  EXPECT_EQ(e.kind, history::AccessKind::kWrite);
   CallStack cs;
   ASSERT_TRUE(h.stack_of(e.stack_id, &cs));
   EXPECT_EQ(cs, stack_of({0x5000, 0x5100}));
@@ -160,6 +111,8 @@ TEST(AccessHistory, RecordThenFindExactEpochAndKind) {
   // Kind and epoch must match exactly.
   EXPECT_FALSE(h.find(var, Epoch::make(1, 3), history::AccessKind::kRead, &e));
   EXPECT_FALSE(h.find(var, Epoch::make(1, 4), history::AccessKind::kWrite, &e));
+  EXPECT_FALSE(h.find(var, Epoch::make(2, 3), history::AccessKind::kWrite, &e));
+  EXPECT_FALSE(h.find(var, Epoch::shared(), history::AccessKind::kWrite, &e));
   // Unknown variable: nothing.
   EXPECT_FALSE(h.find(0xbeef00, Epoch::make(1, 3),
                       history::AccessKind::kWrite, &e));
@@ -169,8 +122,9 @@ TEST(AccessHistory, SlotReuseDoesNotMasquerade) {
   // PR 5's tid-slot reuse machinery continues a retired thread's clock
   // (ThreadState(tid, predecessor)), so epochs on a reused slot are
   // strictly greater than every epoch the predecessor ever had. The
-  // history's exact-epoch match therefore can never attribute a
-  // successor's entry to the predecessor or vice versa.
+  // successor records into the same tid table: its record of the same
+  // (var, kind) replaces the predecessor's, and the exact-epoch match
+  // means neither epoch ever resolves to the other's stack.
   history::AccessHistory h;
   const std::uint64_t var = 0xaaaa00;
 
@@ -178,22 +132,23 @@ TEST(AccessHistory, SlotReuseDoesNotMasquerade) {
   pred.inc();  // 1@2
   pred.inc();  // 1@3
   const Epoch pred_epoch = pred.epoch();
-  h.record(var, pred.t, pred_epoch, history::AccessKind::kWrite, 4,
-           stack_of({0xAAAA}));
+  h.record(var, pred_epoch, history::AccessKind::kWrite, stack_of({0xAAAA}));
 
   ThreadState succ(1, pred.V);  // reused slot: continues at 1@4
   const Epoch succ_epoch = succ.epoch();
   ASSERT_FALSE(succ_epoch == pred_epoch);
   ASSERT_LT(pred_epoch.clock(), succ_epoch.clock());
-  h.record(var, succ.t, succ_epoch, history::AccessKind::kWrite, 4,
-           stack_of({0xBBBB}));
 
   history::Entry e;
   CallStack cs;
   ASSERT_TRUE(h.find(var, pred_epoch, history::AccessKind::kWrite, &e));
   ASSERT_TRUE(h.stack_of(e.stack_id, &cs));
-  EXPECT_EQ(cs, stack_of({0xAAAA}));  // predecessor's stack, not successor's
+  EXPECT_EQ(cs, stack_of({0xAAAA}));
+  EXPECT_FALSE(h.find(var, succ_epoch, history::AccessKind::kWrite, &e));
 
+  h.record(var, succ_epoch, history::AccessKind::kWrite, stack_of({0xBBBB}));
+  // The predecessor's record is gone, not re-attributed to the successor.
+  EXPECT_FALSE(h.find(var, pred_epoch, history::AccessKind::kWrite, &e));
   ASSERT_TRUE(h.find(var, succ_epoch, history::AccessKind::kWrite, &e));
   ASSERT_TRUE(h.stack_of(e.stack_id, &cs));
   EXPECT_EQ(cs, stack_of({0xBBBB}));
@@ -203,9 +158,9 @@ TEST(AccessHistory, ResetRangeDropsCoveredVarsOnly) {
   history::AccessHistory h;
   const std::uint64_t inside = 0x10008;
   const std::uint64_t outside = 0x20000;
-  h.record(inside, 1, Epoch::make(1, 2), history::AccessKind::kWrite, 8,
+  h.record(inside, Epoch::make(1, 2), history::AccessKind::kWrite,
            stack_of({0x1}));
-  h.record(outside, 1, Epoch::make(1, 3), history::AccessKind::kWrite, 8,
+  h.record(outside, Epoch::make(1, 3), history::AccessKind::kWrite,
            stack_of({0x2}));
 
   h.reset_range(0x10000, 0x100);
@@ -215,6 +170,112 @@ TEST(AccessHistory, ResetRangeDropsCoveredVarsOnly) {
       h.find(inside, Epoch::make(1, 2), history::AccessKind::kWrite, &e));
   EXPECT_TRUE(
       h.find(outside, Epoch::make(1, 3), history::AccessKind::kWrite, &e));
+}
+
+TEST(AccessHistory, ResetRangeClearsEveryThreadsSlots) {
+  // Records under tids 1 and 2, reset from a third thread. Two range
+  // sizes: one the reset probes word by word, one large enough that it
+  // scans each table instead.
+  for (const std::size_t size : {std::size_t{0x100}, std::size_t{0x40000}}) {
+    history::AccessHistory h;
+    const std::uint64_t base = 0x1000000;
+    const std::uint64_t in1 = base + 0x10;
+    const std::uint64_t in2 = base + size - 8;
+    const std::uint64_t below = base - 8;
+    const std::uint64_t above = base + size;
+    const Epoch e1 = Epoch::make(1, 5);
+    const Epoch e2 = Epoch::make(2, 7);
+    h.record(in1, e1, history::AccessKind::kWrite, stack_of({0x11}));
+    h.record(in2, e2, history::AccessKind::kRead, stack_of({0x22}));
+    h.record(below, e1, history::AccessKind::kRead, stack_of({0x33}));
+    h.record(above, e2, history::AccessKind::kWrite, stack_of({0x44}));
+
+    std::thread resetter([&] { h.reset_range(base, size); });
+    resetter.join();
+
+    history::Entry e;
+    EXPECT_FALSE(h.find(in1, e1, history::AccessKind::kWrite, &e)) << size;
+    EXPECT_FALSE(h.find(in2, e2, history::AccessKind::kRead, &e)) << size;
+    ASSERT_TRUE(h.find(below, e1, history::AccessKind::kRead, &e)) << size;
+    CallStack cs;
+    ASSERT_TRUE(h.stack_of(e.stack_id, &cs));
+    EXPECT_EQ(cs, stack_of({0x33}));
+    ASSERT_TRUE(h.find(above, e2, history::AccessKind::kWrite, &e)) << size;
+    ASSERT_TRUE(h.stack_of(e.stack_id, &cs));
+    EXPECT_EQ(cs, stack_of({0x44}));
+  }
+}
+
+/// The stack a ConcurrentRecordResetFind writer records for (tid, var
+/// index, clock, kind): distinct for neighbouring clocks, so a find that
+/// paired one record's epoch with another's stack shows.
+CallStack stress_stack(Tid t, std::size_t var_index, Clock c,
+                       history::AccessKind k) {
+  return stack_of({0x100000 + t, 0x200000 + var_index,
+                   0x300000 + (c % 64) * 2 + static_cast<unsigned>(k)});
+}
+
+TEST(AccessHistory, ConcurrentRecordResetFind) {
+  // Writers on distinct tids record every variable at every clock, one
+  // thread keeps resetting the lower half of the range, one keeps
+  // finding. Every successful find must return exactly the stack recorded
+  // for that (var, epoch, kind).
+  constexpr int kWriters = 3;
+  constexpr std::size_t kVars = 64;
+  constexpr Clock kClocks = 400;
+  const std::uint64_t base = 0x7000000;
+  history::AccessHistory h;
+  std::atomic<Clock> published[kWriters + 1] = {};
+  std::atomic<int> writers_left{kWriters};
+
+  std::vector<std::thread> threads;
+  for (Tid t = 1; t <= kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      for (Clock c = 1; c <= kClocks; ++c) {
+        for (std::size_t i = 0; i < kVars; ++i) {
+          for (auto k : {history::AccessKind::kRead,
+                         history::AccessKind::kWrite}) {
+            h.record(base + 8 * i, Epoch::make(t, c), k,
+                     stress_stack(t, i, c, k));
+          }
+        }
+        published[t].store(c, std::memory_order_release);
+      }
+      writers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  threads.emplace_back([&] {
+    while (writers_left.load(std::memory_order_acquire) > 0) {
+      h.reset_range(base, 8 * kVars / 2);
+    }
+  });
+
+  std::uint64_t hits = 0;
+  std::uint64_t wrong = 0;
+  std::uint64_t probe = 0;
+  while (writers_left.load(std::memory_order_acquire) > 0) {
+    ++probe;
+    const Tid t = static_cast<Tid>(1 + probe % kWriters);
+    const std::size_t i = (probe / kWriters) % kVars;
+    const auto k = (probe & 64) != 0 ? history::AccessKind::kWrite
+                                     : history::AccessKind::kRead;
+    const Clock c = published[t].load(std::memory_order_acquire);
+    if (c == 0) continue;
+    for (const Clock q : {c, c + 1}) {
+      if (q > kClocks) continue;
+      history::Entry e;
+      if (!h.find(base + 8 * i, Epoch::make(t, q), k, &e)) continue;
+      CallStack cs;
+      ++hits;
+      if (e.epoch != Epoch::make(t, q) || e.kind != k ||
+          !h.stack_of(e.stack_id, &cs) || !(cs == stress_stack(t, i, q, k))) {
+        ++wrong;
+      }
+    }
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_GT(hits, 0u);
 }
 
 TEST(AccessHistory, EnvDefaultOnExplicitOff) {
@@ -266,7 +327,7 @@ TEST(CaptureEventStack, ShadowFallbackSkipsNearNullFrames) {
 }
 
 // ---------------------------------------------------------------------------
-// Detector-level: a race report carries the prior access's ring stack.
+// Detector-level: a race report carries the prior access's recorded stack.
 
 struct HistoryGuard {
   explicit HistoryGuard(history::AccessHistory* h) { history::install(h); }
@@ -285,7 +346,7 @@ TEST(DetectorPrior, WriteWriteRaceCarriesPriorStack) {
   x.id = 0x123450;
 
   // T1's write goes through [Write Exclusive] (slow path) and records its
-  // armed stack into the ring.
+  // armed stack into T1's table.
   vft_tl_event_ctx.pc = reinterpret_cast<const void*>(0x5000);
   vft_tl_event_ctx.fp = nullptr;
   ASSERT_TRUE(det.write(t1, x));
@@ -327,6 +388,47 @@ TEST(DetectorPrior, WriteReadRaceLooksUpPriorWrite) {
   ASSERT_EQ(ctxs.size(), 1u);
   EXPECT_EQ(ctxs[0].first.kind, RaceKind::kWriteRead);
   EXPECT_EQ(ctxs[0].first.prior_stack, stack_of({0x7000}));
+}
+
+TEST(DetectorPrior, CollidingRecordDegradesToBareEpoch) {
+  // Two variables whose write records map to the same slot of a thread's
+  // table. T1 writes both in one epoch, so the second record replaces
+  // the first; a race on the first must report an empty prior stack,
+  // never the second variable's.
+  TlsGuard tls;
+  HistoryGuard installed(new history::AccessHistory());
+  RaceCollector races;
+  VftV2 det(&races);
+
+  VftV2::VarState a;
+  VftV2::VarState b;
+  a.id = 0x400000;
+  const std::size_t slot =
+      history::AccessHistory::slot_index(a.id, history::AccessKind::kWrite);
+  for (std::uint64_t v = a.id + 8; b.id == 0; v += 8) {
+    if (history::AccessHistory::slot_index(v, history::AccessKind::kWrite) ==
+        slot) {
+      b.id = v;
+    }
+  }
+
+  ThreadState t1(1);
+  ThreadState t0(0);
+  vft_tl_event_ctx.pc = reinterpret_cast<const void*>(0xA000);
+  vft_tl_event_ctx.fp = nullptr;
+  ASSERT_TRUE(det.write(t1, a));
+  vft_tl_event_ctx.pc = reinterpret_cast<const void*>(0xB000);
+  ASSERT_TRUE(det.write(t1, b));
+
+  vft_tl_event_ctx.pc = reinterpret_cast<const void*>(0xC000);
+  EXPECT_FALSE(det.write(t0, a));
+
+  const auto ctxs = races.contexts();
+  ASSERT_EQ(ctxs.size(), 1u);
+  EXPECT_EQ(ctxs[0].first.var, a.id);
+  EXPECT_EQ(ctxs[0].first.prior, t1.epoch());
+  EXPECT_TRUE(ctxs[0].first.prior_stack.empty());
+  EXPECT_TRUE(ctxs[0].prior_frames.empty());
 }
 
 TEST(DetectorPrior, HistoryOffDegradesToEmptyPriorStack) {
