@@ -18,10 +18,10 @@
 //                     sets. Acceptance: packed read >= 3x on the large
 //                     sweep.
 //   abi_dispatch      vft_read8 through the C ABI (header-inlined fast
-//                     path, falling back to the reentrancy guard + entry
-//                     table dispatch) vs the inlined wrapper path over the
-//                     same packed shadow; the delta is the per-access
-//                     interposition tax.
+//                     path, falling back to the reentrancy guard + the
+//                     session backend's virtual call) vs the inlined
+//                     wrapper path over the same packed shadow; the delta
+//                     is the per-access interposition tax.
 //   report_ctx        ISSUE-6 A/B: the same vft_read8 sweep with the
 //                     stack-capture event context armed per access (the
 //                     two TLS stores every __tsan_* wrapper pays) vs left
@@ -281,7 +281,8 @@ void packed_ab_rows(JsonReport& json, std::size_t scale) {
     ThreadState& self = R.self();
     for (std::size_t i = 0; i < words; ++i) {
       vstates[i].id = reinterpret_cast<std::uint64_t>(&buf[i]);
-      rt::instrumented_write(R, pspace, &buf[i]);
+      pspace.template access<true>(R.tool(), R.self(), &buf[i],
+                                   sizeof(std::uint64_t));
       R.tool().write(self, vstates[i]);
     }
 
@@ -298,12 +299,16 @@ void packed_ab_rows(JsonReport& json, std::size_t scale) {
 
     const double det_r =
         time_pass([&](std::size_t i) { return R.tool().read(self, vstates[i]); });
-    const double pk_r = time_pass(
-        [&](std::size_t i) { return rt::instrumented_read(R, pspace, &buf[i]); });
+    const double pk_r = time_pass([&](std::size_t i) {
+      return pspace.template access<false>(R.tool(), R.self(), &buf[i],
+                                           sizeof(std::uint64_t));
+    });
     const double det_w = time_pass(
         [&](std::size_t i) { return R.tool().write(self, vstates[i]); });
-    const double pk_w = time_pass(
-        [&](std::size_t i) { return rt::instrumented_write(R, pspace, &buf[i]); });
+    const double pk_w = time_pass([&](std::size_t i) {
+      return pspace.template access<true>(R.tool(), R.self(), &buf[i],
+                                          sizeof(std::uint64_t));
+    });
     VFT_CHECK(races.empty());
     VFT_CHECK(pspace.spilled() == 0);  // pure same-epoch: nothing escalated
 
@@ -346,9 +351,9 @@ void packed_section(JsonReport& json, std::size_t scale) {
 
 /// What a real binary pays per access through the interposition stack:
 /// vft_read8 tries the header-inlined descriptor first and otherwise
-/// crosses the reentrancy guard and the entry-table dispatch before
-/// reaching the same packed-cell fast path the inlined wrapper path calls
-/// directly. Both runs are single-threaded pure same-epoch sweeps over a
+/// crosses the reentrancy guard and the session backend's virtual call
+/// before reaching the same packed-cell fast path the inlined wrapper path
+/// calls directly. Both runs are single-threaded pure same-epoch sweeps over a
 /// cache-resident buffer against packed shadow, so the delta is the
 /// dispatch overhead alone.
 void abi_section(JsonReport& json, std::size_t scale) {
@@ -379,13 +384,13 @@ void abi_section(JsonReport& json, std::size_t scale) {
   rt::Runtime<VftV2>::MainScope scope(R);
   auto& space = R.packed_space();
   for (const std::uint64_t& w : buf) {
-    rt::instrumented_write(R, space, &w);
+    space.access<true>(R.tool(), R.self(), &w, sizeof(w));
   }
   const auto t1 = std::chrono::steady_clock::now();
   std::uint64_t sink = 0;
   for (std::size_t s = 0; s < sweeps; ++s) {
     for (const std::uint64_t& w : buf) {
-      sink += rt::instrumented_read(R, space, &w);
+      sink += space.access<false>(R.tool(), R.self(), &w, sizeof(w));
     }
   }
   g_sink.fetch_add(sink, std::memory_order_relaxed);
@@ -493,7 +498,7 @@ void report_ctx_section(JsonReport& json, std::size_t scale) {
 ///   exact   sampling off - the ABI path of abi_dispatch (header-inlined
 ///           hits once the descriptor is armed).
 ///   drop    policy=drop at a near-zero fixed rate: the gate fires in the
-///           ABI macro before the entry-table dispatch, so a
+///           ABI macro before the backend dispatch, so a
 ///           sampled-out access is one atomic flag load, one gate check
 ///           and a countdown decrement. Acceptance: within 2x of the
 ///           packed-cell inline floor (packed_cell.packed_read_ns).

@@ -97,10 +97,14 @@ void packed_row(std::size_t n, double inline_excl_bpw,
   std::vector<std::uint64_t> buf(n, 0);
   auto& space = R.packed_space();
   const std::size_t before = g_alloc_bytes;
-  for (std::uint64_t& w : buf) rt::instrumented_write(R, space, &w);
+  for (std::uint64_t& w : buf) {
+    space.template access<true>(R.tool(), R.self(), &w, sizeof(w));
+  }
   const std::size_t epoch_only = g_alloc_bytes - before;
   rt::parallel_for_threads(R, 2, [&](std::uint32_t) {
-    for (const std::uint64_t& w : buf) rt::instrumented_read(R, space, &w);
+    for (const std::uint64_t& w : buf) {
+      space.template access<false>(R.tool(), R.self(), &w, sizeof(w));
+    }
   });
   const std::size_t with_spills = g_alloc_bytes - before;
   const double excl = static_cast<double>(epoch_only) / static_cast<double>(n);

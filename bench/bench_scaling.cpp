@@ -9,7 +9,7 @@
 // Beyond the detector columns, two *mode* columns pin down where the
 // deployed stack sits relative to the inlined-wrapper ideal:
 //   abi     the same workload pushed through the C ABI's vft_read8
-//           (header-inlined fast path + devirtualized slow dispatch on
+//           (header-inlined fast path + one virtual slow dispatch on
 //           the process-global session) - what an LD_PRELOADed binary
 //           actually pays;
 //   packed  the same workload on the packed-cell shadow space with the
@@ -83,14 +83,15 @@ double run_read_shared_packed(std::uint32_t threads, std::uint32_t scale) {
   std::vector<std::uint64_t> table(kEntries, 3);
   auto& pspace = R.packed_space();
   for (const std::uint64_t& w : table) {
-    rt::instrumented_write(R, pspace, &w);
+    pspace.access<true>(R.tool(), R.self(), &w, sizeof(w));
   }
   const auto t0 = std::chrono::steady_clock::now();
   rt::parallel_for_threads(R, threads, [&](std::uint32_t) {
     std::uint64_t acc = 0;
     for (std::size_t rep = 0; rep < reps; ++rep) {
       for (std::size_t i = 0; i < kEntries; ++i) {
-        acc += rt::instrumented_read(R, pspace, &table[i]);
+        acc += pspace.access<false>(R.tool(), R.self(), &table[i],
+                                    sizeof(std::uint64_t));
       }
     }
     benchmark_keep(acc);
@@ -101,7 +102,7 @@ double run_read_shared_packed(std::uint32_t threads, std::uint32_t scale) {
 }
 
 /// Mode `abi`: the same sweep through vft_read8 on the process-global
-/// session - TLS descriptor, inline same-epoch path, devirtualized slow
+/// session - TLS descriptor, inline same-epoch path, virtual slow
 /// dispatch, reentrancy guard: the whole per-access interposition stack.
 /// Children are forked through the ABI token protocol so their reads are
 /// ordered after the parent's publishing writes (race-free).

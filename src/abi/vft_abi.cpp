@@ -1,5 +1,8 @@
 // C ABI implementation: a thin, reentrancy-guarded shim from the extern
-// "C" surface onto the process-global ambient::Session backend.
+// "C" surface onto the process-global ambient::Session backend. Every
+// entry - accesses and atomics included - dispatches through one virtual
+// call on SessionBackend; only the sized access entries try the
+// header-inlined fast path (abi/vft_abi_inline.h) first.
 //
 // The guard matters because the analysis runs *inside* the target
 // process: a free() performed by the runtime's own allocations while a
@@ -30,7 +33,6 @@ static_assert(VFT_FASTPATH_SLOT_MASK ==
 
 namespace {
 
-using vft::rt::ambient::EntryTable;
 using vft::rt::ambient::Session;
 using vft::rt::ambient::SessionBackend;
 
@@ -63,9 +65,9 @@ SessionBackend& backend() { return Session::instance().backend(); }
 ///     sampled-out accesses resolve entirely inline. Only the descriptor's
 ///     generation+countdown half is armed here - the cell half stays
 ///     disarmed under sampling so inline hits can't bypass the gate.
-///  3. Dispatch through the session's entry table (created with the
-///     backend on the first event). One access slot per direction covers
-///     every size: the session picks the scalar or range path itself.
+///  3. Dispatch through the session backend (created on the first event),
+///     the route every other event takes. One entry per direction covers
+///     every size: the shadow space picks the scalar or range path itself.
 ///  4. Consume the event context exactly once, on the way out - the
 ///     single clear the whole access path performs (inline hits neither
 ///     read nor clear it).
@@ -87,23 +89,20 @@ void slow_access(const void* addr, size_t size, bool is_write) {
       }
     }
   }
-  const EntryTable& t = Session::instance().entries();
-  (is_write ? t.write : t.read)(t.self, addr, size);
+  SessionBackend& b = backend();
+  if (is_write) {
+    b.write(addr, size);
+  } else {
+    b.read(addr, size);
+  }
   vft_tl_event_ctx.pc = nullptr;
 }
 
 /// Clamp an untrusted morder from the target to the ABI range; anything
-/// out of range degrades to seq_cst (the conservative reading).
+/// out of range degrades to seq_cst (the conservative reading). Atomics
+/// never route through the inline descriptor, so their entries dispatch
+/// straight to the backend with no descriptor re-sync.
 int clamp_mo(int mo) { return mo >= 0 && mo <= 5 ? mo : 5; }
-
-/// Atomic sync dispatch through the session's entry table (atomics never
-/// route through the inline descriptor, so there is no descriptor re-sync
-/// to do here).
-void atomic_event(const void* addr, int mo,
-                  EntryTable::AtomicFn EntryTable::* slot) {
-  const EntryTable& t = Session::instance().entries();
-  (t.*slot)(t.self, addr, clamp_mo(mo));
-}
 
 int write_report(const char* path, int json, int clean) {
   // Snapshot first, open the file second: on the crash path the document
@@ -223,9 +222,17 @@ void vft_abi_slow_write(const void* addr, size_t size) {
   slow_access(addr, size, /*is_write=*/true);
 }
 
+/// A zero-size range is an empty event, but still a slow-path exit: it
+/// consumes the event context its wrapper armed, like every other exit.
+/// The nested-guard exit leaves the context alone - it belongs to the
+/// outer event still in flight.
 void vft_range_read(const void* addr, size_t size) {
   AbiScope guard;
-  if (!guard.entered() || size == 0) return;
+  if (!guard.entered()) return;
+  if (size == 0) {
+    vft_tl_event_ctx.pc = nullptr;
+    return;
+  }
   // One gate draw covers the whole range: a range is one program event.
   // A drop-countdown skip the inline path prepaid also covers it (ranges
   // and straddles arriving mid-gap consume one unit in admit_and_refill).
@@ -234,39 +241,42 @@ void vft_range_read(const void* addr, size_t size) {
 
 void vft_range_write(const void* addr, size_t size) {
   AbiScope guard;
-  if (!guard.entered() || size == 0) return;
+  if (!guard.entered()) return;
+  if (size == 0) {
+    vft_tl_event_ctx.pc = nullptr;
+    return;
+  }
   slow_access(addr, size, /*is_write=*/true);
 }
 
 void vft_atomic_load(const void* addr, int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  atomic_event(addr, mo, &EntryTable::atomic_load);
+  backend().atomic_load(addr, clamp_mo(mo));
 }
 
 void vft_atomic_store(const void* addr, int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  atomic_event(addr, mo, &EntryTable::atomic_store);
+  backend().atomic_store(addr, clamp_mo(mo));
 }
 
 void vft_atomic_rmw_pre(const void* addr, int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  atomic_event(addr, mo, &EntryTable::atomic_rmw_pre);
+  backend().atomic_rmw_pre(addr, clamp_mo(mo));
 }
 
 void vft_atomic_rmw_post(const void* addr, int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  atomic_event(addr, mo, &EntryTable::atomic_rmw_post);
+  backend().atomic_rmw_post(addr, clamp_mo(mo));
 }
 
 void vft_atomic_fence(int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  const EntryTable& t = Session::instance().entries();
-  t.atomic_fence(t.self, clamp_mo(mo));
+  backend().atomic_fence(clamp_mo(mo));
 }
 
 void vft_mutex_lock(const void* m) {

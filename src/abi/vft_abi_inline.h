@@ -28,9 +28,9 @@
  *     drop-policy gate semantics (no cell update, no detector), with the
  *     skip count flushed to the gate at the next slow-path entry.
  *
- * The cell load is an acquire load, matching the out-of-line packed_read /
- * packed_write ordering. A hit only increments a plain thread-local tally
- * in the descriptor (two shared-counter RMWs per access would cost more
+ * The cell load is an acquire load, matching the out-of-line packed_access
+ * ordering. A hit only increments a plain thread-local tally in the
+ * descriptor (two shared-counter RMWs per access would cost more
  * than the dispatch the inline path saves); the runtime flushes the
  * tallies into the session's RuleStats at every slow-path entry, re-arm,
  * and detach, so at any quiescent observation point the counters are
@@ -60,7 +60,7 @@ extern "C" {
 #define VFT_FASTPATH_SLOT_MASK ((uintptr_t)511)
 
 /* Out-of-line continuations (abi/vft_abi.cpp): full AbiScope + gate +
- * entry-table dispatch, then descriptor re-arm. */
+ * session backend dispatch, then descriptor re-arm. */
 void vft_abi_slow_read(const void* addr, size_t size);
 void vft_abi_slow_write(const void* addr, size_t size);
 

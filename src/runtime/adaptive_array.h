@@ -108,9 +108,11 @@ class AdaptiveArray {
       // is the eager coarse VarState either way.
       auto target = [&g]() -> typename D::VarState& { return g.coarse; };
       if (is_write) {
-        packed_write(rt_->tool(), rt_->self(), g.cell, target, target);
+        packed_access<true>(rt_->tool(), rt_->self(), g.cell, target,
+                            target);
       } else {
-        packed_read(rt_->tool(), rt_->self(), g.cell, target, target);
+        packed_access<false>(rt_->tool(), rt_->self(), g.cell, target,
+                             target);
       }
       return;
     }

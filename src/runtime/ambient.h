@@ -6,9 +6,9 @@
 // The VFT_AMBIENT_READ/WRITE macros annotate accesses to *existing* data
 // structures; the ambient::Thread/Lock wrappers supply the fork/join and
 // acquire/release events. One Session per process (see session.h; reset()
-// for tests); every access routes through its entry table, the same route
-// the C ABI (src/abi/vft_abi.h) takes, so annotated code and interposed
-// binaries share one analysis state.
+// for tests); every access routes through its backend's read()/write(),
+// the same route the C ABI (src/abi/vft_abi.h) takes, so annotated code
+// and interposed binaries share one analysis state.
 //
 // The default ambient detector is VerifiedFT-v2 over the lock-free
 // two-level packed shadow space - the configuration a production
@@ -42,13 +42,11 @@ class MainScope {
 /// The events a pass emits before a sized access (memcpy-style or a
 /// whole-struct read/write): one event per overlapped shadow word.
 inline void on_range_read(const void* addr, std::size_t size) {
-  const EntryTable& t = Session::instance().entries();
-  t.read(t.self, addr, size);
+  backend().read(addr, size);
 }
 
 inline void on_range_write(const void* addr, std::size_t size) {
-  const EntryTable& t = Session::instance().entries();
-  t.write(t.self, addr, size);
+  backend().write(addr, size);
 }
 
 /// The event a compiler pass emits before a load of *addr.

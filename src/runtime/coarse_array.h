@@ -98,9 +98,11 @@ class CoarseArray {
           return shadow_[g];
         };
         if (is_write) {
-          packed_write(rt_->tool(), rt_->self(), cells_[g], target, target);
+          packed_access<true>(rt_->tool(), rt_->self(), cells_[g], target,
+                              target);
         } else {
-          packed_read(rt_->tool(), rt_->self(), cells_[g], target, target);
+          packed_access<false>(rt_->tool(), rt_->self(), cells_[g], target,
+                               target);
         }
         return;
       }

@@ -76,8 +76,8 @@ class Var {
   T load() {
     if constexpr (kPackedCapable<D>) {
       if (packed_) {
-        packed_read(rt_->tool(), rt_->self(), cell_, spill_target(),
-                    spill_target());
+        packed_access<false>(rt_->tool(), rt_->self(), cell_, spill_target(),
+                             spill_target());
         return data_.load(std::memory_order_relaxed);
       }
     }
@@ -88,8 +88,8 @@ class Var {
   void store(T v) {
     if constexpr (kPackedCapable<D>) {
       if (packed_) {
-        packed_write(rt_->tool(), rt_->self(), cell_, spill_target(),
-                     spill_target());
+        packed_access<true>(rt_->tool(), rt_->self(), cell_, spill_target(),
+                            spill_target());
         data_.store(v, std::memory_order_relaxed);
         return;
       }
@@ -154,8 +154,8 @@ class Array {
   /// Carve packed cells out of `space`, keyed by each element's address:
   /// element accesses run the same-epoch fast path inline against 8-byte
   /// cells and only escalated elements ever materialize a VarState.
-  /// instrumented_read/write on &data()[i] through the same space agree on
-  /// cell and spill state. Under the space's word granularity, elements
+  /// Raw-pointer accesses to &data()[i] through the same space's access()
+  /// agree on cell and spill state. Under the space's word granularity, elements
   /// smaller than the shadow word share a cell with their word neighbors.
   Array(Runtime<D>& rt, PackedShadowSpace<D>& space, std::size_t n,
         T initial = T{})
@@ -177,7 +177,8 @@ class Array {
     VFT_ASSERT(i < n_);
     if constexpr (kPackedCapable<D>) {
       if (pspace_ != nullptr) {
-        pspace_->read_slot(rt_->tool(), rt_->self(), pslots_[i]);
+        pspace_->template access_slot<false>(rt_->tool(), rt_->self(),
+                                             pslots_[i]);
         return data_[i].load(std::memory_order_relaxed);
       }
     }
@@ -189,7 +190,8 @@ class Array {
     VFT_ASSERT(i < n_);
     if constexpr (kPackedCapable<D>) {
       if (pspace_ != nullptr) {
-        pspace_->write_slot(rt_->tool(), rt_->self(), pslots_[i]);
+        pspace_->template access_slot<true>(rt_->tool(), rt_->self(),
+                                            pslots_[i]);
         data_[i].store(v, std::memory_order_relaxed);
         return;
       }

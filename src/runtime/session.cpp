@@ -5,29 +5,35 @@
 namespace vft::rt::ambient {
 namespace {
 
-/// Map a launch-time detector name (CLI / VFT_DETECTOR spelling) to a
-/// backend. Returns nullptr for an unknown name.
-std::unique_ptr<SessionBackend> make_backend(const std::string& name,
-                                             RaceCollector* races,
+template <Detector D>
+std::unique_ptr<SessionBackend> make_backend(RaceCollector* races,
                                              RuleStats* stats,
                                              std::uint64_t generation) {
-  if (name == "v1") {
-    return std::make_unique<SessionImpl<VftV1>>(races, stats, generation);
-  }
-  if (name == "v1.5") {
-    return std::make_unique<SessionImpl<VftV15>>(races, stats, generation);
-  }
-  if (name == "v2") {
-    return std::make_unique<SessionImpl<VftV2>>(races, stats, generation);
-  }
-  if (name == "ft-mutex") {
-    return std::make_unique<SessionImpl<FtMutex>>(races, stats, generation);
-  }
-  if (name == "ft-cas") {
-    return std::make_unique<SessionImpl<FtCas>>(races, stats, generation);
-  }
-  if (name == "djit") {
-    return std::make_unique<SessionImpl<Djit>>(races, stats, generation);
+  return std::make_unique<SessionImpl<D>>(races, stats, generation);
+}
+
+/// The launch-time detector names (CLI / VFT_DETECTOR spelling) and the
+/// backend each selects: the one list configure() validates against,
+/// create_backend() builds from, and the unknown-name diagnostic prints.
+struct DetectorEntry {
+  const char* name;
+  std::unique_ptr<SessionBackend> (*make)(RaceCollector*, RuleStats*,
+                                          std::uint64_t);
+};
+
+constexpr DetectorEntry kDetectors[] = {
+    {"v1", &make_backend<VftV1>},
+    {"v1.5", &make_backend<VftV15>},
+    {"v2", &make_backend<VftV2>},
+    {"ft-mutex", &make_backend<FtMutex>},
+    {"ft-cas", &make_backend<FtCas>},
+    {"djit", &make_backend<Djit>},
+};
+
+/// The entry named `name`, or nullptr for an unknown name.
+const DetectorEntry* find_detector(const std::string& name) {
+  for (const DetectorEntry& e : kDetectors) {
+    if (name == e.name) return &e;
   }
   return nullptr;
 }
@@ -43,13 +49,9 @@ std::string detector_from_env() {
 }  // namespace
 
 bool Session::configure(const std::string& name) {
-  // Validate against the factory without constructing a backend: a dry
+  // Validate against the table without constructing a backend: a dry
   // probe would allocate a whole runtime just to throw it away.
-  static constexpr const char* kNames[] = {"v1",       "v1.5",   "v2",
-                                           "ft-mutex", "ft-cas", "djit"};
-  bool known = false;
-  for (const char* n : kNames) known = known || name == n;
-  if (!known) return false;
+  if (find_detector(name) == nullptr) return false;
   std::scoped_lock lk(mu_);
   detector_ = name;
   return true;
@@ -84,19 +86,23 @@ SessionBackend& Session::create_backend() {
     // slow-path access can record; default ON, VFT_HISTORY=off disables.
     history::install(history::enabled_from_env() ? new history::AccessHistory()
                                                  : nullptr);
-    const std::uint64_t gen = generation_.load(std::memory_order_relaxed);
-    backend_ = make_backend(detector_, &races_, &stats_, gen);
-    if (backend_ == nullptr) {
+    const DetectorEntry* entry = find_detector(detector_);
+    if (entry == nullptr) {
+      std::string names;
+      for (const DetectorEntry& e : kDetectors) {
+        names += names.empty() ? "" : " ";
+        names += e.name;
+      }
       detail::fatal(
-          "unknown detector '%s' (from VFT_DETECTOR); expected one of "
-          "v1 v1.5 v2 ft-mutex ft-cas djit",
-          detector_.c_str());
+          "unknown detector '%s' (from VFT_DETECTOR); expected one of %s",
+          detector_.c_str(), names.c_str());
     }
+    backend_ = entry->make(&races_, &stats_,
+                           generation_.load(std::memory_order_relaxed));
     v2_ = detector_ == "v2"
               ? static_cast<SessionImpl<VftV2>*>(backend_.get())
               : nullptr;
     backend_ptr_.store(backend_.get(), std::memory_order_release);
-    entry_table_.store(&backend_->entries(), std::memory_order_release);
   }
   return *backend_;
 }
@@ -109,15 +115,13 @@ void Session::reset() {
   generation_.fetch_add(1, std::memory_order_relaxed);
   Registry::bind(nullptr);
   tl_session = SessionTls{};
-  // Retract every header-inlined fast-path descriptor and entry table in
-  // one shot: bumping the global generation makes all per-thread
-  // descriptors and the published EntryTable's snapshot stale before the
-  // backend they point into is destroyed. Other threads are quiescent by
-  // this function's contract; the calling thread clears its own
+  // Retract every header-inlined fast-path descriptor in one shot: bumping
+  // the global generation makes all per-thread descriptors stale before
+  // the backend they point into is destroyed. Other threads are quiescent
+  // by this function's contract; the calling thread clears its own
   // descriptor eagerly.
   __atomic_fetch_add(&vft_g_fastpath_gen, 1, __ATOMIC_RELEASE);
   vft_tl_fastpath = vft_fastpath_s{};
-  entry_table_.store(nullptr, std::memory_order_release);
   backend_ptr_.store(nullptr, std::memory_order_release);
   v2_ = nullptr;
   backend_.reset();

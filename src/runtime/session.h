@@ -6,8 +6,8 @@
 //
 //   target binary ──pthread/tsan events──> interposer ──C ABI──> Session
 //                                                                  │
-//                      EntryTable (accesses, atomics) / SessionBackend
-//                                                   (lifecycle, locks)
+//                                  SessionBackend (accesses, atomics,
+//                                       locks, lifecycle, free hints)
 //                                                                  │
 //                            SessionImpl<D>: Runtime<D> + PackedShadowSpace
 //                                          + LockRegistry + lifecycle
@@ -16,11 +16,11 @@
 // (VFT_DETECTOR environment variable, or Session::configure before first
 // use): the ABI entry points are plain C functions, so the detector
 // dispatch happens once per event through one indirect call instead of
-// per call-site templates. Every event kind has exactly one route: memory
-// accesses and atomics go through the devirtualized EntryTable, thread
-// lifecycle, native locks and free hints through SessionBackend's vtable.
-// bench_hotpath's `abi_dispatch` section tracks what the access route
-// costs against the inlined wrapper path.
+// per call-site templates. Every event kind takes the same route, one
+// virtual call on SessionBackend; SessionImpl is `final`, so the override
+// behind it is the template-inlined handler. bench_hotpath's
+// `abi_dispatch` and `atomic_dispatch` sections track what that route
+// costs.
 //
 // Implicit thread lifecycle: any thread is attached on its first event
 // (OS-thread identity lives in Registry's thread_local binding). Threads
@@ -55,45 +55,28 @@
 
 namespace vft::rt::ambient {
 
-/// Devirtualized dispatch for memory accesses and atomic sync events, the
-/// only route those events take. SessionImpl is `final`, so the
-/// captureless-lambda thunks below compile to direct calls into the
-/// template-inlined handlers - the C ABI pays one indirect call through
-/// this table per event. The table is built once in the SessionImpl
-/// constructor, published by Session::create_backend() and withdrawn by
-/// Session::reset() before the backend dies. `generation` snapshots
-/// vft_g_fastpath_gen at creation (reset() bumps that global); the
-/// header-inlined descriptors the backend arms carry the same stamp.
-struct EntryTable {
-  /// Access entries: (self, addr, size), one per direction for every size
-  /// - a word, a straddle, or a memcpy-style range.
-  using AccessFn = void (*)(void*, const void*, std::size_t);
-  /// Atomic sync entries: (self, addr, morder). morder is the TSan ABI
-  /// value (== __ATOMIC_*); address identity is the sync-state key, so no
-  /// size is needed.
-  using AtomicFn = void (*)(void*, const void*, int);
-  using FenceFn = void (*)(void*, int);
-
-  void* self = nullptr;
-  AccessFn read = nullptr;
-  AccessFn write = nullptr;
-  AtomicFn atomic_load = nullptr;
-  AtomicFn atomic_store = nullptr;
-  AtomicFn atomic_rmw_pre = nullptr;
-  AtomicFn atomic_rmw_post = nullptr;
-  FenceFn atomic_fence = nullptr;
-  std::uint64_t generation = 0;
-};
-
-/// The detector-erased session surface for everything but accesses and
-/// atomics (those dispatch through entries()). One virtual hop per event;
-/// the handlers behind it are the same template-inlined ones the wrappers
-/// use.
+/// The detector-erased session surface, the one route of every event.
+/// One virtual hop per event; the handlers behind it are the same
+/// template-inlined ones the wrappers use.
 class SessionBackend {
  public:
   virtual ~SessionBackend() = default;
 
   virtual const char* detector_name() const = 0;
+
+  // --- memory accesses of any size - a word, a straddle, or a
+  // memcpy-style range - one entry per direction.
+  virtual void read(const void* addr, std::size_t size) = 0;
+  virtual void write(const void* addr, std::size_t size) = 0;
+
+  // --- __tsan_atomic* sync events, keyed by address like locks. `mo` is
+  // the TSan ABI memory order (== __ATOMIC_*); address identity is the
+  // sync-state key, so no size is needed.
+  virtual void atomic_load(const void* a, int mo) = 0;
+  virtual void atomic_store(const void* a, int mo) = 0;
+  virtual void atomic_rmw_pre(const void* a, int mo) = 0;
+  virtual void atomic_rmw_post(const void* a, int mo) = 0;
+  virtual void atomic_fence(int mo) = 0;
 
   // --- native locks, keyed by address (pthread_mutex_t*). Per §4 the
   // caller invokes mutex_lock *after* the native acquire succeeded and
@@ -114,9 +97,6 @@ class SessionBackend {
   /// The target freed [addr, addr+size): clear shadow words and drop
   /// dead locks so recycled addresses start from bottom state.
   virtual void free_hint(const void* addr, std::size_t size) = 0;
-
-  /// The backend's devirtualized access and atomic table (see EntryTable).
-  virtual const EntryTable& entries() const = 0;
 
   // --- introspection for end-of-run reports.
   virtual std::size_t threads_seen() const = 0;
@@ -142,37 +122,12 @@ class SessionImpl final : public SessionBackend {
   SessionImpl(RaceCollector* races, RuleStats* stats,
               std::uint64_t generation)
       : rt_(D(races, stats)),
+        packed_(rt_.packed_space()),
         generation_(generation),
         gate_(sampling::Gate::active()),
         drop_mode_(gate_ != nullptr &&
                    gate_->config().policy ==
                        sampling::Config::Policy::kDrop) {
-    // Devirtualized dispatch thunks: SessionImpl is final, so these
-    // compile to direct calls into the handlers below.
-    entries_.self = this;
-    entries_.read = [](void* s, const void* a, std::size_t n) {
-      static_cast<SessionImpl*>(s)->access</*IsWrite=*/false>(a, n);
-    };
-    entries_.write = [](void* s, const void* a, std::size_t n) {
-      static_cast<SessionImpl*>(s)->access</*IsWrite=*/true>(a, n);
-    };
-    entries_.atomic_load = [](void* s, const void* a, int mo) {
-      static_cast<SessionImpl*>(s)->atomic_load(a, mo);
-    };
-    entries_.atomic_store = [](void* s, const void* a, int mo) {
-      static_cast<SessionImpl*>(s)->atomic_store(a, mo);
-    };
-    entries_.atomic_rmw_pre = [](void* s, const void* a, int mo) {
-      static_cast<SessionImpl*>(s)->atomic_rmw_pre(a, mo);
-    };
-    entries_.atomic_rmw_post = [](void* s, const void* a, int mo) {
-      static_cast<SessionImpl*>(s)->atomic_rmw_post(a, mo);
-    };
-    entries_.atomic_fence = [](void* s, int mo) {
-      static_cast<SessionImpl*>(s)->atomic_fence(mo);
-    };
-    entries_.generation =
-        __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
     // Header-inlined fast-path descriptor arming: ungated runs only.
     // Under cell-policy sampling an inline hit would bypass the gate's
     // countdown and controller probes (starving the overhead budget);
@@ -202,16 +157,19 @@ class SessionImpl final : public SessionBackend {
 
   const char* detector_name() const override { return D::kName; }
 
-  const EntryTable& entries() const override { return entries_; }
+  void read(const void* addr, std::size_t size) override {
+    access</*IsWrite=*/false>(addr, size);
+  }
+  void write(const void* addr, std::size_t size) override {
+    access</*IsWrite=*/true>(addr, size);
+  }
 
-  /// The one access entry, behind both EntryTable access slots: every
-  /// ABI access of any size runs against the packed-cell space. The packed
+  /// The one access entry, behind read() and write(): every ABI access of
+  /// any size runs against the packed-cell space's access(). The packed
   /// fast path is the scalar flank of the header-inlined one, so the inline
   /// path's cached cell pointers stay the authoritative shadow and a
   /// slow-path access leaves exactly the {R, W} the next inline hit tests
-  /// against. An access inside one shadow word takes the scalar cell path;
-  /// anything wider (a straddle, a memcpy-style range) the SIMD range scan,
-  /// whose same-epoch prefix bumps the same two rules the scalar hit does.
+  /// against.
   ///
   /// With no sampling gate every access is sampled. Under a gate, one draw
   /// covers the whole access (ranges are one program event; per-word draws
@@ -235,18 +193,9 @@ class SessionImpl final : public SessionBackend {
         sampled = gate_->should_sample(addr, &probe);
       }
     }
-    auto& packed = rt_.packed_space();
-    auto& tool = rt_.tool();
     bool spilled = false;
-    bool ok;
-    if (one_word(addr, size)) {
-      ok = IsWrite ? packed.write_gated(tool, *ts, addr, sampled, &spilled)
-                   : packed.read_gated(tool, *ts, addr, sampled, &spilled);
-    } else {
-      ok = IsWrite
-               ? packed.range_write(tool, *ts, addr, size, sampled, &spilled)
-               : packed.range_read(tool, *ts, addr, size, sampled, &spilled);
-    }
+    const bool ok = packed_.template access<IsWrite>(rt_.tool(), *ts, addr,
+                                                     size, sampled, &spilled);
     if (gate_ != nullptr) {
       if (sampled) {
         if (spilled) gate_->on_spill(addr);
@@ -269,19 +218,19 @@ class SessionImpl final : public SessionBackend {
     rt_.tool().release(*ts, locks_.of(m));
   }
 
-  // --- __tsan_atomic* sync events (behind the EntryTable atomic slots),
-  // keyed by address like locks. The ordering discipline mirrors §4:
-  // store/rmw_pre run *before* the real operation (publish before the
-  // value is visible), load/rmw_post run *after* it (join once the value
-  // was observed). `mo` is the target's declared memory order (TSan ABI ==
-  // __ATOMIC_* values); the VFT_ATOMICS mode is applied inside.
+  // --- __tsan_atomic* sync events, keyed by address like locks. The
+  // ordering discipline mirrors §4: store/rmw_pre run *before* the real
+  // operation (publish before the value is visible), load/rmw_post run
+  // *after* it (join once the value was observed). `mo` is the target's
+  // declared memory order (TSan ABI == __ATOMIC_* values); the
+  // VFT_ATOMICS mode is applied inside.
   //
   // Atomic sync events run ungated (like mutex_lock/unlock: sampling
   // thins data accesses, never synchronization - a dropped edge would
   // manufacture false races, the one thing the sampling layer must never
   // do). VFT_ATOMICS=off restores the PR-5 interposer-only behaviour.
 
-  void atomic_load(const void* a, int mo) {
+  void atomic_load(const void* a, int mo) override {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
@@ -290,7 +239,7 @@ class SessionImpl final : public SessionBackend {
                            atomics::effective_mo(atomics_mode_, mo));
   }
 
-  void atomic_store(const void* a, int mo) {
+  void atomic_store(const void* a, int mo) override {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
@@ -299,7 +248,7 @@ class SessionImpl final : public SessionBackend {
                             atomics::effective_mo(atomics_mode_, mo));
   }
 
-  void atomic_rmw_pre(const void* a, int mo) {
+  void atomic_rmw_pre(const void* a, int mo) override {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
@@ -308,7 +257,7 @@ class SessionImpl final : public SessionBackend {
                               atomics::effective_mo(atomics_mode_, mo));
   }
 
-  void atomic_rmw_post(const void* a, int mo) {
+  void atomic_rmw_post(const void* a, int mo) override {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
@@ -317,7 +266,7 @@ class SessionImpl final : public SessionBackend {
                                atomics::effective_mo(atomics_mode_, mo));
   }
 
-  void atomic_fence(int mo) {
+  void atomic_fence(int mo) override {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
@@ -335,7 +284,7 @@ class SessionImpl final : public SessionBackend {
     // The descriptor's epoch/cell pointers die with this binding; its tid
     // slot may be recycled by a later thread. Pending inline-hit tallies
     // are credited first - detach is a quiescent observation point.
-    if (vft_tl_fastpath.gen == entries_.generation) {
+    if (vft_tl_fastpath.gen == fastpath_gen_) {
       vft_fastpath_flush_hits(&vft_tl_fastpath);
     }
     vft_tl_fastpath = vft_fastpath_s{};
@@ -377,7 +326,7 @@ class SessionImpl final : public SessionBackend {
     // A fresh binding must not inherit a descriptor. Tallies a previous
     // same-OS-thread binding left behind are still credited (the rule
     // pointers outlive bindings - they target the Session's RuleStats).
-    if (vft_tl_fastpath.gen == entries_.generation) {
+    if (vft_tl_fastpath.gen == fastpath_gen_) {
       vft_fastpath_flush_hits(&vft_tl_fastpath);
     }
     vft_tl_fastpath = vft_fastpath_s{};
@@ -427,7 +376,7 @@ class SessionImpl final : public SessionBackend {
 
   void free_hint(const void* addr, std::size_t size) override {
     if (size == 0) return;
-    if (rt_.has_packed_space()) rt_.packed_space().reset_range(addr, size);
+    packed_.reset_range(addr, size);
     locks_.reset_range(addr, size);
     atomics_.reset_range(addr, size);
     // Recycled addresses are new variables: any cooled sampling state
@@ -447,11 +396,7 @@ class SessionImpl final : public SessionBackend {
 
   std::size_t locks_seen() const override { return locks_.size(); }
 
-  std::size_t shadow_words() const override {
-    return rt_.has_packed_space()
-               ? const_cast<Runtime<D>&>(rt_).packed_space().size()
-               : 0;
-  }
+  std::size_t shadow_words() const override { return packed_.size(); }
 
  private:
   /// One target thread's lifecycle. The invariant behind "slot retired
@@ -469,12 +414,6 @@ class SessionImpl final : public SessionBackend {
     bool ended = false;
     bool retired = false;
   };
-
-  static bool one_word(const void* addr, std::size_t size) {
-    const auto a = reinterpret_cast<std::uintptr_t>(addr);
-    return (a & (ShadowGeometry::kGranularity - 1)) + size <=
-           ShadowGeometry::kGranularity;
-  }
 
   /// VFT_FASTPATH=off|0 disables descriptor arming (the differential
   /// test's baseline half and an escape hatch). Sched builds never arm:
@@ -501,11 +440,11 @@ class SessionImpl final : public SessionBackend {
     vft_fastpath_s& fp = vft_tl_fastpath;
     const std::uintptr_t base =
         ShadowGeometry::base_of(reinterpret_cast<std::uintptr_t>(addr));
-    if (fp.gen == entries_.generation && fp.page_base == base &&
+    if (fp.gen == fastpath_gen_ && fp.page_base == base &&
         fp.epoch_addr == ts.epoch_bits_addr()) {
       return;
     }
-    if (fp.gen == entries_.generation) {
+    if (fp.gen == fastpath_gen_) {
       // Page-switch re-arm: credit pending tallies before the rewrite.
       vft_fastpath_flush_hits(&fp);
     } else {
@@ -516,18 +455,18 @@ class SessionImpl final : public SessionBackend {
     }
     fp.epoch_addr = ts.epoch_bits_addr();
     fp.page_base = base;
-    fp.cells = rt_.packed_space().page_cells(base);
+    fp.cells = packed_.page_cells(base);
     fp.drop_countdown = 0;
     fp.drop_pending = 0;
     fp.rule_read[0] = rule_read_hit_[0];
     fp.rule_read[1] = rule_read_hit_[1];
     fp.rule_write[0] = rule_write_hit_[0];
     fp.rule_write[1] = rule_write_hit_[1];
-    // entries_.generation snapshots the global at backend creation; if a
-    // reset bumped the global since, this stamp leaves the descriptor stale
-    // and the inline path keeps falling through - correct, since this
-    // backend is being torn down.
-    fp.gen = entries_.generation;
+    // fastpath_gen_ snapshots the global at backend creation; if a reset
+    // bumped the global since, this stamp leaves the descriptor stale and
+    // the inline path keeps falling through - correct, since this backend
+    // is being torn down.
+    fp.gen = fastpath_gen_;
   }
 
   /// The calling thread's state, attaching implicitly on first contact.
@@ -581,13 +520,20 @@ class SessionImpl final : public SessionBackend {
   }
 
   Runtime<D> rt_;
+  /// The raw-address shadow, built with the backend: every thread that
+  /// reaches the backend through Session's release/acquire publication
+  /// sees it, so no access or free hint races its creation.
+  PackedShadowSpace<D>& packed_;
   LockRegistry locks_;
   atomics::AtomicRegistry atomics_;
   const atomics::Mode atomics_mode_ = atomics::mode_from_env();
   const std::uint64_t generation_;
   sampling::Gate* const gate_;  ///< nullptr: sampling off, every access sampled
   const bool drop_mode_;
-  EntryTable entries_;
+  /// vft_g_fastpath_gen at creation (Session::reset() bumps the global):
+  /// the stamp every descriptor this backend arms carries.
+  const std::uint64_t fastpath_gen_ =
+      __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
   bool fastpath_arm_ = false;  ///< ungated + stats + env allow arming
   std::uint64_t* rule_read_hit_[2] = {nullptr, nullptr};
   std::uint64_t* rule_write_hit_[2] = {nullptr, nullptr};
@@ -629,19 +575,11 @@ class Session {
   RaceCollector& races() { return races_; }
   RuleStats& rule_stats() { return stats_; }
 
-  /// The live backend's entry table, the one route of every access and
-  /// atomic event; the backend is created on first use like backend()'s.
-  /// Under LD_PRELOAD the interposer's constructor already created it.
-  const EntryTable& entries() {
-    if (const EntryTable* t = entry_table()) return *t;
-    return create_backend().entries();
-  }
-
-  /// The published entry table without creating a backend: nullptr before
-  /// the first event and after reset(), which withdraws it before the
-  /// backend it points into is destroyed.
-  const EntryTable* entry_table() const {
-    return entry_table_.load(std::memory_order_acquire);
+  /// The published backend without creating one: nullptr before the
+  /// first event and after reset(), which withdraws it before destroying
+  /// it.
+  SessionBackend* live_backend() const {
+    return backend_ptr_.load(std::memory_order_acquire);
   }
 
   /// Snapshot the end-of-run report document: the collector's error
@@ -712,7 +650,6 @@ class Session {
   std::string detector_;  ///< empty: resolve from env at creation
   std::unique_ptr<SessionBackend> backend_;
   std::atomic<SessionBackend*> backend_ptr_{nullptr};
-  std::atomic<const EntryTable*> entry_table_{nullptr};
   SessionImpl<VftV2>* v2_ = nullptr;
   std::atomic<std::uint64_t> generation_{1};
   bool suppressions_loaded_ = false;  ///< VFT_SUPPRESSIONS: once per process

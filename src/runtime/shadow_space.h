@@ -15,7 +15,11 @@
 // Each page (PackedShadowSpace below, over the PageDirectory machinery)
 // holds one 64-bit packed {R, W} cell per word plus a lazy spill slot: the
 // same-epoch/exclusive fast path of vft/packed_cell.h runs inline against
-// the cell, and only escalated words ever materialize a VarState.
+// the cell, and only escalated words ever materialize a VarState. Every
+// access enters through one of two members: access<IsWrite>(addr, size)
+// for raw addresses (the scalar cell path for one word, the SIMD range
+// scan for anything wider) and access_slot<IsWrite> for rt::Array's
+// pre-resolved slots.
 //
 // Pages are allocated on first touch and published with a CAS into the
 // bucket's chain - no lock anywhere on the lookup path. Distinct page
@@ -49,9 +53,6 @@
 #include "vft/vc_simd.h"
 
 namespace vft::rt {
-
-template <Detector D>
-class Runtime;
 
 /// Geometry shared by every PackedShadowSpace instantiation (non-template
 /// so the formatting helpers can live in shadow_space.cpp).
@@ -300,55 +301,50 @@ class PackedShadowSpace {
   }
 
   /// Force-escalated VarState access, so external probes stay coherent
-  /// with the cell protocol. Prefer read()/write(): this defeats the fast
-  /// path for the word it touches.
+  /// with the cell protocol. Prefer access(): this defeats the fast path
+  /// for the word it touches.
   VarState& of(const void* addr) { return escalated(slot_of(addr)); }
 
-  /// One instrumented access: fast path inline against the cell, detector
-  /// call on the (spilled-on-demand) VarState otherwise.
-  template <typename Tool>
-  bool read(Tool& tool, ThreadState& st, const void* addr) {
-    return read_slot(tool, st, slot_of(addr));
-  }
-  template <typename Tool>
-  bool write(Tool& tool, ThreadState& st, const void* addr) {
-    return write_slot(tool, st, slot_of(addr));
+  /// One instrumented access of `size` bytes at `addr`, the one raw-address
+  /// entry. An access inside one shadow word takes the scalar cell path: the
+  /// packed fast path inline against the cell, the detector on the
+  /// (spilled-on-demand) VarState otherwise. Anything wider (a straddle, a
+  /// memcpy-style range) takes the SIMD range scan, which resolves whole
+  /// runs of same-epoch cells per iteration instead of one fast path per
+  /// word: the vc_simd prefix kernel counts leading cells this thread's
+  /// epoch already covers, those bump their rule counters in bulk and are
+  /// done (a same-epoch hit mutates nothing), and the first non-matching
+  /// word takes the scalar path - advance/spill/detector exactly as a
+  /// single access would - before the scan resumes after it. Counter
+  /// totals are bit-identical to a per-word loop.
+  ///
+  /// `sampled` is the sampling gate's verdict (vft/sampling.h): with
+  /// sampled=false only the cell fast path runs - no spill, no detector, no
+  /// VarState. Returns false iff any word reported a race; *spilled reports
+  /// an escalation performed by this access, the gate's reheat signal.
+  template <bool IsWrite, typename Tool>
+  bool access(Tool& tool, ThreadState& st, const void* addr, std::size_t size,
+              bool sampled = true, bool* spilled = nullptr) {
+    const auto a = reinterpret_cast<std::uintptr_t>(addr);
+    if ((a & (Geometry::kGranularity - 1)) + size <= Geometry::kGranularity) {
+      return access_slot<IsWrite>(tool, st, slot_of(addr), sampled, spilled);
+    }
+    return range_access<IsWrite>(tool, st, addr, size, sampled, spilled);
   }
 
-  /// Slot-resolved variants (wrappers cache the Slot per element).
-  template <typename Tool>
-  bool read_slot(Tool& tool, ThreadState& st, const Slot& s) {
-    return packed_read(tool, st, *s.cell, spill_make(s), spill_get(s),
-                       /*spilled=*/nullptr, /*var=*/s.id);
-  }
-  template <typename Tool>
-  bool write_slot(Tool& tool, ThreadState& st, const Slot& s) {
-    return packed_write(tool, st, *s.cell, spill_make(s), spill_get(s),
-                        /*spilled=*/nullptr, /*var=*/s.id);
+  /// The scalar path on a pre-resolved word (rt::Array caches one Slot per
+  /// element).
+  template <bool IsWrite, typename Tool>
+  bool access_slot(Tool& tool, ThreadState& st, const Slot& s,
+                   bool sampled = true, bool* spilled = nullptr) {
+    return packed_access<IsWrite>(tool, st, *s.cell, spill_make(s),
+                                  spill_get(s), sampled, spilled,
+                                  /*var=*/s.id);
   }
 
   /// The spilled VarState of `s`, escalating the cell first if needed.
   VarState& escalated(const Slot& s) {
     return escalate_cell(*s.cell, spill_make(s), spill_get(s));
-  }
-
-  /// Sampling-gated accesses (vft/sampling.h): with sampled=false only the
-  /// cell fast path runs - no spill, no detector, no VarState. *spilled
-  /// reports an escalation performed by this access, the gate's reheat
-  /// signal.
-  template <typename Tool>
-  bool read_gated(Tool& tool, ThreadState& st, const void* addr, bool sampled,
-                  bool* spilled = nullptr) {
-    const Slot s = slot_of(addr);
-    return sampled_packed_read(tool, st, *s.cell, spill_make(s), spill_get(s),
-                               sampled, spilled, /*var=*/s.id);
-  }
-  template <typename Tool>
-  bool write_gated(Tool& tool, ThreadState& st, const void* addr, bool sampled,
-                   bool* spilled = nullptr) {
-    const Slot s = slot_of(addr);
-    return sampled_packed_write(tool, st, *s.cell, spill_make(s), spill_get(s),
-                                sampled, spilled, /*var=*/s.id);
   }
 
   /// The raw cell words of the page covering `base` (allocated on first
@@ -361,27 +357,6 @@ class PackedShadowSpace {
     static_assert(sizeof(PackedCell) == sizeof(std::uint64_t));
     static_assert(alignof(PackedCell) == alignof(std::uint64_t));
     return reinterpret_cast<const std::uint64_t*>(dir_.page(base).cells);
-  }
-
-  /// Range accesses (the memcpy/memset/str* interposition shape): resolve
-  /// whole runs of same-epoch cells per SIMD iteration instead of one
-  /// packed fast path per word. The vc_simd prefix kernel counts leading
-  /// cells this thread's epoch already covers; those bump their rule
-  /// counters in bulk and are done (a same-epoch hit mutates nothing).
-  /// The first non-matching word takes the ordinary gated scalar path -
-  /// advance/spill/detector exactly as a single access would - and the
-  /// scan resumes after it. Counter totals are bit-identical to the
-  /// per-word loop. Returns false iff any word reported a race; *spilled
-  /// reports any escalation (the sampling gate's reheat signal).
-  template <typename Tool>
-  bool range_read(Tool& tool, ThreadState& st, const void* addr,
-                  std::size_t size, bool sampled, bool* spilled = nullptr) {
-    return range_access<false>(tool, st, addr, size, sampled, spilled);
-  }
-  template <typename Tool>
-  bool range_write(Tool& tool, ThreadState& st, const void* addr,
-                   std::size_t size, bool sampled, bool* spilled = nullptr) {
-    return range_access<true>(tool, st, addr, size, sampled, spilled);
   }
 
   /// Reset every shadow word overlapping [addr, addr+size) to bottom
@@ -476,10 +451,10 @@ class PackedShadowSpace {
     std::atomic<VarState*> spills[Geometry::kSlotsPerPage]{};
   };
 
+  /// access()'s range scan, for accesses wider than one shadow word.
   template <bool IsWrite, typename Tool>
   bool range_access(Tool& tool, ThreadState& st, const void* addr,
                     std::size_t size, bool sampled, bool* spilled) {
-    if (size == 0) return true;
     const std::uint32_t e = st.epoch().bits();
     const std::uintptr_t lo =
         reinterpret_cast<std::uintptr_t>(addr) &
@@ -536,8 +511,8 @@ class PackedShadowSpace {
         const void* wa = reinterpret_cast<const void*>(
             base + (i << Geometry::kGranularityLog2));
         bool word_spilled = false;
-        ok &= IsWrite ? write_gated(tool, st, wa, sampled, &word_spilled)
-                      : read_gated(tool, st, wa, sampled, &word_spilled);
+        ok &= access_slot<IsWrite>(tool, st, slot_of(wa), sampled,
+                                   &word_spilled);
         if (word_spilled && spilled != nullptr) *spilled = true;
         ++i;
       }
@@ -576,59 +551,5 @@ class PackedShadowSpace {
   std::atomic<std::size_t> spilled_{0};
   std::atomic<std::size_t> words_reset_{0};
 };
-
-// --- Raw-pointer instrumentation entry points -------------------------------
-//
-// The API a compiler pass or binary-instrumentation front end would call
-// (TSan's __tsan_readN/__tsan_writeN shape) against the runtime's packed
-// shadow space: the cell fast path per word.
-
-template <Detector D>
-bool instrumented_read(Runtime<D>& rt, PackedShadowSpace<D>& shadow,
-                       const void* addr) {
-  return shadow.read(rt.tool(), rt.self(), addr);
-}
-
-template <Detector D>
-bool instrumented_write(Runtime<D>& rt, PackedShadowSpace<D>& shadow,
-                        const void* addr) {
-  return shadow.write(rt.tool(), rt.self(), addr);
-}
-
-/// Access-size/range variant: one event per shadow word overlapped by
-/// [addr, addr+size) - the __tsan_read8/memcpy-annotation shape. Cells are
-/// 8 bytes apart, so the hardware prefetcher covers the stride. Returns
-/// false iff any word reported a race.
-template <Detector D>
-bool instrumented_range_read(Runtime<D>& rt, PackedShadowSpace<D>& shadow,
-                             const void* addr, std::size_t size) {
-  if (size == 0) return true;
-  ThreadState& self = rt.self();
-  auto& tool = rt.tool();
-  std::uintptr_t a = reinterpret_cast<std::uintptr_t>(addr) &
-                     ~static_cast<std::uintptr_t>(ShadowGeometry::kGranularity - 1);
-  const std::uintptr_t end = reinterpret_cast<std::uintptr_t>(addr) + size;
-  bool ok = true;
-  for (; a < end; a += ShadowGeometry::kGranularity) {
-    ok &= shadow.read(tool, self, reinterpret_cast<const void*>(a));
-  }
-  return ok;
-}
-
-template <Detector D>
-bool instrumented_range_write(Runtime<D>& rt, PackedShadowSpace<D>& shadow,
-                              const void* addr, std::size_t size) {
-  if (size == 0) return true;
-  ThreadState& self = rt.self();
-  auto& tool = rt.tool();
-  std::uintptr_t a = reinterpret_cast<std::uintptr_t>(addr) &
-                     ~static_cast<std::uintptr_t>(ShadowGeometry::kGranularity - 1);
-  const std::uintptr_t end = reinterpret_cast<std::uintptr_t>(addr) + size;
-  bool ok = true;
-  for (; a < end; a += ShadowGeometry::kGranularity) {
-    ok &= shadow.write(tool, self, reinterpret_cast<const void*>(a));
-  }
-  return ok;
-}
 
 }  // namespace vft::rt

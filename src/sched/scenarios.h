@@ -249,8 +249,8 @@ Instance make_duo(bool second_writes) {
 
 // ---------------------------------------------------------------------------
 // Packed-cell escalation scenarios (PR 3's ESCALATING/ESCALATED spill
-// protocol), driven through the production packed_read/packed_write
-// dispatchers with hand-managed ThreadStates.
+// protocol), driven through the production packed_access dispatcher with
+// hand-managed ThreadStates.
 // ---------------------------------------------------------------------------
 
 struct PackedState {
@@ -348,9 +348,9 @@ inline Instance make_packed(PackedShape shape) {
     // escalation - the widest window the protocol has.
     s->det.fork(s->t0, s->t1);
     s->det.fork(s->t0, s->t2);
-    packed_write(s->det, s->t0, s->cell, s->slot(), s->slot());
+    packed_access<true>(s->det, s->t0, s->cell, s->slot(), s->slot());
   } else {
-    packed_write(s->det, s->t0, s->cell, s->slot(), s->slot());
+    packed_access<true>(s->det, s->t0, s->cell, s->slot(), s->slot());
     s->det.fork(s->t0, s->t1);
     s->det.fork(s->t0, s->t2);
   }
@@ -367,19 +367,21 @@ inline Instance make_packed(PackedShape shape) {
   inst.bodies = {
       [s, writes, reads] {
         if (writes) {
-          packed_write(s->det, s->t1, s->cell, s->slot(), s->slot());
+          packed_access<true>(s->det, s->t1, s->cell, s->slot(), s->slot());
         } else {
           for (int i = 0; i < reads; ++i) {
-            packed_read(s->det, s->t1, s->cell, s->slot(), s->slot());
+            packed_access<false>(s->det, s->t1, s->cell, s->slot(),
+                                 s->slot());
           }
         }
       },
       [s, writes, reads] {
         if (writes) {
-          packed_write(s->det, s->t2, s->cell, s->slot(), s->slot());
+          packed_access<true>(s->det, s->t2, s->cell, s->slot(), s->slot());
         } else {
           for (int i = 0; i < reads; ++i) {
-            packed_read(s->det, s->t2, s->cell, s->slot(), s->slot());
+            packed_access<false>(s->det, s->t2, s->cell, s->slot(),
+                                 s->slot());
           }
         }
       },

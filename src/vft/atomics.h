@@ -39,11 +39,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "sched/sched_point.h"
+#include "vft/address_table.h"
 #include "vft/epoch.h"
 #include "vft/vector_clock.h"
 
@@ -104,70 +102,12 @@ struct AtomicState {
 };
 
 /// Address-keyed map from atomic locations to their AtomicState, with the
-/// LockRegistry contract: references are stable for the session, every
-/// alias maps to the same state, and reset_range drops states whose
-/// addresses die so recycled memory starts from a bottom clock.
-class AtomicRegistry {
- public:
-  AtomicRegistry() = default;
-  AtomicRegistry(const AtomicRegistry&) = delete;
-  AtomicRegistry& operator=(const AtomicRegistry&) = delete;
-
-  /// The AtomicState identified by `addr`, created bottom on first use.
-  AtomicState& of(const void* addr) {
-    const auto a = reinterpret_cast<std::uintptr_t>(addr);
-    Shard& s = shard_of(a);
-    std::scoped_lock lk(s.mu);
-    auto& slot = s.map[a];
-    if (slot == nullptr) slot = std::make_unique<AtomicState>();
-    return *slot;
-  }
-
-  /// Drop every state whose address lies in [addr, addr+size).
-  void reset_range(const void* addr, std::size_t size) {
-    const auto lo = reinterpret_cast<std::uintptr_t>(addr);
-    const std::uintptr_t hi = lo + size;
-    for (Shard& s : shards_) {
-      std::scoped_lock lk(s.mu);
-      for (auto it = s.map.begin(); it != s.map.end();) {
-        if (it->first >= lo && it->first < hi) {
-          it = s.map.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
-
-  /// Number of distinct atomic locations seen so far.
-  std::size_t size() const {
-    std::size_t n = 0;
-    for (const Shard& s : shards_) {
-      std::scoped_lock lk(s.mu);
-      n += s.map.size();
-    }
-    return n;
-  }
-
- private:
-  static constexpr std::size_t kShards = 64;
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uintptr_t, std::unique_ptr<AtomicState>> map;
-  };
-
-  Shard& shard_of(std::uintptr_t a) {
-    // Atomics are at least naturally aligned; drop the low bits before
-    // mixing so neighbouring locations still spread over shards.
-    std::uintptr_t x = a >> 3;
-    x ^= x >> 17;
-    x *= 0x9E3779B97F4A7C15ull;
-    return shards_[(x >> 32) & (kShards - 1)];
-  }
-
-  Shard shards_[kShards];
-};
+/// LockRegistry contract (vft/address_table.h): references are stable for
+/// the session, every alias maps to the same state, and reset_range drops
+/// states whose addresses die so recycled memory starts from a bottom
+/// clock. Atomics are at least naturally aligned; the shard hash drops
+/// three low bits.
+using AtomicRegistry = AddressTable<AtomicState, 3>;
 
 /// Per-OS-thread fence state, generation-tagged so a Session::reset()
 /// can never leak a previous backend's clocks into the next.

@@ -76,7 +76,7 @@ extern VFT_FASTPATH_TLS vft_fastpath_s vft_tl_fastpath;
 
 /* Process-wide descriptor generation. Read with acquire in the inline
  * path; incremented (release) by Session::reset to retract every armed
- * descriptor and the published entry table at once. */
+ * descriptor at once. */
 extern uint64_t vft_g_fastpath_gen;
 
 #ifdef __cplusplus

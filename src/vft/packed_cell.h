@@ -17,7 +17,11 @@
 // detector call, no VarState, no lock. Everything else - read sharing,
 // lock-protected handoffs, races - spills the cell's exact {R, W} snapshot
 // into a full VarState and runs the unmodified production detector on it
-// from then on.
+// from then on. Both directions share one entry per layer: the decision
+// tree is PackedCell::fast<IsWrite>, and every caller (the shadow space,
+// the wrappers, the sched scenarios) goes through packed_access<IsWrite>,
+// which adds the rule accounting, the sampling gate's verdict and the
+// spill.
 //
 // Precision argument (why the fast path changes no verdict): while a cell
 // is in epoch mode, its {R, W} is exactly the {R, W} the detector would
@@ -131,34 +135,20 @@ class PackedCell {
     kSlow,       ///< miss: escalate (or already escalated) and call the detector
   };
 
-  /// The read fast path. Never completes an access the detector would not
-  /// treat as [Read Same Epoch]/[Read Exclusive] on identical state.
-  Fast fast_read(const ThreadState& st) {
+  /// The fast path of one access: [Read/Write Same Epoch] or
+  /// [Read/Write Exclusive]. Never completes an access the detector would
+  /// not treat as one of those rules on identical state.
+  template <bool IsWrite>
+  Fast fast(const ThreadState& st) {
     const Epoch e = st.epoch();
     std::uint64_t cur = load_bits();
     for (;;) {
       if (is_sentinel(cur)) return Fast::kSlow;
-      if (unpack_r(cur) == e) return Fast::kSameEpoch;
       const Epoch r = unpack_r(cur);
       const Epoch w = unpack_w(cur);
+      if ((IsWrite ? w : r) == e) return Fast::kSameEpoch;
       if (!ordered_before(r, st) || !ordered_before(w, st)) return Fast::kSlow;
-      if (cas_bits(cur, pack(e, w))) {
-        return Fast::kAdvanced;
-      }
-    }
-  }
-
-  /// The write fast path ([Write Same Epoch]/[Write Exclusive]).
-  Fast fast_write(const ThreadState& st) {
-    const Epoch e = st.epoch();
-    std::uint64_t cur = load_bits();
-    for (;;) {
-      if (is_sentinel(cur)) return Fast::kSlow;
-      if (unpack_w(cur) == e) return Fast::kSameEpoch;
-      const Epoch r = unpack_r(cur);
-      const Epoch w = unpack_w(cur);
-      if (!ordered_before(r, st) || !ordered_before(w, st)) return Fast::kSlow;
-      if (cas_bits(cur, pack(r, e))) {
+      if (cas_bits(cur, IsWrite ? pack(r, e) : pack(e, w))) {
         return Fast::kAdvanced;
       }
     }
@@ -244,78 +234,15 @@ inline auto& escalate_cell(PackedCell& cell, Make&& make, Get&& get,
   return get();
 }
 
-/// One instrumented read through a packed cell: fast path inline, detector
-/// call (spilling first if necessary) otherwise. Returns the detector's
-/// verdict (true = no race; fast-path hits are race-free by construction).
-/// Deliberately independent of rt::Runtime so trace-level differential
-/// tests can drive the exact production code with hand-managed
-/// ThreadStates. Sets *spilled when this access escalated the cell (the
-/// sampling layer's reheat signal).
-template <typename Tool, typename Make, typename Get>
-inline bool packed_read(Tool& tool, ThreadState& st, PackedCell& cell,
-                        Make&& make, Get&& get, bool* spilled = nullptr,
-                        std::uint64_t var = 0) {
-  switch (cell.fast_read(st)) {
-    case PackedCell::Fast::kSameEpoch:
-      bump_rule(tool, Rule::kReadSameEpoch);
-      bump_rule(tool, Rule::kFastReadHit);
-      return true;
-    case PackedCell::Fast::kAdvanced:
-      bump_rule(tool, Rule::kReadExclusive);
-      bump_rule(tool, Rule::kFastReadHit);
-      // An exclusive advance installs a NEW last-read epoch without ever
-      // reaching a detector, and that epoch is exactly what a later racing
-      // write will name as its prior - so the advance is a history-worthy
-      // (non-same-epoch) transition. Callers with a stable variable id
-      // (the packed shadow space) pass it; var 0 (trace tests, benches)
-      // keeps the historical un-instrumented behaviour.
-      if (var != 0) {
-        history::note_access(var, st.epoch(), history::AccessKind::kRead);
-      }
-      return true;
-    case PackedCell::Fast::kSlow:
-      break;
-  }
-  bool won = false;
-  auto& vs = escalate_cell(cell, std::forward<Make>(make),
-                           std::forward<Get>(get), &won);
-  if (won) bump_rule(tool, Rule::kFastSpill);
-  if (spilled != nullptr) *spilled = won;
-  bump_rule(tool, Rule::kFastMiss);
-  return tool.read(st, vs);
-}
-
-template <typename Tool, typename Make, typename Get>
-inline bool packed_write(Tool& tool, ThreadState& st, PackedCell& cell,
-                         Make&& make, Get&& get, bool* spilled = nullptr,
-                         std::uint64_t var = 0) {
-  switch (cell.fast_write(st)) {
-    case PackedCell::Fast::kSameEpoch:
-      bump_rule(tool, Rule::kWriteSameEpoch);
-      bump_rule(tool, Rule::kFastWriteHit);
-      return true;
-    case PackedCell::Fast::kAdvanced:
-      bump_rule(tool, Rule::kWriteExclusive);
-      bump_rule(tool, Rule::kFastWriteHit);
-      // See packed_read: the advanced last-write epoch is the prior a
-      // racing access will look up, so it must be in the history.
-      if (var != 0) {
-        history::note_access(var, st.epoch(), history::AccessKind::kWrite);
-      }
-      return true;
-    case PackedCell::Fast::kSlow:
-      break;
-  }
-  bool won = false;
-  auto& vs = escalate_cell(cell, std::forward<Make>(make),
-                           std::forward<Get>(get), &won);
-  if (won) bump_rule(tool, Rule::kFastSpill);
-  if (spilled != nullptr) *spilled = won;
-  bump_rule(tool, Rule::kFastMiss);
-  return tool.write(st, vs);
-}
-
-/// The sampling-gated variants (vft/sampling.h decides `sampled`). A
+/// One instrumented access through a packed cell: fast path inline,
+/// detector call (spilling first if necessary) otherwise. Returns the
+/// detector's verdict (true = no race; fast-path hits are race-free by
+/// construction). Deliberately independent of rt::Runtime so trace-level
+/// differential tests can drive the exact production code with
+/// hand-managed ThreadStates. Sets *spilled when this access escalated the
+/// cell (the sampling layer's reheat signal).
+///
+/// `sampled` is the sampling gate's verdict (vft/sampling.h). A
 /// sampled-out access runs *only* the fast path: a same-epoch hit leaves
 /// the cell alone and an exclusive advance commits the same single-CAS
 /// update the real access would, so the cell's last-access metadata stays
@@ -326,32 +253,46 @@ inline bool packed_write(Tool& tool, ThreadState& st, PackedCell& cell,
 /// Rule::kSampledOut is bumped: the access-rule counters keep describing
 /// the *analyzed* access mix, which is what the Table 1 distribution and
 /// the rate=1.0 differential test compare.
-template <typename Tool, typename Make, typename Get>
-inline bool sampled_packed_read(Tool& tool, ThreadState& st, PackedCell& cell,
-                                Make&& make, Get&& get, bool sampled,
-                                bool* spilled = nullptr,
-                                std::uint64_t var = 0) {
-  if (sampled) [[likely]] {
-    return packed_read(tool, st, cell, std::forward<Make>(make),
-                       std::forward<Get>(get), spilled, var);
+template <bool IsWrite, typename Tool, typename Make, typename Get>
+inline bool packed_access(Tool& tool, ThreadState& st, PackedCell& cell,
+                          Make&& make, Get&& get, bool sampled = true,
+                          bool* spilled = nullptr, std::uint64_t var = 0) {
+  if (!sampled) [[unlikely]] {
+    (void)cell.fast<IsWrite>(st);  // keep last-access metadata fresh
+    bump_rule(tool, Rule::kSampledOut);
+    return true;
   }
-  (void)cell.fast_read(st);  // keep last-reader metadata fresh; kSlow: no-op
-  bump_rule(tool, Rule::kSampledOut);
-  return true;
-}
-
-template <typename Tool, typename Make, typename Get>
-inline bool sampled_packed_write(Tool& tool, ThreadState& st, PackedCell& cell,
-                                 Make&& make, Get&& get, bool sampled,
-                                 bool* spilled = nullptr,
-                                 std::uint64_t var = 0) {
-  if (sampled) [[likely]] {
-    return packed_write(tool, st, cell, std::forward<Make>(make),
-                        std::forward<Get>(get), spilled, var);
+  constexpr Rule kHit = IsWrite ? Rule::kFastWriteHit : Rule::kFastReadHit;
+  switch (cell.fast<IsWrite>(st)) {
+    case PackedCell::Fast::kSameEpoch:
+      bump_rule(tool, IsWrite ? Rule::kWriteSameEpoch : Rule::kReadSameEpoch);
+      bump_rule(tool, kHit);
+      return true;
+    case PackedCell::Fast::kAdvanced:
+      bump_rule(tool, IsWrite ? Rule::kWriteExclusive : Rule::kReadExclusive);
+      bump_rule(tool, kHit);
+      // An exclusive advance installs a NEW last-access epoch without ever
+      // reaching a detector, and that epoch is exactly what a later racing
+      // access will name as its prior - so the advance is a history-worthy
+      // (non-same-epoch) transition. Callers with a stable variable id
+      // (the packed shadow space) pass it; var 0 (trace tests, benches)
+      // keeps the historical un-instrumented behaviour.
+      if (var != 0) {
+        history::note_access(var, st.epoch(),
+                             IsWrite ? history::AccessKind::kWrite
+                                     : history::AccessKind::kRead);
+      }
+      return true;
+    case PackedCell::Fast::kSlow:
+      break;
   }
-  (void)cell.fast_write(st);  // keep last-writer metadata fresh; kSlow: no-op
-  bump_rule(tool, Rule::kSampledOut);
-  return true;
+  bool won = false;
+  auto& vs = escalate_cell(cell, std::forward<Make>(make),
+                           std::forward<Get>(get), &won);
+  if (won) bump_rule(tool, Rule::kFastSpill);
+  if (spilled != nullptr) *spilled = won;
+  bump_rule(tool, Rule::kFastMiss);
+  return IsWrite ? tool.write(st, vs) : tool.read(st, vs);
 }
 
 }  // namespace vft

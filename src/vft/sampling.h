@@ -262,13 +262,4 @@ class Gate {
   double timer_floor_ns_ = 0.0;
 };
 
-/// The ABI entry points' drop-policy predicate: true iff the access at
-/// `addr` should be dropped before any session dispatch. One acquire load
-/// on the (overwhelmingly common) sampling-off path.
-inline bool drop_gate_skips(const void* addr) {
-  if (!Gate::drop_policy_active()) [[likely]] return false;
-  Gate* g = Gate::active();
-  return g != nullptr && !g->should_sample(addr);
-}
-
 }  // namespace vft::sampling

@@ -1,7 +1,9 @@
 // The C ABI (src/abi/vft_abi.h) end to end against the process-global
 // session: implicit attach, the explicit create/begin/join/detach token
 // protocol, graceful tid-space exhaustion, free-hint shadow/lock
-// resetting, launch-time detector selection, and report dumping.
+// resetting (also concurrent with the session's first access), the
+// event-context clear on every slow-path exit, launch-time detector
+// selection, and report dumping.
 //
 // Thread-lifecycle invariants under test (ALGORITHM.md s12): a thread's
 // slot retires exactly once - at its join if joinable, at its end if
@@ -304,6 +306,56 @@ TEST(Abi, FreeHintPreventsStaleStateOnRecycledAddresses) {
   a.join();
   b.join();
   EXPECT_EQ(vft_race_count(), 0u);
+}
+
+TEST(Abi, FreeHintConcurrentWithFirstAccess) {
+  // The backend is published but nothing has accessed memory yet. One
+  // thread's first access and another's free hint then run unordered:
+  // both touch the packed shadow space, so it must already exist - built
+  // with the backend, never on an access - or the free hint's look at it
+  // races the first access creating it (a TSan build flags that race).
+  fresh_session();
+  Session::instance().backend();
+  long x = 0;
+  long freed = 0;
+  std::atomic<int> ready{0};
+  auto start_together = [&] {
+    ready.fetch_add(1, std::memory_order_relaxed);
+    while (ready.load(std::memory_order_relaxed) < 2) {
+      std::this_thread::yield();
+    }
+  };
+  std::thread a([&] {
+    start_together();
+    vft_write8(&x);
+    vft_detach();
+  });
+  std::thread b([&] {
+    start_together();
+    vft_free_hint(&freed, sizeof(freed));
+  });
+  a.join();
+  b.join();
+  EXPECT_EQ(vft_race_count(), 0u);
+  EXPECT_GE(Session::instance().backend().shadow_words(), 1u);
+}
+
+TEST(Abi, ZeroSizeRangeClearsEventContext) {
+  // Every slow-path exit consumes the context its wrapper armed, the
+  // empty-range exit included: a stale pc would otherwise describe the
+  // next slow access that does not re-arm it (a direct vft_* call or an
+  // ambient annotation).
+  fresh_session();
+  vft_attach();
+  long x = 0;
+  for (void (*range)(const void*, size_t) : {&vft_range_read,
+                                             &vft_range_write}) {
+    vft_tl_event_ctx.pc = &x;
+    vft_tl_event_ctx.fp = __builtin_frame_address(0);
+    range(&x, 0);
+    EXPECT_EQ(vft_tl_event_ctx.pc, nullptr);
+  }
+  vft_detach();
 }
 
 TEST(Abi, DetectorSelectionReachesTheFactory) {

@@ -14,7 +14,8 @@
 //                 counters with the inline fast path armed and retracted,
 //                 atomic events are never sampled out, and the
 //                 VFT_ATOMICS mode knob (precise / sc / off) gates the
-//                 sync edge end to end through the session dispatch.
+//                 sync edge end to end through the session dispatch, and
+//                 a free hint drops a freed location's release clock.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -421,6 +422,54 @@ std::uint64_t mp_races(const char* mode, int store_mo, int load_mo) {
   vft_detach();
   unsetenv("VFT_ATOMICS");
   return vft_race_count();
+}
+
+/// Thread A writes data, release-stores flag and (optionally) frees
+/// flag's address; B then acquire-loads flag and reads data while A is
+/// still live. Returns the session's race count for the run.
+std::uint64_t freed_flag_races(bool free_hint) {
+  configure("v2", /*inline_on=*/true, nullptr);
+  static long flag;
+  static long data;
+  std::atomic<int> stage{0};
+  // Both threads attach before either ends, so their tid slots are live at
+  // once: a retired slot's successor would continue A's clock and be
+  // ordered after it regardless of the atomics.
+  std::thread a([&] {
+    vft_attach();
+    stage.fetch_add(1, std::memory_order_acq_rel);
+    vft_write8(&data);
+    vft_atomic_store(&flag, atomics::kMoRelease);
+    if (free_hint) vft_free_hint(&flag, sizeof(flag));
+    stage.fetch_add(1, std::memory_order_acq_rel);
+    while (stage.load(std::memory_order_acquire) < 4) {
+      std::this_thread::yield();
+    }
+    vft_detach();
+  });
+  std::thread b([&] {
+    vft_attach();
+    stage.fetch_add(1, std::memory_order_acq_rel);
+    while (stage.load(std::memory_order_acquire) < 3) {
+      std::this_thread::yield();
+    }
+    vft_atomic_load(&flag, atomics::kMoAcquire);
+    vft_read8(&data);
+    stage.fetch_add(1, std::memory_order_acq_rel);
+    vft_detach();
+  });
+  a.join();
+  b.join();
+  return vft_race_count();
+}
+
+TEST(AtomicsAbi, FreeHintDropsAtomicState) {
+  // The release/acquire pair orders the data handoff...
+  EXPECT_EQ(freed_flag_races(/*free_hint=*/false), 0u);
+  // ...until the flag's memory is freed: the recycled address starts from
+  // a bottom release clock, so the acquire joins nothing and the data
+  // read races A's write.
+  EXPECT_EQ(freed_flag_races(/*free_hint=*/true), 1u);
 }
 
 TEST(AtomicsAbi, ModeKnobGatesTheSyncEdge) {

@@ -9,13 +9,13 @@
 //                bumps the packed-cell fast path would have performed,
 //                and everything else falls through;
 //   retraction   Session::reset() bumps the global generation, clears the
-//                calling thread's descriptor, and retracts the published
-//                entry table before the backend dies; a re-selected
-//                detector republishes a table stamped with the new
-//                generation and events flow again;
+//                calling thread's descriptor, and withdraws the published
+//                backend before it dies; a re-selected detector publishes
+//                a backend whose descriptors carry the new generation,
+//                and events flow again;
 //   first event  with no backend published, the first event of any kind
 //                (from a thread that never attached) creates it and is
-//                itself analyzed - the entry table is the only route;
+//                itself analyzed - the backend is the only route;
 //   one entry    ranges and the sized accesses covering the same words
 //                produce identical rule counters: both land in the same
 //                session entry, and the SIMD range prefix bumps exactly
@@ -40,7 +40,6 @@ namespace {
 
 using vft::Rule;
 using vft::RuleStats;
-using vft::rt::ambient::EntryTable;
 using vft::rt::ambient::Session;
 
 constexpr const char* kDetectors[] = {"v1",       "v1.5",   "v2",
@@ -188,35 +187,32 @@ TEST(Fastpath, EnvKnobDisablesInlineArming) {
   vft_detach();
 }
 
-TEST(Fastpath, ResetRetractsDescriptorAndEntryTable) {
+TEST(Fastpath, ResetRetractsDescriptorAndBackend) {
   configure("v2", /*inline_on=*/true, nullptr);
   vft_attach();
   static long y = 0;
   vft_write8(&y);
-  ASSERT_NE(vft_tl_fastpath.gen, 0u);
-  const EntryTable* t = Session::instance().entry_table();
-  ASSERT_NE(t, nullptr);
+  ASSERT_NE(Session::instance().live_backend(), nullptr);
   const std::uint64_t gen_before =
       __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
-  EXPECT_EQ(t->generation, gen_before);
+  EXPECT_EQ(vft_tl_fastpath.gen, gen_before);
   vft_detach();
 
   Session::instance().reset();
   // Retraction: thread descriptor cleared, global generation advanced,
-  // published table withdrawn - all before a new backend exists.
+  // published backend withdrawn - all before a new backend exists.
   EXPECT_EQ(vft_tl_fastpath.gen, 0u);
   EXPECT_GT(__atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE),
             gen_before);
-  EXPECT_EQ(Session::instance().entry_table(), nullptr);
+  EXPECT_EQ(Session::instance().live_backend(), nullptr);
 
-  // Re-select a different detector: the republished table is stamped with
+  // Re-select a different detector: the new backend arms descriptors with
   // the current generation and events flow end to end again.
   ASSERT_TRUE(Session::instance().configure("ft-cas"));
   vft_attach();
   vft_write8(&y);
-  const EntryTable* t2 = Session::instance().entry_table();
-  ASSERT_NE(t2, nullptr);
-  EXPECT_EQ(t2->generation,
+  ASSERT_NE(Session::instance().live_backend(), nullptr);
+  EXPECT_EQ(vft_tl_fastpath.gen,
             __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE));
   EXPECT_EQ(std::string(vft_detector_name()), "FT-CAS");
   vft_detach();
@@ -245,7 +241,7 @@ TEST(Fastpath, FirstEventAfterResetIsAnalyzed) {
   for (const Case& c : kCases) {
     SCOPED_TRACE(c.name);
     Session::instance().reset();
-    ASSERT_EQ(Session::instance().entry_table(), nullptr);
+    ASSERT_EQ(Session::instance().live_backend(), nullptr);
     // A fresh OS thread that never called vft_attach: its first event is
     // also the session's first event since the reset.
     std::thread t([&c] {
@@ -253,7 +249,7 @@ TEST(Fastpath, FirstEventAfterResetIsAnalyzed) {
       vft_detach();
     });
     t.join();
-    EXPECT_NE(Session::instance().entry_table(), nullptr);
+    EXPECT_NE(Session::instance().live_backend(), nullptr);
     EXPECT_GT(Session::instance().rule_stats().count(c.rule), 0u);
   }
   Session::instance().reset();

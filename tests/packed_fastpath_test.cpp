@@ -47,11 +47,11 @@ TEST(PackedCell, FirstTouchesRideTheFastPath) {
   // CAS instead of escalating.
   PackedCell cell;
   ThreadState t0(0);
-  EXPECT_EQ(cell.fast_read(t0), PackedCell::Fast::kAdvanced);
+  EXPECT_EQ(cell.fast<false>(t0), PackedCell::Fast::kAdvanced);
   EXPECT_EQ(PackedCell::unpack_r(cell.bits()), t0.epoch());
-  EXPECT_EQ(cell.fast_read(t0), PackedCell::Fast::kSameEpoch);
-  EXPECT_EQ(cell.fast_write(t0), PackedCell::Fast::kAdvanced);
-  EXPECT_EQ(cell.fast_write(t0), PackedCell::Fast::kSameEpoch);
+  EXPECT_EQ(cell.fast<false>(t0), PackedCell::Fast::kSameEpoch);
+  EXPECT_EQ(cell.fast<true>(t0), PackedCell::Fast::kAdvanced);
+  EXPECT_EQ(cell.fast<true>(t0), PackedCell::Fast::kSameEpoch);
   EXPECT_FALSE(cell.escalated());
 }
 
@@ -60,21 +60,21 @@ TEST(PackedCell, OrderedCrossThreadAdvancesStayInline) {
   // the exclusive rules advance the cell without any detector involvement.
   PackedCell cell;
   ThreadState t0(0), t1(1);
-  ASSERT_EQ(cell.fast_write(t0), PackedCell::Fast::kAdvanced);
+  ASSERT_EQ(cell.fast<true>(t0), PackedCell::Fast::kAdvanced);
   t1.join(t0.V);  // t1 now knows t0's epoch
-  EXPECT_EQ(cell.fast_write(t1), PackedCell::Fast::kAdvanced);
+  EXPECT_EQ(cell.fast<true>(t1), PackedCell::Fast::kAdvanced);
   EXPECT_EQ(PackedCell::unpack_w(cell.bits()), t1.epoch());
-  EXPECT_EQ(cell.fast_read(t1), PackedCell::Fast::kAdvanced);
+  EXPECT_EQ(cell.fast<false>(t1), PackedCell::Fast::kAdvanced);
   EXPECT_FALSE(cell.escalated());
 }
 
 TEST(PackedCell, UnorderedAccessRefusesAndEscalatesOnce) {
   PackedCell cell;
   ThreadState t0(0), t1(1);
-  ASSERT_EQ(cell.fast_write(t0), PackedCell::Fast::kAdvanced);
+  ASSERT_EQ(cell.fast<true>(t0), PackedCell::Fast::kAdvanced);
   // t1 never saw t0's write: the fast path must refuse both directions.
-  EXPECT_EQ(cell.fast_read(t1), PackedCell::Fast::kSlow);
-  EXPECT_EQ(cell.fast_write(t1), PackedCell::Fast::kSlow);
+  EXPECT_EQ(cell.fast<false>(t1), PackedCell::Fast::kSlow);
+  EXPECT_EQ(cell.fast<true>(t1), PackedCell::Fast::kSlow);
 
   auto rw = cell.begin_escalate();
   ASSERT_TRUE(rw.has_value());  // we won the escalation
@@ -83,15 +83,15 @@ TEST(PackedCell, UnorderedAccessRefusesAndEscalatesOnce) {
   EXPECT_TRUE(cell.escalated());
   // Terminal: later escalation attempts find it done, fast paths refuse.
   EXPECT_FALSE(cell.begin_escalate().has_value());
-  EXPECT_EQ(cell.fast_read(t0), PackedCell::Fast::kSlow);
-  EXPECT_EQ(cell.fast_write(t0), PackedCell::Fast::kSlow);
+  EXPECT_EQ(cell.fast<false>(t0), PackedCell::Fast::kSlow);
+  EXPECT_EQ(cell.fast<true>(t0), PackedCell::Fast::kSlow);
 }
 
 TEST(PackedCell, EscalateCellInjectsSnapshotIntoSpillTarget) {
   PackedCell cell;
   ThreadState t0(0);
-  ASSERT_EQ(cell.fast_write(t0), PackedCell::Fast::kAdvanced);
-  ASSERT_EQ(cell.fast_read(t0), PackedCell::Fast::kAdvanced);
+  ASSERT_EQ(cell.fast<true>(t0), PackedCell::Fast::kAdvanced);
+  ASSERT_EQ(cell.fast<false>(t0), PackedCell::Fast::kAdvanced);
   VftV1::VarState vs;
   bool won = false;
   auto target = [&vs]() -> VftV1::VarState& { return vs; };
@@ -120,8 +120,8 @@ class PackedStore {
       auto target = [&e]() -> typename D::VarState& { return *e.vs; };
       ThreadState& st = base_.thread(op.t);
       return op.kind == OpKind::kRead
-                 ? packed_read(d, st, e.cell, target, target)
-                 : packed_write(d, st, e.cell, target, target);
+                 ? packed_access<false>(d, st, e.cell, target, target)
+                 : packed_access<true>(d, st, e.cell, target, target);
     }
     return trace::apply(d, base_, op);
   }
@@ -299,8 +299,9 @@ void run_backend_parity(RuleSet rules) {
         t, d1,
         [&](D& d, ThreadState& st, const Op& op) {
           const void* a = &mem[op.target];
-          return op.kind == OpKind::kRead ? packed.read(d, st, a)
-                                          : packed.write(d, st, a);
+          return op.kind == OpKind::kRead
+                     ? packed.template access<false>(d, st, a, sizeof(mem[0]))
+                     : packed.template access<true>(d, st, a, sizeof(mem[0]));
         },
         sr.error_index);
 
@@ -504,7 +505,7 @@ TYPED_TEST(PackedFastPath, LockOrderedHammerNoFalsePositives) {
 // --- Wrapper / raw-pointer agreement on the packed space --------------------
 
 TYPED_TEST(PackedFastPath, ArrayAndRawInstrumentationShareCells) {
-  // A packed-carved rt::Array and instrumented_read/write on &data()[i]
+  // A packed-carved rt::Array and raw-pointer access() on &data()[i]
   // must resolve to the same cells: a wrapper access followed by a raw
   // access of the same element in the same epoch is a same-epoch hit.
   RaceCollector rc;
@@ -517,7 +518,8 @@ TYPED_TEST(PackedFastPath, ArrayAndRawInstrumentationShareCells) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a.load(i), 3u);
   const std::uint64_t misses_before = stats.count(Rule::kFastMiss);
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(rt::instrumented_read(R, pspace, &a.data()[i]));
+    EXPECT_TRUE(pspace.template access<false>(R.tool(), R.self(), &a.data()[i],
+                                              sizeof(std::uint64_t)));
   }
   // Same epoch, same cells: every raw read is a fast hit.
   EXPECT_EQ(stats.count(Rule::kFastMiss), misses_before);
@@ -532,9 +534,9 @@ TYPED_TEST(PackedFastPath, ArrayAndRawInstrumentationShareCells) {
   if constexpr (ProbeableVarState<typename TypeParam::VarState>) {
     EXPECT_EQ(probe_r(vs), R.self().epoch());
   }
-  // Range entry points keep working over a mix of live and spilled cells.
-  EXPECT_TRUE(rt::instrumented_range_read(R, pspace, a.data(),
-                                          a.size() * sizeof(std::uint64_t)));
+  // Range accesses keep working over a mix of live and spilled cells.
+  EXPECT_TRUE(pspace.template access<false>(
+      R.tool(), R.self(), a.data(), a.size() * sizeof(std::uint64_t)));
   EXPECT_EQ(rc.count(), 0u);
 }
 
@@ -628,7 +630,7 @@ TEST(PackedShadowSpaceStats, CountsPagesAndSpills) {
   ThreadState t0(0);
   VftV2 d(nullptr);
   std::vector<std::uint64_t> mem(1024, 0);
-  for (auto& w : mem) space.write(d, t0, &w);
+  for (auto& w : mem) space.access<true>(d, t0, &w, sizeof(w));
   const rt::ShadowSpaceStats s = space.stats();
   EXPECT_GE(s.pages, 2u);  // 8 KiB of target words
   EXPECT_EQ(s.spilled, 0u);

@@ -91,16 +91,17 @@ TEST(ShadowSpace, RangeVariantsWalkWords) {
     std::uint64_t a, b, c;
   };
   alignas(8) Blob blob{};
-  EXPECT_TRUE(instrumented_range_write(R, space, &blob, sizeof(blob)));
+  EXPECT_TRUE(space.access<true>(R.tool(), R.self(), &blob, sizeof(blob)));
   // Three words -> three write events, all [Write Exclusive] first touch.
   EXPECT_EQ(stats.count(Rule::kWriteExclusive), 3u);
-  EXPECT_TRUE(instrumented_range_read(R, space, &blob, sizeof(blob)));
+  EXPECT_TRUE(space.access<false>(R.tool(), R.self(), &blob, sizeof(blob)));
   EXPECT_TRUE(rc.empty());
   // Unaligned sub-range still covers the words it overlaps.
   const auto before = stats.count(Rule::kReadSameEpoch) +
                       stats.count(Rule::kReadExclusive);
-  EXPECT_TRUE(instrumented_range_read(
-      R, space, reinterpret_cast<char*>(&blob) + 4, 8));  // straddles a|b
+  EXPECT_TRUE(space.access<false>(R.tool(), R.self(),
+                                  reinterpret_cast<char*>(&blob) + 4,
+                                  8));  // straddles a|b
   const auto after = stats.count(Rule::kReadSameEpoch) +
                      stats.count(Rule::kReadExclusive);
   EXPECT_EQ(after - before, 2u);
@@ -121,10 +122,10 @@ TEST(ShadowSpace, ConcurrentRangeAccessesUnderRealThreads) {
   parallel_for_threads(R, kThreads, [&](std::uint32_t w) {
     const std::size_t chunk = (kWords - kShared) / kThreads;
     for (int rep = 0; rep < 8; ++rep) {
-      instrumented_range_write(R, space, &buf[kShared + w * chunk],
-                               chunk * sizeof(std::uint64_t));
-      instrumented_range_read(R, space, buf.data(),
-                              kShared * sizeof(std::uint64_t));
+      space.access<true>(R.tool(), R.self(), &buf[kShared + w * chunk],
+                         chunk * sizeof(std::uint64_t));
+      space.access<false>(R.tool(), R.self(), buf.data(),
+                          kShared * sizeof(std::uint64_t));
     }
   });
   EXPECT_TRUE(rc.empty()) << rc.first()->str();
@@ -142,7 +143,8 @@ TEST(ShadowSpace, ArrayCarvedFromSpaceAgreesWithRawPointers) {
     EXPECT_EQ(&a.shadow(i), &R.packed_space().of(&a.data()[i]));
   }
   a.store(3, 1.0);
-  EXPECT_TRUE(instrumented_read(R, R.packed_space(), &a.data()[3]));
+  EXPECT_TRUE(R.packed_space().access<false>(R.tool(), R.self(),
+                                             &a.data()[3], sizeof(double)));
   EXPECT_TRUE(rc.empty());
 }
 
@@ -194,9 +196,11 @@ void expect_parity() {
   const Verdict via_space =
       run_schedule<D>([&space](Runtime<D>& R, int op, int loc) {
         if (op == 1) {
-          instrumented_write(R, space, &raw_locs[loc]);
+          space.template access<true>(R.tool(), R.self(), &raw_locs[loc],
+                                      sizeof(std::uint64_t));
         } else {
-          instrumented_read(R, space, &raw_locs[loc]);
+          space.template access<false>(R.tool(), R.self(), &raw_locs[loc],
+                                       sizeof(std::uint64_t));
         }
       });
 
@@ -243,12 +247,13 @@ TEST(ShadowParity, OrderedAccessesStayClean) {
   Runtime<VftV2> R{VftV2(&rc)};
   Runtime<VftV2>::MainScope scope(R);
   alignas(8) std::uint64_t x = 0;
-  instrumented_write(R, R.packed_space(), &x);
+  auto& space = R.packed_space();
+  space.access<true>(R.tool(), R.self(), &x, sizeof(x));
   Thread<VftV2> child(R, [&] {
-    instrumented_write(R, R.packed_space(), &x);  // ordered by fork
+    space.access<true>(R.tool(), R.self(), &x, sizeof(x));  // ordered by fork
   });
   child.join();
-  instrumented_read(R, R.packed_space(), &x);  // ordered by join
+  space.access<false>(R.tool(), R.self(), &x, sizeof(x));  // ordered by join
   EXPECT_TRUE(rc.empty()) << rc.first()->str();
 }
 
