@@ -31,10 +31,10 @@
 //                     within the spread (acceptance: the hook adds no
 //                     measurable fast-path cost).
 //   sampling          ISSUE-7: sampled-out access cost through vft_read8
-//                     under policy=drop (ABI-gate skip) and policy=cell
-//                     (packed-cell fast path only) at a 1/4096 fixed
-//                     rate, vs the exact path; plus the target-overhead
-//                     controller's settling point under VFT_BUDGET=5.
+//                     (dispatch + packed-cell fast path only) at a 1/4096
+//                     fixed rate, vs the exact path; plus the
+//                     target-overhead controller's settling point under
+//                     VFT_BUDGET=5.
 //   history           A/B: the per-thread access history on the
 //                     detector slow path ([Write Exclusive] traffic: epoch
 //                     bumped every sweep so every access records an
@@ -494,18 +494,13 @@ void report_ctx_section(JsonReport& json, std::size_t scale) {
 // ---------------------------------------------------------------------------
 
 /// What an always-on deployment pays for the accesses the gate throws
-/// away. Three vft_read8 sweeps over the same cache-resident buffer:
+/// away. Two vft_read8 sweeps over the same cache-resident buffer:
 ///   exact   sampling off - the ABI path of abi_dispatch (header-inlined
 ///           hits once the descriptor is armed).
-///   drop    policy=drop at a near-zero fixed rate: the gate fires in the
-///           ABI macro before the backend dispatch, so a
-///           sampled-out access is one atomic flag load, one gate check
-///           and a countdown decrement. Acceptance: within 2x of the
-///           packed-cell inline floor (packed_cell.packed_read_ns).
-///   cell    policy=cell at the same rate: skipped accesses still cross
-///           the dispatch into the session and run the packed-cell fast
-///           path, keeping last-access metadata fresh - the precision-
-///           preserving middle ground.
+///   cell    a near-zero fixed rate: skipped accesses still cross the
+///           dispatch into the session and run the packed-cell fast path,
+///           keeping last-access metadata fresh. The inline path is
+///           disarmed under any gate, so this is the sampled-out floor.
 /// The controller row then runs the same sweep under VFT_BUDGET with the
 /// adaptive table on and reports where the rate and the measured overhead
 /// settled (acceptance: within +-2 points of the budget).
@@ -542,18 +537,14 @@ void sampling_section(JsonReport& json, std::size_t scale) {
   const double exact_ns = sweep_ns();
   teardown();
 
-  setenv("VFT_SAMPLING", (std::string("policy=drop,") + kSkipSpec).c_str(), 1);
-  const double drop_ns = sweep_ns();
-  teardown();
-
-  setenv("VFT_SAMPLING", (std::string("policy=cell,") + kSkipSpec).c_str(), 1);
+  setenv("VFT_SAMPLING", kSkipSpec, 1);
   const double cell_ns = sweep_ns();
   teardown();
 
-  // Controller: default policy, adaptive table on, 5% budget. The bench
-  // loop is pure detector traffic, so "overhead" here is the sampled
-  // fraction's self-time against the whole sweep's wall time - exactly
-  // the signal the controller regulates; it must settle near the budget.
+  // Controller: adaptive table on, 5% budget. The bench loop is pure
+  // detector traffic, so "overhead" here is the sampled fraction's
+  // self-time against the whole sweep's wall time - exactly the signal
+  // the controller regulates; it must settle near the budget.
   setenv("VFT_SAMPLING", "seed=7", 1);
   setenv("VFT_BUDGET", "5", 1);
   const double budget_ns = sweep_ns();
@@ -566,18 +557,15 @@ void sampling_section(JsonReport& json, std::size_t scale) {
 
   std::printf("sampling gate on vft_read8 (rate=1/4096 fixed; "
               "sampled-out ns/op)\n");
-  std::printf("%8s %12s %12s %12s\n", "", "exact ns", "drop ns", "cell ns");
-  std::printf("%8s %12.2f %12.2f %12.2f\n", "read8", exact_ns, drop_ns,
-              cell_ns);
+  std::printf("%8s %12s %12s\n", "", "exact ns", "cell ns");
+  std::printf("%8s %12.2f %12.2f\n", "read8", exact_ns, cell_ns);
   std::printf("controller @5%%: sweep %.2f ns/op, rate now %.4f, "
               "measured overhead %.2f%% (%llu adjustments)\n\n", budget_ns,
               st.rate, st.overhead_pct,
               static_cast<unsigned long long>(st.adjustments));
   json.add("sampling", "sampled_out",
            {{"exact_ns", exact_ns},
-            {"drop_ns", drop_ns},
             {"cell_ns", cell_ns},
-            {"drop_vs_exact", exact_ns / drop_ns},
             {"cell_vs_exact", exact_ns / cell_ns}});
   json.add("sampling", "controller_budget5",
            {{"sweep_ns", budget_ns},

@@ -21,7 +21,6 @@
 #include "runtime/shadow_space.h"
 #include "vft/report.h"
 #include "vft/report_io.h"
-#include "vft/sampling.h"
 
 // The inline header's pointer math must agree with the shadow geometry it
 // caches pointers into.
@@ -60,15 +59,10 @@ SessionBackend& backend() { return Session::instance().backend(); }
 ///  1. Re-sync the calling thread's fast-path descriptor against the
 ///     global generation (a Session::reset() since the last arm makes
 ///     every cached pointer in it untrustworthy).
-///  2. Drop-policy gate: one draw per event, through admit_and_refill so
-///     the freshly drawn skip-gap lands in the descriptor and subsequent
-///     sampled-out accesses resolve entirely inline. Only the descriptor's
-///     generation+countdown half is armed here - the cell half stays
-///     disarmed under sampling so inline hits can't bypass the gate.
-///  3. Dispatch through the session backend (created on the first event),
+///  2. Dispatch through the session backend (created on the first event),
 ///     the route every other event takes. One entry per direction covers
 ///     every size: the shadow space picks the scalar or range path itself.
-///  4. Consume the event context exactly once, on the way out - the
+///  3. Consume the event context exactly once, on the way out - the
 ///     single clear the whole access path performs (inline hits neither
 ///     read nor clear it).
 void slow_access(const void* addr, size_t size, bool is_write) {
@@ -80,15 +74,6 @@ void slow_access(const void* addr, size_t size, bool is_write) {
   // slow-path entry is a quiescent point at which the rule counters must
   // equal what the out-of-line path would have produced.
   if (fp.gen == gen) vft_fastpath_flush_hits(&fp);
-  if (vft::sampling::Gate::drop_policy_active()) {
-    if (vft::sampling::Gate* g = vft::sampling::Gate::active()) {
-      fp.gen = gen;
-      if (!g->admit_and_refill(addr, &fp)) {
-        vft_tl_event_ctx.pc = nullptr;
-        return;
-      }
-    }
-  }
   SessionBackend& b = backend();
   if (is_write) {
     b.write(addr, size);
@@ -168,19 +153,12 @@ void vft_thread_detach(uint64_t token) {
   backend().thread_detach(token);
 }
 
-/// Access entry points: the header-inlined try first (same-epoch hit or
-/// drop-policy sampled-out skip resolves with no call at all - no
-/// AbiScope, no dispatch, no event-context store), then the guarded
-/// slow path. The try-functions touch nothing but the thread's own
-/// descriptor and the cell word, so running them outside the reentrancy
-/// guard is safe; analysis-internal code never calls these sized entry
-/// points anyway.
-///
-/// The drop-policy sampling gate lives in slow_access, before the session
-/// dispatch: a sampled-out access under `VFT_SAMPLING=policy=drop` costs
-/// one inline TLS countdown decrement once the descriptor is armed. The
-/// gate is null until the first event creates the session, so the first
-/// access always falls through and initializes everything.
+/// Access entry points: the header-inlined try first (a same-epoch hit
+/// resolves with no call at all - no AbiScope, no dispatch, no
+/// event-context store), then the guarded slow path. The try-functions
+/// touch nothing but the thread's own descriptor and the cell word, so
+/// running them outside the reentrancy guard is safe; analysis-internal
+/// code never calls these sized entry points anyway.
 #define VFT_ABI_READ(name, size)                         \
   void name(const void* addr) {                          \
     if (vft_fastpath_try_read(addr, (size))) return;     \
@@ -233,9 +211,6 @@ void vft_range_read(const void* addr, size_t size) {
     vft_tl_event_ctx.pc = nullptr;
     return;
   }
-  // One gate draw covers the whole range: a range is one program event.
-  // A drop-countdown skip the inline path prepaid also covers it (ranges
-  // and straddles arriving mid-gap consume one unit in admit_and_refill).
   slow_access(addr, size, /*is_write=*/false);
 }
 
@@ -341,7 +316,7 @@ const char* vft_sampling_describe(void) {
   AbiScope guard;
   backend();  // force session creation so the gate reflects the env
   static std::string text;
-  vft::sampling::Gate* g = vft::sampling::Gate::active();
+  vft::sampling::Gate* g = Session::instance().gate();
   text = g != nullptr ? vft::sampling::describe(g->config()) : "off";
   return text.c_str();
 }
@@ -350,7 +325,7 @@ int vft_sampling_stats(vft_sampling_stats_s* out) {
   AbiScope guard;
   if (out == nullptr) return 0;
   std::memset(out, 0, sizeof(*out));
-  vft::sampling::Gate* g = vft::sampling::Gate::active();
+  vft::sampling::Gate* g = Session::instance().gate();
   if (g == nullptr) return 0;
   const vft::sampling::Stats s = g->snapshot();
   out->sampled = s.sampled;

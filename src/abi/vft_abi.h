@@ -213,8 +213,8 @@ const char* vft_detector_name(void);
 /* --- sampling (always-on production mode) ------------------------------ */
 
 /* The effective sampling configuration as a human-readable line ("off"
- * when sampling is disabled; otherwise e.g. "policy=cell budget=5%
- * rate0=1 adaptive=1 seed=1"). Configuration comes from VFT_SAMPLING /
+ * when sampling is disabled; otherwise e.g. "budget=5% rate0=1
+ * adaptive=1 seed=1"). Configuration comes from VFT_SAMPLING /
  * VFT_BUDGET at session creation; see vft/sampling.h for the grammar.
  * The returned storage is valid until the next call from any thread. */
 const char* vft_sampling_describe(void);
@@ -227,7 +227,7 @@ typedef struct vft_sampling_stats_s {
   uint64_t cooled_out;  /* skips due to a cooled adaptive entry */
   uint64_t reheats;     /* adaptive entries reset by spill/race/free */
   uint64_t overhead_ns; /* extrapolated detector self-time */
-  uint64_t busy_ns;     /* process CPU time since gate install */
+  uint64_t busy_ns;     /* process CPU time since gate creation */
   uint64_t adjustments; /* controller windows applied */
   double rate;          /* current global sampling rate */
   double overhead_pct;  /* overhead_ns / busy_ns, percent */

@@ -1,13 +1,12 @@
 /* Header-inlined C-callable fast path for the per-access ABI surface.
  *
  * Compiled directly into the interposer's __tsan_* wrappers and into the
- * vft_read1..8 / vft_write1..8 entry points: the same-epoch hit and the
- * drop-policy
- * sampled-out skip resolve entirely inline against the per-thread
- * descriptor (vft/fastpath_ctx.h) - no call, no AbiScope construction, no
- * virtual dispatch, no vft_tl_event_ctx stores. Everything else returns 0
- * and the caller takes the out-of-line slow path (vft_abi_slow_read/write),
- * which re-arms the descriptor for the next access.
+ * vft_read1..8 / vft_write1..8 entry points: the same-epoch hit resolves
+ * entirely inline against the per-thread descriptor (vft/fastpath_ctx.h) -
+ * no call, no AbiScope construction, no virtual dispatch, no
+ * vft_tl_event_ctx stores. Everything else returns 0 and the caller takes
+ * the out-of-line slow path (vft_abi_slow_read/write), which re-arms the
+ * descriptor for the next access.
  *
  * Soundness of the two inline verdicts:
  *
@@ -22,11 +21,6 @@
  *     second conjunct is required: the ESCALATED sentinel's W half is 1,
  *     which collides with tid 0 at clock 1, so W alone could match a
  *     spilled cell. With both checks this is the [Write Same Epoch] no-op.
- *
- *   Sampled-out skip: the descriptor holds a prepaid geometric countdown
- *     drawn by the gate's slow path; decrementing it inline is exactly the
- *     drop-policy gate semantics (no cell update, no detector), with the
- *     skip count flushed to the gate at the next slow-path entry.
  *
  * The cell load is an acquire load, matching the out-of-line packed_access
  * ordering. A hit only increments a plain thread-local tally in the
@@ -59,8 +53,8 @@ extern "C" {
 #define VFT_FASTPATH_PAGE_SPAN ((uintptr_t)4096)
 #define VFT_FASTPATH_SLOT_MASK ((uintptr_t)511)
 
-/* Out-of-line continuations (abi/vft_abi.cpp): full AbiScope + gate +
- * session backend dispatch, then descriptor re-arm. */
+/* Out-of-line continuations (abi/vft_abi.cpp): full AbiScope + session
+ * backend dispatch, then descriptor re-arm. */
 void vft_abi_slow_read(const void* addr, size_t size);
 void vft_abi_slow_write(const void* addr, size_t size);
 
@@ -80,9 +74,9 @@ static inline int vft_fastpath_try_write(const void* addr, size_t size) {
 
 #else /* !VFT_SCHED */
 
-/* Shared prologue: descriptor liveness, sampling countdown, and the cell
- * lookup. Returns 1 when the access was fully resolved inline. `is_write`
- * is a compile-time constant at every call site, so the branch folds. */
+/* Shared prologue: descriptor liveness and the cell lookup. Returns 1 when
+ * the access was fully resolved inline. `is_write` is a compile-time
+ * constant at every call site, so the branch folds. */
 static inline int vft_fastpath_try_access(const void* addr, size_t size,
                                           int is_write) {
   vft_fastpath_s* fp = &vft_tl_fastpath;
@@ -90,14 +84,6 @@ static inline int vft_fastpath_try_access(const void* addr, size_t size,
   if (fp->gen == 0) return 0;
   if (__atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE) != fp->gen) {
     return 0;
-  }
-  /* Drop-policy sampled-out skip: checked before the straddle/page tests
-   * so one countdown draw covers every access shape, exactly like the
-   * out-of-line drop gate. */
-  if (fp->drop_countdown > 0) {
-    fp->drop_countdown--;
-    fp->drop_pending++;
-    return 1;
   }
   const uintptr_t a = (uintptr_t)addr;
   /* Word-straddling accesses take the slow path (two cells). */

@@ -364,10 +364,10 @@ void __tsan_func_exit(void) {
 }
 
 // Sized wrappers compile the header-inlined fast path directly into the
-// interposition boundary: a same-epoch hit (or a drop-policy sampled-out
-// skip) returns before any call, any AbiScope, and any event-context
-// store. Only an inline miss arms the capture boundary - the slow path
-// is the only consumer, and a hit cannot race.
+// interposition boundary: a same-epoch hit returns before any call, any
+// AbiScope, and any event-context store. Only an inline miss arms the
+// capture boundary - the slow path is the only consumer, and a hit cannot
+// race.
 //
 // The trailing barrier keeps the slow call out of tail position: a
 // sibling-call would pop this frame (and the armed fp anchor) before the

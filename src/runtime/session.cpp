@@ -8,8 +8,8 @@ namespace {
 template <Detector D>
 std::unique_ptr<SessionBackend> make_backend(RaceCollector* races,
                                              RuleStats* stats,
-                                             std::uint64_t generation) {
-  return std::make_unique<SessionImpl<D>>(races, stats, generation);
+                                             sampling::Gate* gate) {
+  return std::make_unique<SessionImpl<D>>(races, stats, gate);
 }
 
 /// The launch-time detector names (CLI / VFT_DETECTOR spelling) and the
@@ -18,7 +18,7 @@ std::unique_ptr<SessionBackend> make_backend(RaceCollector* races,
 struct DetectorEntry {
   const char* name;
   std::unique_ptr<SessionBackend> (*make)(RaceCollector*, RuleStats*,
-                                          std::uint64_t);
+                                          sampling::Gate*);
 };
 
 constexpr DetectorEntry kDetectors[] = {
@@ -70,20 +70,16 @@ SessionBackend& Session::create_backend() {
       suppressions_loaded_ = true;
       races_.load_suppressions_env(std::getenv("VFT_SUPPRESSIONS"));
     }
-    // Resolve the sampling configuration and publish the gate *before*
-    // the backend exists: SessionImpl snapshots Gate::active() in its
-    // constructor, so the first access event already sees the gate.
-    // Re-read on every (re-)creation - tests reconfigure via environment
-    // + reset(); replaced gates leak by design (a detached target thread
-    // may still hold one mid-access).
-    {
-      const sampling::Config scfg = sampling::config_from_env();
-      sampling::Gate::install(scfg.enabled ? new sampling::Gate(scfg)
-                                           : nullptr);
+    // Build the sampling gate *before* the backend, which takes the
+    // pointer, so the first access event already sees it. Re-read on
+    // every (re-)creation - tests reconfigure via environment + reset().
+    if (const sampling::Config scfg = sampling::config_from_env();
+        scfg.enabled) {
+      gate_ = std::make_unique<sampling::Gate>(scfg);
     }
-    // Same pattern for the access-history layer (prior-side stacks in
-    // race reports): published before the backend exists so the first
-    // slow-path access can record; default ON, VFT_HISTORY=off disables.
+    // The access-history layer (prior-side stacks in race reports) is
+    // published before the backend exists so the first slow-path access
+    // can record; default ON, VFT_HISTORY=off disables.
     history::install(history::enabled_from_env() ? new history::AccessHistory()
                                                  : nullptr);
     const DetectorEntry* entry = find_detector(detector_);
@@ -97,8 +93,7 @@ SessionBackend& Session::create_backend() {
           "unknown detector '%s' (from VFT_DETECTOR); expected one of %s",
           detector_.c_str(), names.c_str());
     }
-    backend_ = entry->make(&races_, &stats_,
-                           generation_.load(std::memory_order_relaxed));
+    backend_ = entry->make(&races_, &stats_, gate_.get());
     v2_ = detector_ == "v2"
               ? static_cast<SessionImpl<VftV2>*>(backend_.get())
               : nullptr;
@@ -110,31 +105,27 @@ SessionBackend& Session::create_backend() {
 void Session::reset() {
   std::scoped_lock lk(mu_);
   // Invalidate every thread's session binding before tearing the backend
-  // down: the generation tag makes stale SessionTls records unreachable,
-  // and the calling thread drops its registry binding explicitly.
-  generation_.fetch_add(1, std::memory_order_relaxed);
+  // down: bumping the one generation makes stale SessionTls records, fence
+  // states and header-inlined fast-path descriptors unreachable in one
+  // shot, before the backend they point into is destroyed. Other threads
+  // are quiescent by this function's contract; the calling thread drops
+  // its registry binding and clears its own descriptor eagerly.
+  __atomic_fetch_add(&vft_g_fastpath_gen, 1, __ATOMIC_RELEASE);
   Registry::bind(nullptr);
   tl_session = SessionTls{};
-  // Retract every header-inlined fast-path descriptor in one shot: bumping
-  // the global generation makes all per-thread descriptors stale before
-  // the backend they point into is destroyed. Other threads are quiescent
-  // by this function's contract; the calling thread clears its own
-  // descriptor eagerly.
-  __atomic_fetch_add(&vft_g_fastpath_gen, 1, __ATOMIC_RELEASE);
   vft_tl_fastpath = vft_fastpath_s{};
   backend_ptr_.store(nullptr, std::memory_order_release);
   v2_ = nullptr;
   backend_.reset();
+  // The gate dies after the backend that held its pointer. No thread
+  // holds it: per-thread countdowns keep only the gate's generation tag,
+  // so a successor gate re-syncs them on first use.
+  gate_.reset();
   races_.clear();
   stats_.reset();
-  // Retract the published sampling gate with the backend it belonged to:
-  // between this reset and the next backend creation, Gate::active()
-  // consumers (the stats ABI, the drop policy's pre-dispatch check) must
-  // not see the torn-down session's gate or its counters. The first
-  // event re-reads the environment and republishes in create_backend().
-  sampling::Gate::install(nullptr);
   // Retract the access history with the backend: its var ids point into
-  // the torn-down shadow space's address scheme. Leaked like the gate.
+  // the torn-down shadow space's address scheme. Replaced histories are
+  // leaked by design (see history::install).
   history::install(nullptr);
 }
 

@@ -22,6 +22,11 @@
 // `abi_dispatch` and `atomic_dispatch` sections track what that route
 // costs.
 //
+// Sampling is decided in one place, SessionImpl::access: the Session owns
+// the sampling gate (vft/sampling.h) beside the backend it gates, builds
+// it before the backend and destroys it after, and every access of any
+// size draws once there. Sync events are never gated.
+//
 // Implicit thread lifecycle: any thread is attached on its first event
 // (OS-thread identity lives in Registry's thread_local binding). Threads
 // created through the interposer get the explicit §4 protocol instead -
@@ -108,7 +113,7 @@ class SessionBackend {
 /// Session::reset() (tests) can never resurrect a stale record.
 struct SessionTls {
   void* record = nullptr;        ///< ThreadRecord* of the owning backend
-  std::uint64_t generation = 0;  ///< Session generation the fields belong to
+  std::uint64_t generation = 0;  ///< owning backend's generation_
   bool unmonitored = false;      ///< registry exhausted: events are no-ops
 };
 inline thread_local SessionTls tl_session{};
@@ -119,20 +124,13 @@ class SessionImpl final : public SessionBackend {
                 "the session shadows raw addresses with packed cells only");
 
  public:
-  SessionImpl(RaceCollector* races, RuleStats* stats,
-              std::uint64_t generation)
-      : rt_(D(races, stats)),
-        packed_(rt_.packed_space()),
-        generation_(generation),
-        gate_(sampling::Gate::active()),
-        drop_mode_(gate_ != nullptr &&
-                   gate_->config().policy ==
-                       sampling::Config::Policy::kDrop) {
-    // Header-inlined fast-path descriptor arming: ungated runs only.
-    // Under cell-policy sampling an inline hit would bypass the gate's
-    // countdown and controller probes (starving the overhead budget);
-    // under the drop policy the ABI slow path arms the countdown half
-    // of the descriptor and the cell half stays disarmed.
+  /// `gate` (nullptr: sampling off) is owned by the Session and outlives
+  /// this backend.
+  SessionImpl(RaceCollector* races, RuleStats* stats, sampling::Gate* gate)
+      : rt_(D(races, stats)), packed_(rt_.packed_space()), gate_(gate) {
+    // Header-inlined fast-path descriptor arming: ungated runs only. Under
+    // sampling an inline hit would bypass the gate's countdown and
+    // controller probes (starving the overhead budget).
     fastpath_arm_ =
         gate_ == nullptr && stats != nullptr && fastpath_env_enabled();
     if (stats != nullptr) {
@@ -171,28 +169,21 @@ class SessionImpl final : public SessionBackend {
   /// slow-path access leaves exactly the {R, W} the next inline hit tests
   /// against.
   ///
-  /// With no sampling gate every access is sampled. Under a gate, one draw
-  /// covers the whole access (ranges are one program event; per-word draws
-  /// would just multiply the rate by the range length): the drop policy
-  /// already drew at the ABI entry point, so only a controller probe opens
-  /// here, while the cell policy draws now - the probe opens inside
-  /// should_sample, before the gate's own slow path, so the controller
-  /// charges gate bookkeeping plus the shadow access, the true marginal
-  /// cost of the rate. A sampled-out access costs one cell fast path at
-  /// most; spills feed the gate's reheat hook.
+  /// This is the one place sampling is decided. With no gate every access
+  /// is sampled. Under a gate, one draw covers the whole access (ranges
+  /// are one program event; per-word draws would just multiply the rate by
+  /// the range length). The controller probe opens inside should_sample,
+  /// before the gate's own slow path, so the controller charges gate
+  /// bookkeeping plus the shadow access, the true marginal cost of the
+  /// rate. A sampled-out access still updates its packed cell but costs
+  /// one cell fast path at most; spills feed the gate's reheat hook.
   template <bool IsWrite>
   void access(const void* addr, std::size_t size) {
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
     std::uint64_t probe = 0;
-    bool sampled = true;
-    if (gate_ != nullptr) {
-      if (drop_mode_) {
-        probe = gate_->maybe_time_begin();
-      } else {
-        sampled = gate_->should_sample(addr, &probe);
-      }
-    }
+    const bool sampled =
+        gate_ == nullptr || gate_->should_sample(addr, &probe);
     bool spilled = false;
     const bool ok = packed_.template access<IsWrite>(rt_.tool(), *ts, addr,
                                                      size, sampled, &spilled);
@@ -283,11 +274,14 @@ class SessionImpl final : public SessionBackend {
   void detach() override {
     // The descriptor's epoch/cell pointers die with this binding; its tid
     // slot may be recycled by a later thread. Pending inline-hit tallies
-    // are credited first - detach is a quiescent observation point.
-    if (vft_tl_fastpath.gen == fastpath_gen_) {
+    // are credited first - detach is a quiescent observation point - and
+    // so are the gate's pending skips, which a thread that ends mid-gap
+    // would otherwise take with it.
+    if (vft_tl_fastpath.gen == generation_) {
       vft_fastpath_flush_hits(&vft_tl_fastpath);
     }
     vft_tl_fastpath = vft_fastpath_s{};
+    if (gate_ != nullptr) gate_->flush_skips();
     SessionTls& tls = tl_session;
     if (tls.generation == generation_ && tls.record != nullptr) {
       std::scoped_lock lk(mu_);
@@ -326,7 +320,7 @@ class SessionImpl final : public SessionBackend {
     // A fresh binding must not inherit a descriptor. Tallies a previous
     // same-OS-thread binding left behind are still credited (the rule
     // pointers outlive bindings - they target the Session's RuleStats).
-    if (vft_tl_fastpath.gen == fastpath_gen_) {
+    if (vft_tl_fastpath.gen == generation_) {
       vft_fastpath_flush_hits(&vft_tl_fastpath);
     }
     vft_tl_fastpath = vft_fastpath_s{};
@@ -440,11 +434,11 @@ class SessionImpl final : public SessionBackend {
     vft_fastpath_s& fp = vft_tl_fastpath;
     const std::uintptr_t base =
         ShadowGeometry::base_of(reinterpret_cast<std::uintptr_t>(addr));
-    if (fp.gen == fastpath_gen_ && fp.page_base == base &&
+    if (fp.gen == generation_ && fp.page_base == base &&
         fp.epoch_addr == ts.epoch_bits_addr()) {
       return;
     }
-    if (fp.gen == fastpath_gen_) {
+    if (fp.gen == generation_) {
       // Page-switch re-arm: credit pending tallies before the rewrite.
       vft_fastpath_flush_hits(&fp);
     } else {
@@ -456,17 +450,15 @@ class SessionImpl final : public SessionBackend {
     fp.epoch_addr = ts.epoch_bits_addr();
     fp.page_base = base;
     fp.cells = packed_.page_cells(base);
-    fp.drop_countdown = 0;
-    fp.drop_pending = 0;
     fp.rule_read[0] = rule_read_hit_[0];
     fp.rule_read[1] = rule_read_hit_[1];
     fp.rule_write[0] = rule_write_hit_[0];
     fp.rule_write[1] = rule_write_hit_[1];
-    // fastpath_gen_ snapshots the global at backend creation; if a reset
+    // generation_ snapshots the global at backend creation; if a reset
     // bumped the global since, this stamp leaves the descriptor stale and
     // the inline path keeps falling through - correct, since this backend
     // is being torn down.
-    fp.gen = fastpath_gen_;
+    fp.gen = generation_;
   }
 
   /// The calling thread's state, attaching implicitly on first contact.
@@ -527,12 +519,11 @@ class SessionImpl final : public SessionBackend {
   LockRegistry locks_;
   atomics::AtomicRegistry atomics_;
   const atomics::Mode atomics_mode_ = atomics::mode_from_env();
-  const std::uint64_t generation_;
   sampling::Gate* const gate_;  ///< nullptr: sampling off, every access sampled
-  const bool drop_mode_;
   /// vft_g_fastpath_gen at creation (Session::reset() bumps the global):
-  /// the stamp every descriptor this backend arms carries.
-  const std::uint64_t fastpath_gen_ =
+  /// the stamp every SessionTls binding, fence state and descriptor this
+  /// backend creates carries, so none of them outlives it.
+  const std::uint64_t generation_ =
       __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
   bool fastpath_arm_ = false;  ///< ungated + stats + env allow arming
   std::uint64_t* rule_read_hit_[2] = {nullptr, nullptr};
@@ -582,6 +573,14 @@ class Session {
     return backend_ptr_.load(std::memory_order_acquire);
   }
 
+  /// The published backend's sampling gate, or nullptr when sampling is
+  /// off or no backend is published. Never creates a backend, and never
+  /// races its creation: the gate is built before the backend's release
+  /// publication, and read only after an acquire load sees the backend.
+  sampling::Gate* gate() const {
+    return live_backend() != nullptr ? gate_.get() : nullptr;
+  }
+
   /// Snapshot the end-of-run report document: the collector's error
   /// contexts plus the backend's process stats (report_io renders it as
   /// vft-report-v2 JSON or the plain compatibility format). clean_exit
@@ -591,13 +590,11 @@ class Session {
     reportio::ReportDoc doc = reportio::build_report_doc(
         races_, b.detector_name(), b.threads_seen(), b.locks_seen(),
         b.shadow_words(), clean_exit);
-    if (sampling::Gate* g = sampling::Gate::active()) {
+    if (sampling::Gate* g = gate()) {
       const sampling::Config& cfg = g->config();
       const sampling::Stats s = g->snapshot();
       reportio::SamplingInfo& sp = doc.sampling;
       sp.enabled = true;
-      sp.policy =
-          cfg.policy == sampling::Config::Policy::kDrop ? "drop" : "cell";
       sp.budget_pct = cfg.budget_pct;
       sp.rate0 = cfg.rate;
       sp.rate_ppm = static_cast<std::uint64_t>(s.rate * 1e6 + 0.5);
@@ -630,12 +627,6 @@ class Session {
     return v2_->runtime();
   }
 
-  /// Monotone session generation; bumped by reset() so thread-local
-  /// bindings from a previous backend can never be mistaken for live.
-  std::uint64_t generation() const {
-    return generation_.load(std::memory_order_relaxed);
-  }
-
   /// Drops all analysis state (shadow, reports, thread registry, lock
   /// registry) and re-creates the backend with the configured detector.
   /// Only safe while no ambient/ABI threads are live; intended for tests.
@@ -651,7 +642,7 @@ class Session {
   std::unique_ptr<SessionBackend> backend_;
   std::atomic<SessionBackend*> backend_ptr_{nullptr};
   SessionImpl<VftV2>* v2_ = nullptr;
-  std::atomic<std::uint64_t> generation_{1};
+  std::unique_ptr<sampling::Gate> gate_;  ///< nullptr: sampling off
   bool suppressions_loaded_ = false;  ///< VFT_SUPPRESSIONS: once per process
   RaceCollector races_;
   RuleStats stats_;

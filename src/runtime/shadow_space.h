@@ -251,7 +251,11 @@ class PageDirectory {
   std::unique_ptr<std::atomic<PageT*>[]> buckets_;
   std::atomic<std::size_t> pages_{0};
   std::atomic<std::size_t> collisions_{0};
-  std::atomic<std::size_t> cache_misses_{0};
+  /// Every thread bumps this on each cache miss, while every lookup reads
+  /// id_ and every miss reads buckets_: its own cache line keeps those
+  /// reads from missing on it. Sharing the line or not otherwise depends
+  /// on where the heap happens to place the directory.
+  alignas(64) std::atomic<std::size_t> cache_misses_{0};
 };
 
 /// Packed-cell shadow space: 16 bytes of page payload per target word (an

@@ -42,8 +42,7 @@ AccessHistory* active() { return g_active.load(std::memory_order_acquire); }
 
 void install(AccessHistory* h) {
   // Publication only: a replaced instance is leaked by design, because a
-  // concurrently racing recorder may still hold the old pointer (same
-  // contract as sampling::Gate::install).
+  // concurrently racing recorder may still hold the old pointer.
   g_active.store(h, std::memory_order_release);
 }
 

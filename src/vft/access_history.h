@@ -198,10 +198,10 @@ class AccessHistory {
   StackTable stacks_;
 };
 
-/// The installed history, or nullptr when the layer is off. Same
-/// publication contract as sampling::Gate: install() swaps the pointer,
-/// replaced instances are leaked by design (a racing recorder may still
-/// hold the old pointer).
+/// The installed history, or nullptr when the layer is off. install()
+/// publishes with release (active() loads with acquire); replaced
+/// instances are leaked by design (a racing recorder may still hold the
+/// old pointer).
 AccessHistory* active();
 void install(AccessHistory* h);
 

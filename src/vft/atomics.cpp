@@ -15,18 +15,6 @@ Mode mode_from_env() {
   return Mode::kPrecise;
 }
 
-const char* mode_name(Mode m) {
-  switch (m) {
-    case Mode::kPrecise:
-      return "precise";
-    case Mode::kSc:
-      return "sc";
-    case Mode::kOff:
-      return "off";
-  }
-  return "?";
-}
-
 FenceTls& fence_tls(std::uint64_t gen) {
   thread_local FenceTls tl;
   if (tl.generation != gen) {

@@ -77,7 +77,6 @@ inline constexpr bool mo_is_release(int mo) {
 enum class Mode : std::uint8_t { kPrecise, kSc, kOff };
 
 Mode mode_from_env();
-const char* mode_name(Mode m);
 
 /// The effective memory order under `mode`.
 inline int effective_mo(Mode mode, int mo) {

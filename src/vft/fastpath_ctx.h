@@ -2,8 +2,8 @@
  *
  * Armed by the runtime (SessionImpl) after a slow-path access establishes
  * the thread's shadow page and epoch; consumed by the inline try-functions
- * in abi/vft_abi_inline.h, which resolve the same-epoch hit and the
- * sampled-out skip with no call, no AbiScope, and no virtual dispatch.
+ * in abi/vft_abi_inline.h, which resolve the same-epoch hit with no
+ * call, no AbiScope, and no virtual dispatch.
  *
  * Validity protocol: the descriptor is live iff `gen` equals the process
  * global vft_g_fastpath_gen (which starts at 1 and is bumped on every
@@ -16,11 +16,6 @@
  * covering `page_base`; the rule pointers target the session's RuleStats
  * counters so an inline hit bumps exactly what the out-of-line path
  * would.
- *
- * Drop-policy sampling rides the same descriptor: `drop_countdown` holds
- * the remaining geometric skips handed out by Gate::admit_and_refill, and
- * `drop_pending` accumulates skips taken inline until the next slow-path
- * entry flushes them into the gate's statistics.
  *
  * Plain C so the preload library can use it with no C++ dependency.
  * Defined in vft/stack.cpp next to the event context it complements.
@@ -42,8 +37,6 @@ typedef struct vft_fastpath_s {
   const uint32_t* epoch_addr; /* owning thread's current epoch bits */
   uintptr_t page_base;        /* first target byte covered by `cells` */
   const uint64_t* cells;      /* packed cells of the cached shadow page */
-  uint64_t drop_countdown;    /* drop-policy skips remaining (0 = sample) */
-  uint64_t drop_pending;      /* inline skips not yet flushed to the gate */
   uint64_t hit_reads;         /* inline read hits pending counter flush */
   uint64_t hit_writes;        /* inline write hits pending counter flush */
   uint64_t* rule_read[2];     /* counters credited with flushed read hits */

@@ -510,8 +510,8 @@ std::string render_json(const ReportDoc& doc) {
     const SamplingInfo& sp = doc.sampling;
     const std::uint64_t total = sp.sampled + sp.skipped;
     char buf[64];
-    o += "  \"sampling\": {\"policy\": \"" + json_escape(sp.policy) + "\"";
-    std::snprintf(buf, sizeof(buf), ", \"budget_pct\": %g", sp.budget_pct);
+    std::snprintf(buf, sizeof(buf), "  \"sampling\": {\"budget_pct\": %g",
+                  sp.budget_pct);
     o += buf;
     std::snprintf(buf, sizeof(buf), ", \"rate0\": %g", sp.rate0);
     o += buf;
@@ -735,7 +735,6 @@ bool parse_report(std::string_view text, ReportDoc* doc, std::string* err) {
   if (const Json* v = root.get("sampling")) {
     SamplingInfo& sp = doc->sampling;
     sp.enabled = true;
-    if (const Json* t = v->get("policy")) sp.policy = t->string;
     if (const Json* t = v->get("budget_pct")) {
       sp.budget_pct = std::strtod(t->number.c_str(), nullptr);
     }
@@ -829,8 +828,7 @@ ReportDoc merge_reports(const std::vector<ReportDoc>& docs) {
   // average and the config-equality folds below are all order-independent,
   // keeping the merge byte-stable across input orderings.
   bool sampling_any = false;
-  bool sampling_policy_mixed = false, sampling_cfg_mixed = false;
-  std::string sampling_policy;
+  bool sampling_cfg_mixed = false;
   double sampling_budget = 0.0, sampling_rate0 = 1.0;
   bool sampling_cfg_set = false;
   std::uint64_t rate_weighted = 0;
@@ -842,11 +840,6 @@ ReportDoc merge_reports(const std::vector<ReportDoc>& docs) {
       const SamplingInfo& sp = d.sampling;
       SamplingInfo& o = out.sampling;
       sampling_any = true;
-      if (sampling_policy.empty()) {
-        sampling_policy = sp.policy;
-      } else if (sp.policy != sampling_policy) {
-        sampling_policy_mixed = true;
-      }
       if (!sampling_cfg_set) {
         sampling_cfg_set = true;
         sampling_budget = sp.budget_pct;
@@ -899,7 +892,6 @@ ReportDoc merge_reports(const std::vector<ReportDoc>& docs) {
   if (sampling_any) {
     SamplingInfo& o = out.sampling;
     o.enabled = true;
-    o.policy = sampling_policy_mixed ? "mixed" : sampling_policy;
     o.budget_pct = sampling_cfg_mixed ? 0.0 : sampling_budget;
     o.rate0 = sampling_cfg_mixed ? 1.0 : sampling_rate0;
     const std::uint64_t busy_us = o.busy_ns / 1000;

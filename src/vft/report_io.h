@@ -155,7 +155,6 @@ struct Summary {
 /// in integer arithmetic.
 struct SamplingInfo {
   bool enabled = false;
-  std::string policy;         ///< "cell" | "drop" ("mixed" after a merge)
   double budget_pct = 0.0;    ///< configured target overhead (0: none)
   double rate0 = 1.0;         ///< configured initial rate
   std::uint64_t rate_ppm = 1000000;  ///< current global rate * 1e6

@@ -44,9 +44,6 @@ constexpr std::uintptr_t kPageShift = 12;
 
 }  // namespace
 
-std::atomic<Gate*> Gate::g_active{nullptr};
-std::atomic<bool> Gate::g_drop{false};
-
 bool parse_config(const char* sampling_spec, const char* budget_spec,
                   Config* out, std::string* err) {
   Config cfg;
@@ -90,15 +87,6 @@ bool parse_config(const char* sampling_spec, const char* budget_spec,
             return false;
           }
           cfg.rate = r;
-        } else if (key == "policy") {
-          if (val == "cell") {
-            cfg.policy = Config::Policy::kCell;
-          } else if (val == "drop") {
-            cfg.policy = Config::Policy::kDrop;
-          } else {
-            if (err) *err = "VFT_SAMPLING: policy must be cell|drop, got '" + val + "'";
-            return false;
-          }
         } else if (key == "adaptive") {
           if (val == "0" || val == "off") {
             cfg.adaptive = false;
@@ -115,13 +103,6 @@ bool parse_config(const char* sampling_spec, const char* budget_spec,
             return false;
           }
           cfg.seed = s;
-        } else if (key == "budget") {
-          double pct = 0.0;
-          if (!parse_double(val.c_str(), &pct) || pct <= 0.0 || pct > 100.0) {
-            if (err) *err = "VFT_SAMPLING: budget must be a percent in (0, 100], got '" + val + "'";
-            return false;
-          }
-          cfg.budget_pct = pct;
         } else {
           if (err) *err = "VFT_SAMPLING: unknown key '" + key + "'";
           return false;
@@ -149,15 +130,12 @@ std::string describe(const Config& cfg) {
   if (!cfg.enabled) return "off";
   char buf[160];
   if (cfg.budget_pct > 0.0) {
-    std::snprintf(buf, sizeof(buf),
-                  "policy=%s budget=%g%% rate0=%g adaptive=%d seed=%llu",
-                  cfg.policy == Config::Policy::kDrop ? "drop" : "cell",
+    std::snprintf(buf, sizeof(buf), "budget=%g%% rate0=%g adaptive=%d seed=%llu",
                   cfg.budget_pct, cfg.rate, cfg.adaptive ? 1 : 0,
                   static_cast<unsigned long long>(cfg.seed));
   } else {
-    std::snprintf(buf, sizeof(buf), "policy=%s rate=%g adaptive=%d seed=%llu",
-                  cfg.policy == Config::Policy::kDrop ? "drop" : "cell",
-                  cfg.rate, cfg.adaptive ? 1 : 0,
+    std::snprintf(buf, sizeof(buf), "rate=%g adaptive=%d seed=%llu", cfg.rate,
+                  cfg.adaptive ? 1 : 0,
                   static_cast<unsigned long long>(cfg.seed));
   }
   return buf;
@@ -221,32 +199,6 @@ void Gate::draw_gap(Tls& t) {
                             : static_cast<std::uint64_t>(gap);
 }
 
-bool Gate::admit_and_refill(const void* addr, vft_fastpath_s* fp) {
-  Tls& t = tls();
-  if (fp->drop_pending > 0) {
-    // Skips the inline path took on the gate's behalf; they fold into the
-    // thread-local tally admit_slow flushes to the global counter.
-    t.skipped += fp->drop_pending;
-    fp->drop_pending = 0;
-  }
-  // A slow-path entry can arrive mid-gap (ranges and straddling accesses
-  // bypass the inline countdown): honor the descriptor's prepaid skips
-  // here exactly as the inline path would.
-  if (fp->drop_countdown > 0) {
-    fp->drop_countdown--;
-    ++t.skipped;
-    return false;
-  }
-  const bool admitted = should_sample(addr);  // probe-less: drop policy
-  // admit_slow drew the next gap into the gate's own TLS; move it into
-  // the descriptor so the inline path owns the countdown from here.
-  if (t.gen == gen_) {
-    fp->drop_countdown = t.countdown;
-    t.countdown = 0;
-  }
-  return admitted;
-}
-
 bool Gate::admit_slow(Tls& t, const void* addr) {
   if (t.gen != gen_) {
     // First access through this gate on this thread (or the gate was
@@ -265,10 +217,7 @@ bool Gate::admit_slow(Tls& t, const void* addr) {
 
   // Countdown expired: this access is a sample point. Flush the skip
   // tally, draw the next gap, and give the adaptive table its say.
-  if (t.skipped > 0) {
-    skipped_.fetch_add(t.skipped, std::memory_order_relaxed);
-    t.skipped = 0;
-  }
+  credit_skips(t);
   draw_gap(t);
 
   // The controller window advances per slow-path entry, cooled-out or

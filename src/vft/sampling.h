@@ -8,11 +8,9 @@
 // layer samples only a fraction of memory accesses while keeping every
 // synchronization event (locks, fork/join, volatiles, barriers) exactly
 // tracked, so vector clocks stay precise for the accesses that *are*
-// analyzed. A sampled-out access either updates only the 64-bit packed
-// shadow cell (policy `cell`: last-access metadata stays fresh, so a later
-// sampled access still races against it) or touches nothing at all
-// (policy `drop`: the ABI entry point returns before even the session
-// dispatch). Neither ever spills, escalates, or touches a VarState.
+// analyzed. A sampled-out access updates only its 64-bit packed shadow
+// cell: last-access metadata stays fresh, so a later sampled access still
+// races against it. It never spills, escalates, or touches a VarState.
 //
 // Three cooperating mechanisms (docs/ALGORITHM.md s14):
 //
@@ -42,8 +40,7 @@
 //
 // Configuration (read once at session-backend creation):
 //   VFT_SAMPLING  "on" | "off" | comma list of key=value:
-//                 rate=0.02 policy=cell|drop adaptive=0|1 seed=7
-//                 (any key implies "on")
+//                 rate=0.02,adaptive=0|1,seed=7 (any key implies "on")
 //   VFT_BUDGET    target overhead percent, e.g. "5" or "5%"; implies
 //                 sampling on with the controller driving the rate.
 #pragma once
@@ -53,20 +50,12 @@
 #include <cstdint>
 #include <string>
 
-#include "vft/fastpath_ctx.h"
-
 namespace vft::sampling {
 
 struct Config {
-  enum class Policy : std::uint8_t {
-    kCell,  ///< sampled-out accesses update only the packed cell
-    kDrop,  ///< sampled-out accesses touch nothing (ABI early exit)
-  };
-
   bool enabled = false;
   double rate = 1.0;        ///< initial global sampling rate (0, 1]
   double budget_pct = 0.0;  ///< target overhead percent; 0: controller off
-  Policy policy = Policy::kCell;
   bool adaptive = true;     ///< per-page/PC cooldown table armed
   std::uint64_t seed = 1;   ///< per-process RNG seed (threads decorrelate)
 };
@@ -83,7 +72,7 @@ bool parse_config(const char* sampling_spec, const char* budget_spec,
 /// tracking).
 Config config_from_env();
 
-/// "policy=cell rate=0.0213 budget=5" - the effective-config line for run
+/// "rate=0.0213 adaptive=1 seed=1" - the effective-config line for run
 /// banners and logs.
 std::string describe(const Config& cfg);
 
@@ -95,38 +84,18 @@ struct Stats {
   std::uint64_t cooled_out = 0;    ///< skips due to a cooled page entry
   std::uint64_t reheats = 0;       ///< table resets from spill/race/free
   std::uint64_t overhead_ns = 0;   ///< extrapolated detector self-time
-  std::uint64_t busy_ns = 0;       ///< process CPU time since gate install
+  std::uint64_t busy_ns = 0;       ///< process CPU time since gate creation
   std::uint64_t adjustments = 0;   ///< controller windows applied
   double rate = 1.0;               ///< current global rate
   double overhead_pct = 0.0;       ///< overhead_ns / busy_ns, percent
 };
 
-/// The process-global sampling gate. Leaked like the Session that owns
-/// its lifetime decisions: detached target threads may consult it during
-/// static destruction.
+/// The sampling gate. The Session owns it beside the backend it gates:
+/// built before the backend, destroyed after it. Threads hold no pointer
+/// to it - only the generation tag in their thread-local countdown.
 class Gate {
  public:
   explicit Gate(const Config& cfg);
-
-  /// The active gate, or nullptr when sampling is off. Installed by the
-  /// session factory (runtime/session.cpp) before any gated access can
-  /// run; replaced only by Session::reset() + re-creation (tests).
-  static Gate* active() { return g_active.load(std::memory_order_acquire); }
-
-  /// Make `g` (may be nullptr) the active gate. Publication only - the
-  /// caller owns construction; previous gates leak by design (a stale
-  /// TLS countdown can still reference one mid-access).
-  static void install(Gate* g) {
-    g_active.store(g, std::memory_order_release);
-    g_drop.store(g != nullptr && g->cfg_.policy == Config::Policy::kDrop,
-                 std::memory_order_release);
-  }
-
-  /// True iff the active gate runs the drop policy (the ABI early exit's
-  /// one-load predicate).
-  static bool drop_policy_active() {
-    return g_drop.load(std::memory_order_acquire);
-  }
 
   const Config& config() const { return cfg_; }
 
@@ -154,35 +123,6 @@ class Gate {
     return admit_slow(t, addr);
   }
 
-  /// Probe-less admission for callers with nothing to bracket (the drop
-  /// policy's ABI early exit): the gate's own slow-path cost is charged
-  /// immediately; the (dropped) access contributes nothing else.
-  bool should_sample(const void* addr) {
-    std::uint64_t probe = 0;
-    const bool s = should_sample(addr, &probe);
-    time_end(probe);
-    return s;
-  }
-
-  /// Drop-policy admission through the header-inlined fast path's
-  /// descriptor (vft/fastpath_ctx.h): flushes the skips the inline path
-  /// took on the gate's behalf, decides this access, and transfers the
-  /// freshly drawn geometric countdown INTO the descriptor so subsequent
-  /// sampled-out accesses resolve entirely inline. Returns true when this
-  /// access is admitted. Defined in sampling.cpp.
-  bool admit_and_refill(const void* addr, vft_fastpath_s* fp);
-
-  /// Controller probe for accesses admitted without a gate decision (the
-  /// drop policy's session side treats every arriving access as sampled):
-  /// returns a timestamp token every kProbeEvery-th call, 0 otherwise.
-  std::uint64_t maybe_time_begin() {
-    Tls& t = tls();
-    if (cfg_.budget_pct <= 0.0 ||
-        (++t.sampled_since_probe & (kProbeEvery - 1)) != 0) {
-      return 0;
-    }
-    return now_ns() | 1;
-  }
   void time_end(std::uint64_t token);
 
   // --- reheat hooks (the adaptive table's feedback edges) --------------
@@ -194,11 +134,15 @@ class Gate {
   /// back to full rate (recycled addresses are new variables).
   void on_page_reset(const void* addr, std::size_t size);
 
-  Stats snapshot() const;
+  /// Credit the calling thread's pending skip tally to the shared
+  /// counter. A tally otherwise flushes only at the thread's next sample
+  /// point, so a thread that ends mid-gap calls this on its way out.
+  void flush_skips() {
+    Tls& t = tls();
+    if (t.gen == gen_) credit_skips(t);
+  }
 
-  /// The calibrated timer floor (ns) subtracted from every controller
-  /// probe; exposed for the bench's sampling section.
-  double timer_floor_ns() const { return timer_floor_ns_; }
+  Stats snapshot() const;
 
  private:
   static constexpr std::uint32_t kRateOne = 1u << 20;  ///< fixed-point 1.0
@@ -231,14 +175,17 @@ class Gate {
   static std::uint64_t cpu_now_ns();
 
   bool admit_slow(Tls& t, const void* addr);
+  void credit_skips(Tls& t) {
+    if (t.skipped > 0) {
+      skipped_.fetch_add(t.skipped, std::memory_order_relaxed);
+      t.skipped = 0;
+    }
+  }
   void draw_gap(Tls& t);
   void reheat(const void* addr);
   bool cooled_out(Tls& t, const void* addr);
   void maybe_adjust();
   void calibrate();
-
-  static std::atomic<Gate*> g_active;
-  static std::atomic<bool> g_drop;
 
   const Config cfg_;
   const std::uint64_t gen_;  ///< unique per gate; stale TLS re-syncs

@@ -378,13 +378,16 @@ TEST(AtomicsAbi, BitIdenticalRuleCountersInlineVsOutOfLine) {
 }
 
 TEST(AtomicsAbi, SamplingNeverGatesAtomicEvents) {
-  // A drop-policy rate that skips nearly every plain access must not
-  // skip a single atomic event: a dropped sync edge would manufacture
-  // false races, so atomics run ungated (like mutex events).
+  // A rate that skips nearly every plain access must not skip a single
+  // atomic event: a dropped sync edge would manufacture false races, so
+  // atomics run ungated (like mutex events).
   configure("v2", /*inline_on=*/true, nullptr);
   atomic_workload();
   const auto unsampled = snapshot();
-  configure("v2", /*inline_on=*/true, "rate=0.01 policy=drop adaptive=0");
+  configure("v2", /*inline_on=*/true, "rate=0.01,adaptive=0");
+  // A spec that fails to parse silently falls back to sampling off.
+  vft_sampling_stats_s st;
+  ASSERT_EQ(vft_sampling_stats(&st), 1);
   atomic_workload();
   const auto sampled = snapshot();
   for (const Rule rule : kAtomicRules) {

@@ -4,10 +4,10 @@
 //   equivalence  with the descriptor armed, every rule counter is
 //                bit-identical to the out-of-line path (VFT_FASTPATH=off)
 //                on the same deterministic workload, for all six
-//                detectors, with sampling off and at rate=1 under both
-//                sampling policies - the inline hit performs exactly the
-//                bumps the packed-cell fast path would have performed,
-//                and everything else falls through;
+//                detectors, with sampling off and with the gate on at
+//                rate=1 - the inline hit performs exactly the bumps the
+//                packed-cell fast path would have performed, and
+//                everything else falls through;
 //   retraction   Session::reset() bumps the global generation, clears the
 //                calling thread's descriptor, and withdraws the published
 //                backend before it dies; a re-selected detector publishes
@@ -47,7 +47,9 @@ constexpr const char* kDetectors[] = {"v1",       "v1.5",   "v2",
 
 /// Reconfigure the process-global session: detector, inline fast path
 /// on/off, sampling spec (nullptr: off). Forces backend creation so the
-/// environment is consumed, then zeroes the rule counters.
+/// environment is consumed, then zeroes the rule counters. A spec that
+/// fails to parse falls back to sampling off with only a warning, so a
+/// sampled leg asserts that the gate is really on.
 void configure(const char* detector, bool inline_on, const char* sampling) {
   if (inline_on) {
     unsetenv("VFT_FASTPATH");
@@ -64,6 +66,11 @@ void configure(const char* detector, bool inline_on, const char* sampling) {
   Session::instance().reset();
   Session::instance().backend();
   Session::instance().rule_stats().reset();
+  if (sampling != nullptr) {
+    vft_sampling_stats_s st;
+    ASSERT_EQ(vft_sampling_stats(&st), 1) << "gate off under '" << sampling
+                                          << "'";
+  }
 }
 
 /// Leave no fast-path/sampling environment behind for later binaries.
@@ -131,10 +138,8 @@ std::array<std::uint64_t, RuleStats::kN> snapshot() {
 
 TEST(FastpathDifferential, BitIdenticalRuleCountersAcrossDetectors) {
   // nullptr: sampling off (the inline cell path is live for spillable
-  // detectors). rate=1 cell: gate active, descriptor never arms. rate=1
-  // drop: only the countdown half arms, and at full rate it never skips.
-  const char* kSampling[] = {nullptr, "rate=1 policy=cell adaptive=0",
-                             "rate=1 policy=drop adaptive=0"};
+  // detectors). rate=1: gate active, so the descriptor never arms.
+  const char* kSampling[] = {nullptr, "rate=1,adaptive=0"};
   for (const char* det : kDetectors) {
     for (const char* sampling : kSampling) {
       SCOPED_TRACE(std::string(det) + " / " +

@@ -217,6 +217,30 @@ TEST(ParseReport, RejectsGarbageAndWrongSchema) {
   EXPECT_NE(err.find("schema"), std::string::npos);
 }
 
+TEST(ParseReport, OlderSamplingBlockWithPolicyKeyStillParses) {
+  // Reports written while the sampling layer had two sampled-out policies
+  // carry a "policy" key; it is ignored on parse and not re-rendered.
+  const std::string text =
+      "{\"schema\": \"vft-report-v2\", \"detector\": \"VerifiedFT-v2\","
+      " \"runs\": 1, \"clean_exit\": true,"
+      " \"sampling\": {\"policy\": \"drop\", \"budget_pct\": 5,"
+      " \"rate0\": 1, \"rate_ppm\": 20000, \"sampled\": 10,"
+      " \"skipped\": 490, \"cooled_out\": 0, \"reheats\": 2,"
+      " \"overhead_ns\": 100, \"busy_ns\": 2000, \"adjustments\": 1},"
+      " \"contexts\": []}";
+  ReportDoc doc;
+  std::string err;
+  ASSERT_TRUE(reportio::parse_report(text, &doc, &err)) << err;
+  ASSERT_TRUE(doc.sampling.enabled);
+  EXPECT_EQ(doc.sampling.budget_pct, 5.0);
+  EXPECT_EQ(doc.sampling.sampled, 10u);
+  EXPECT_EQ(doc.sampling.skipped, 490u);
+  const std::string merged =
+      reportio::render_json(reportio::merge_reports({doc, doc}));
+  EXPECT_EQ(merged.find("\"policy\""), std::string::npos) << merged;
+  EXPECT_NE(merged.find("\"skipped\": 980"), std::string::npos) << merged;
+}
+
 TEST(ParseReport, RenderParseRoundTripPreservesEverything) {
   RaceCollector c;
   c.name_var(5, "Account.balance \"quoted\"");

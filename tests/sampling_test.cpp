@@ -16,7 +16,8 @@
 //               workload, with the rate throttled below 1.
 //
 // Plus the config grammar, the adaptive cooldown/reheat state machine,
-// and the report/stats plumbing the `vft run` banner scrapes.
+// the skip accounting of threads that end mid-gap, and the report/stats
+// plumbing the `vft run` banner scrapes.
 //
 // Tests share the process-global Session; each reconfigures sampling via
 // the environment and reset() (the gate is re-read from VFT_SAMPLING /
@@ -43,7 +44,9 @@ using vft::Rule;
 using vft::rt::ambient::Session;
 
 /// Reconfigure the process-global session's sampling from scratch.
-/// nullptr spec/budget unsets the variable.
+/// nullptr spec/budget unsets the variable. A spec that fails to parse
+/// falls back to sampling off with only a warning, so a leg that sets
+/// either variable asserts that the gate is really on.
 void configure_sampling(const char* spec, const char* budget = nullptr) {
   if (spec != nullptr) {
     setenv("VFT_SAMPLING", spec, 1);
@@ -57,8 +60,13 @@ void configure_sampling(const char* spec, const char* budget = nullptr) {
   }
   Session::instance().configure("v2");
   Session::instance().reset();
-  Session::instance().backend();  // force creation: publishes the gate
+  Session::instance().backend();  // force creation: builds the gate
   Session::instance().rule_stats().reset();
+  if (spec != nullptr || budget != nullptr) {
+    ASSERT_NE(Session::instance().gate(), nullptr)
+        << "gate off under VFT_SAMPLING='" << (spec ? spec : "")
+        << "' VFT_BUDGET='" << (budget ? budget : "") << "'";
+  }
 }
 
 /// Leave no sampling environment behind for later test binaries.
@@ -145,12 +153,12 @@ std::vector<std::uint64_t> detector_rule_counts() {
 TEST(SamplingConfig, ParsesKeysAndImpliesEnabled) {
   vft::sampling::Config c;
   std::string err;
-  ASSERT_TRUE(vft::sampling::parse_config("rate=0.25,policy=drop,seed=9",
+  ASSERT_TRUE(vft::sampling::parse_config("rate=0.25,adaptive=0,seed=9",
                                           nullptr, &c, &err))
       << err;
   EXPECT_TRUE(c.enabled);
   EXPECT_DOUBLE_EQ(c.rate, 0.25);
-  EXPECT_EQ(c.policy, vft::sampling::Config::Policy::kDrop);
+  EXPECT_FALSE(c.adaptive);
   EXPECT_EQ(c.seed, 9u);
 }
 
@@ -176,6 +184,14 @@ TEST(SamplingConfig, MalformedSpecIsAnError) {
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(
       vft::sampling::parse_config("rate=nope", nullptr, &c, &err));
+  // Retired keys: one sampled-out policy, and the budget has one spelling
+  // (VFT_BUDGET).
+  for (const char* spec : {"policy=cell", "policy=drop", "budget=5"}) {
+    err.clear();
+    EXPECT_FALSE(vft::sampling::parse_config(spec, nullptr, &c, &err))
+        << spec;
+    EXPECT_NE(err.find("unknown key"), std::string::npos) << spec << ": " << err;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -186,7 +202,7 @@ TEST(Sampling, RateOneIsBitIdenticalToNoGateOnDetectorRules) {
   EnvGuard guard;
 
   configure_sampling(nullptr);
-  ASSERT_EQ(vft::sampling::Gate::active(), nullptr);
+  ASSERT_EQ(Session::instance().gate(), nullptr);
   {
     Workload w;
     w.run();
@@ -195,24 +211,19 @@ TEST(Sampling, RateOneIsBitIdenticalToNoGateOnDetectorRules) {
   const auto baseline_races = vft_race_count();
   EXPECT_GE(baseline_races, 1u);
 
-  for (const char* spec :
-       {"rate=1,adaptive=0,policy=cell", "rate=1,adaptive=0,policy=drop"}) {
-    configure_sampling(spec);
-    ASSERT_NE(vft::sampling::Gate::active(), nullptr) << spec;
-    {
-      Workload w;
-      w.run();
-    }
-    const auto gated = detector_rule_counts();
-    ASSERT_EQ(gated.size(), baseline.size());
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      EXPECT_EQ(gated[i], baseline[i])
-          << spec << ": rule " << vft::rule_name(static_cast<Rule>(i));
-    }
-    EXPECT_EQ(Session::instance().rule_stats().count(Rule::kSampledOut), 0u)
-        << spec;
-    EXPECT_EQ(vft_race_count(), baseline_races) << spec;
+  configure_sampling("rate=1,adaptive=0");
+  {
+    Workload w;
+    w.run();
   }
+  const auto gated = detector_rule_counts();
+  ASSERT_EQ(gated.size(), baseline.size());
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    EXPECT_EQ(gated[i], baseline[i])
+        << "rule " << vft::rule_name(static_cast<Rule>(i));
+  }
+  EXPECT_EQ(Session::instance().rule_stats().count(Rule::kSampledOut), 0u);
+  EXPECT_EQ(vft_race_count(), baseline_races);
 }
 
 // ---------------------------------------------------------------------
@@ -255,14 +266,13 @@ TEST(Sampling, RacyDetectedImmediatelyAtDefaultBudget) {
 
 TEST(Sampling, RacyDetectedWithinSeededRunsAtPartialRate) {
   EnvGuard guard;
-  // Fixed quarter rate, cell policy: each racy write is admitted with
-  // p=1/4 independently, so one 8-variable batch detects with
+  // Fixed quarter rate: each racy write is admitted with p=1/4
+  // independently, so one 8-variable batch detects with
   // p ~= 1 - 0.75^8 ~= 0.9 and ten seeds leave a ~1e-10 miss chance.
   int detected_at = -1;
   for (int seed = 0; seed < 10; ++seed) {
     configure_sampling(
-        ("rate=0.25,adaptive=0,policy=cell,seed=" + std::to_string(seed))
-            .c_str());
+        ("rate=0.25,adaptive=0,seed=" + std::to_string(seed)).c_str());
     if (run_race_batch() > 0) {
       detected_at = seed;
       break;
@@ -278,8 +288,7 @@ TEST(Sampling, RacyDetectedWithinSeededRunsAtPartialRate) {
 TEST(Sampling, NoRaceWorkloadSilentUnderSampling) {
   EnvGuard guard;
   for (const char* spec :
-       {"rate=0.5,policy=cell,seed=1", "rate=0.5,policy=drop,seed=2",
-        "rate=0.01,adaptive=1,seed=3"}) {
+       {"rate=0.5,seed=1", "rate=0.5,seed=2", "rate=0.01,adaptive=1,seed=3"}) {
     configure_sampling(spec);
     // Disjoint per-thread sweeps plus a lock-ordered shared counter. The
     // ABI lock hooks fire inside a *held* real mutex (the contract: the
@@ -346,20 +355,20 @@ TEST(Sampling, AdaptiveCoolsHotCleanRegionAndFreeHintReheats) {
   // discarding sample points.
   static long hot = 0;
   for (int i = 0; i < 20000; ++i) vft_read8(&hot);
-  vft::sampling::Stats s1 = vft::sampling::Gate::active()->snapshot();
+  vft::sampling::Stats s1 = Session::instance().gate()->snapshot();
   EXPECT_GT(s1.cooled_out, 0u) << "clean hot page never cooled";
 
   // Freeing the page recycles its addresses: the cooled entry must go
   // back to full rate.
   vft_free_hint(&hot, sizeof(hot));
-  vft::sampling::Stats s2 = vft::sampling::Gate::active()->snapshot();
+  vft::sampling::Stats s2 = Session::instance().gate()->snapshot();
   EXPECT_GT(s2.reheats, s1.reheats) << "free hint did not reheat the page";
 }
 
 TEST(Sampling, SpillReheatsThePage) {
   EnvGuard guard;
   configure_sampling("rate=1,adaptive=1,seed=6");
-  vft::sampling::Gate* g = vft::sampling::Gate::active();
+  vft::sampling::Gate* g = Session::instance().gate();
   ASSERT_NE(g, nullptr);
   const std::uint64_t before = g->snapshot().reheats;
 
@@ -394,13 +403,38 @@ TEST(Sampling, StatsAbiDisabledAndEnabled) {
   EXPECT_EQ(st.sampled, 0u);
   EXPECT_STREQ(vft_sampling_describe(), "off");
 
-  configure_sampling("rate=0.5,policy=drop,seed=4");
+  configure_sampling("rate=0.5,seed=4");
   static long x = 0;
   for (int i = 0; i < 1000; ++i) vft_read8(&x);
   ASSERT_EQ(vft_sampling_stats(&st), 1);
   EXPECT_GT(st.sampled + st.skipped, 0u);
   const std::string desc = vft_sampling_describe();
-  EXPECT_NE(desc.find("drop"), std::string::npos) << desc;
+  EXPECT_NE(desc.find("rate=0.5"), std::string::npos) << desc;
+  EXPECT_EQ(desc.find("policy"), std::string::npos) << desc;
+}
+
+TEST(Sampling, ThreadsEndingMidGapKeepTheirSkips) {
+  EnvGuard guard;
+  // Each thread counts its skips in a thread-local tally that otherwise
+  // reaches the shared counter only at its next sample point; at rate
+  // 0.01 every thread ends mid-gap, so detach must flush the remainder.
+  configure_sampling("rate=0.01,adaptive=0,seed=3");
+  constexpr int kThreads = 4;
+  constexpr int kReads = 1000;
+  static long lanes[kThreads];
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([i] {
+      for (int r = 0; r < kReads; ++r) vft_read8(&lanes[i]);
+      vft_detach();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  vft_sampling_stats_s st;
+  ASSERT_EQ(vft_sampling_stats(&st), 1);
+  EXPECT_EQ(st.sampled + st.skipped,
+            static_cast<std::uint64_t>(kThreads) * kReads)
+      << "sampled=" << st.sampled << " skipped=" << st.skipped;
 }
 
 TEST(Sampling, ReportCarriesSamplingBlockOnlyWhenEnabled) {
@@ -417,7 +451,8 @@ TEST(Sampling, ReportCarriesSamplingBlockOnlyWhenEnabled) {
   std::string on =
       vft::reportio::render_json(Session::instance().report_doc());
   EXPECT_NE(on.find("\"sampling\""), std::string::npos);
-  EXPECT_NE(on.find("\"policy\": \"cell\""), std::string::npos) << on;
+  EXPECT_NE(on.find("\"rate0\": 0.5"), std::string::npos) << on;
+  EXPECT_EQ(on.find("\"policy\""), std::string::npos) << on;
   EXPECT_NE(on.find("\"achieved_rate\""), std::string::npos);
 }
 

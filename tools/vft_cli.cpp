@@ -48,7 +48,7 @@
 //       the examples/native corpus runs under ctest and CI. --budget PCT
 //       (VFT_BUDGET) arms the always-on sampling mode with a target
 //       overhead; --sampling SPEC (VFT_SAMPLING, e.g.
-//       "rate=0.02,policy=drop,seed=7") sets the gate directly. The
+//       "rate=0.02,seed=7") sets the gate directly. The
 //       effective configuration is echoed in the banner and recorded in
 //       the JSON report's "sampling" object.
 //
