@@ -24,12 +24,12 @@
  *
  * The cell load is an acquire load, matching the out-of-line packed_access
  * ordering. A hit only increments a plain thread-local tally in the
- * descriptor (two shared-counter RMWs per access would cost more
- * than the dispatch the inline path saves); the runtime flushes the
- * tallies into the session's RuleStats at every slow-path entry, re-arm,
- * and detach, so at any quiescent observation point the counters are
- * bit-identical to the out-of-line path's (asserted by
- * tests/fastpath_test.cpp).
+ * descriptor (two locked adds per access, even on the thread's own
+ * counter shard, would cost more than the dispatch the inline path
+ * saves); the runtime flushes the tallies into the thread's shard of the
+ * session's RuleStats at every slow-path entry, re-arm, and detach, so at
+ * any quiescent observation point the counters are bit-identical to the
+ * out-of-line path's (asserted by tests/fastpath_test.cpp).
  *
  * Under VFT_SCHED every shared access must pass through the announce/park
  * seam, which the inline path bypasses by design; the try-functions

@@ -37,17 +37,6 @@ namespace vft::rt {
 template <typename D>
 inline constexpr bool kInstrumented = !std::is_same_v<D, NullTool>;
 
-/// Bump a RuleStats counter through a tool that exposes one (the
-/// DetectorBase family); a no-op for tools without a stats() accessor.
-/// Lets the wrappers count the Section 7 sync extras (volatile accesses,
-/// barrier arrivals) that bypass the detector's handler interface.
-template <typename Tool>
-inline void count_sync_rule(Tool& tool, Rule r) {
-  if constexpr (requires { tool.stats(); }) {
-    if (RuleStats* s = tool.stats()) s->bump(r);
-  }
-}
-
 /// True when D's VarState can back the packed-cell fast path (all six
 /// production detectors; NullTool has nothing to spill to).
 template <typename D>
@@ -345,7 +334,7 @@ class Volatile {
         std::scoped_lock lk(mu_);
         st.join(vc_);
       }  // else [Volatile Same Epoch]: vc_ <= st.V already, join skipped
-      count_sync_rule(rt_->tool(), Rule::kVolRead);
+      bump_rule(rt_->tool(), Rule::kVolRead);
     }
     return v;
   }
@@ -381,7 +370,7 @@ class Volatile {
         VFT_SCHED_POINT(kStore, &fast_epoch_);
         fast_epoch_.store(armed, std::memory_order_release);
       }
-      count_sync_rule(rt_->tool(), Rule::kVolWrite);
+      bump_rule(rt_->tool(), Rule::kVolWrite);
     }
     if (!value_published) {
       VFT_SCHED_POINT(kStore, &data_);
@@ -438,7 +427,7 @@ class Barrier {
       ThreadState& st = rt_->self();
       st.join(released_);
       st.inc();  // departures start a new epoch, like a release
-      count_sync_rule(rt_->tool(), Rule::kBarrier);
+      bump_rule(rt_->tool(), Rule::kBarrier);
     }
   }
 

@@ -133,19 +133,6 @@ class SessionImpl final : public SessionBackend {
     // controller probes (starving the overhead budget).
     fastpath_arm_ =
         gate_ == nullptr && stats != nullptr && fastpath_env_enabled();
-    if (stats != nullptr) {
-      static_assert(sizeof(std::atomic<std::uint64_t>) ==
-                    sizeof(std::uint64_t));
-      static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
-      rule_read_hit_[0] = reinterpret_cast<std::uint64_t*>(
-          stats->counter_addr(Rule::kReadSameEpoch));
-      rule_read_hit_[1] = reinterpret_cast<std::uint64_t*>(
-          stats->counter_addr(Rule::kFastReadHit));
-      rule_write_hit_[0] = reinterpret_cast<std::uint64_t*>(
-          stats->counter_addr(Rule::kWriteSameEpoch));
-      rule_write_hit_[1] = reinterpret_cast<std::uint64_t*>(
-          stats->counter_addr(Rule::kFastWriteHit));
-    }
   }
 
   /// The typed runtime, for same-detector callers (ambient wrappers,
@@ -319,7 +306,8 @@ class SessionImpl final : public SessionBackend {
   void thread_begin(std::uint64_t token) override {
     // A fresh binding must not inherit a descriptor. Tallies a previous
     // same-OS-thread binding left behind are still credited (the rule
-    // pointers outlive bindings - they target the Session's RuleStats).
+    // pointers outlive bindings - they target this OS thread's shard of
+    // the Session's RuleStats).
     if (vft_tl_fastpath.gen == generation_) {
       vft_fastpath_flush_hits(&vft_tl_fastpath);
     }
@@ -424,11 +412,11 @@ class SessionImpl final : public SessionBackend {
 
   /// Arm the calling thread's header-inlined descriptor
   /// (vft/fastpath_ctx.h) for the page just accessed: cache the epoch
-  /// pointer, the page's cell array, and the rule counters, then
-  /// generation-stamp the descriptor live. Called after the access, so
-  /// a same-address follow-up resolves inline against the {R, W} this
-  /// access just recorded. Cheap re-arm check first: same page, same
-  /// thread binding, still-live generation.
+  /// pointer and the page's cell array, then generation-stamp the
+  /// descriptor live. Called after the access, so a same-address
+  /// follow-up resolves inline against the {R, W} this access just
+  /// recorded. Cheap re-arm check first: same page, same thread binding,
+  /// still-live generation.
   void arm_fastpath(ThreadState& ts, const void* addr) {
     if (!fastpath_arm_) return;
     vft_fastpath_s& fp = vft_tl_fastpath;
@@ -442,23 +430,34 @@ class SessionImpl final : public SessionBackend {
       // Page-switch re-arm: credit pending tallies before the rewrite.
       vft_fastpath_flush_hits(&fp);
     } else {
-      // Stale descriptor from an older backend: its tallies were accrued
-      // against counters that have since been reset - drop them.
+      // Stale or cleared descriptor. Stale tallies were accrued against
+      // counters that have since been reset - drop them. The flush targets
+      // are this thread's own counter shard, which never changes for an
+      // OS thread, so only this stamp has to fill them in.
       fp.hit_reads = 0;
       fp.hit_writes = 0;
+      RuleStats& stats = *rt_.tool().stats();
+      fp.rule_read[0] = counter(stats, Rule::kReadSameEpoch);
+      fp.rule_read[1] = counter(stats, Rule::kFastReadHit);
+      fp.rule_write[0] = counter(stats, Rule::kWriteSameEpoch);
+      fp.rule_write[1] = counter(stats, Rule::kFastWriteHit);
     }
     fp.epoch_addr = ts.epoch_bits_addr();
     fp.page_base = base;
     fp.cells = packed_.page_cells(base);
-    fp.rule_read[0] = rule_read_hit_[0];
-    fp.rule_read[1] = rule_read_hit_[1];
-    fp.rule_write[0] = rule_write_hit_[0];
-    fp.rule_write[1] = rule_write_hit_[1];
     // generation_ snapshots the global at backend creation; if a reset
     // bumped the global since, this stamp leaves the descriptor stale and
     // the inline path keeps falling through - correct, since this backend
     // is being torn down.
     fp.gen = generation_;
+  }
+
+  /// The calling thread's shard of rule `r`'s counter, as the plain
+  /// integer the C descriptor holds.
+  static std::uint64_t* counter(RuleStats& stats, Rule r) {
+    static_assert(sizeof(std::atomic<std::uint64_t>) == sizeof(std::uint64_t));
+    static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
+    return reinterpret_cast<std::uint64_t*>(stats.counter_addr(r));
   }
 
   /// The calling thread's state, attaching implicitly on first contact.
@@ -526,8 +525,6 @@ class SessionImpl final : public SessionBackend {
   const std::uint64_t generation_ =
       __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
   bool fastpath_arm_ = false;  ///< ungated + stats + env allow arming
-  std::uint64_t* rule_read_hit_[2] = {nullptr, nullptr};
-  std::uint64_t* rule_write_hit_[2] = {nullptr, nullptr};
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, ThreadRecord> records_;

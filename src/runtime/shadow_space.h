@@ -50,6 +50,7 @@
 
 #include "vft/detector.h"
 #include "vft/packed_cell.h"
+#include "vft/stats.h"
 #include "vft/vc_simd.h"
 
 namespace vft::rt {
@@ -187,9 +188,7 @@ class PageDirectory {
   std::size_t collisions() const {
     return collisions_.load(std::memory_order_relaxed);
   }
-  std::size_t cache_misses() const {
-    return cache_misses_.load(std::memory_order_relaxed);
-  }
+  std::size_t cache_misses() const { return cache_misses_.sum(0); }
 
  private:
   /// One-entry per-thread lookup cache (per PageT instantiation).
@@ -209,7 +208,7 @@ class PageDirectory {
   __attribute__((noinline, cold))
 #endif
   PageT& page_miss(std::uintptr_t base) {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    cache_misses_.add(0);
     std::atomic<PageT*>& head = buckets_[Geometry::bucket_of(base)];
     PageT* p = head.load(std::memory_order_acquire);
     while (p != nullptr && p->base != base) {
@@ -251,11 +250,10 @@ class PageDirectory {
   std::unique_ptr<std::atomic<PageT*>[]> buckets_;
   std::atomic<std::size_t> pages_{0};
   std::atomic<std::size_t> collisions_{0};
-  /// Every thread bumps this on each cache miss, while every lookup reads
-  /// id_ and every miss reads buckets_: its own cache line keeps those
-  /// reads from missing on it. Sharing the line or not otherwise depends
-  /// on where the heap happens to place the directory.
-  alignas(64) std::atomic<std::size_t> cache_misses_{0};
+  /// Bumped on every cache miss, by every thread, so each thread bumps its
+  /// own shard: a sweep that alternates between pages misses on each
+  /// switch.
+  ShardedCounters<1> cache_misses_;
 };
 
 /// Packed-cell shadow space: 16 bytes of page payload per target word (an

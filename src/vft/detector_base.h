@@ -148,7 +148,10 @@ class DetectorBase {
   RuleStats* stats() const { return stats_; }
 
  protected:
-  void count(Rule r) {
+  /// Forced inline: with the sharded bump behind it the inliner would
+  /// otherwise call count() out of line, and a detector with no RuleStats
+  /// would pay a call per handler instead of one branch.
+  [[gnu::always_inline]] void count(Rule r) {
     if (stats_ != nullptr) stats_->bump(r);
   }
 

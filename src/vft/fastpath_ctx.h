@@ -13,9 +13,10 @@
  * per-thread teardown is needed. `epoch_addr` points at the owning
  * thread's cached epoch (only the owner mutates it, so it is always
  * fresh); `cells` points at the packed-cell array of the shadow page
- * covering `page_base`; the rule pointers target the session's RuleStats
- * counters so an inline hit bumps exactly what the out-of-line path
- * would.
+ * covering `page_base`; the rule pointers target the owning thread's
+ * shard of the session's RuleStats counters (filled in when the owner
+ * stamps a stale or cleared descriptor), so an inline hit bumps exactly
+ * what the out-of-line path would.
  *
  * Plain C so the preload library can use it with no C++ dependency.
  * Defined in vft/stack.cpp next to the event context it complements.
@@ -43,12 +44,12 @@ typedef struct vft_fastpath_s {
   uint64_t* rule_write[2];    /* counters credited with flushed write hits */
 } vft_fastpath_s;
 
-/* Credit the descriptor's pending inline hits to the session's rule
- * counters (the same relaxed adds the out-of-line path performs, in bulk)
- * and zero them. The inline hit itself only increments the plain
- * thread-local tallies - a shared-counter RMW per access would cost more
- * than the dispatch it saves - so the runtime flushes here at every
- * slow-path entry, re-arm, and thread detach. At any point where the
+/* Credit the descriptor's pending inline hits to the owning thread's
+ * counter shard (the same relaxed adds the out-of-line path performs, in
+ * bulk) and zero them. The inline hit itself only increments the plain
+ * thread-local tallies - even an uncontended locked add per access would
+ * cost more than the dispatch it saves - so the runtime flushes here at
+ * every slow-path entry, re-arm, and thread detach. At any point where the
  * descriptor is quiescent the counters are bit-identical to the
  * out-of-line path's. Callers must have validated `gen` (stale pointers
  * are never dereferenced; a cleared descriptor has zero tallies). */

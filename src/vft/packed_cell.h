@@ -72,8 +72,9 @@ concept SpillableVarState = requires(VS& v, Epoch e) {
 };
 
 /// Bump a RuleStats counter through any tool exposing a stats() accessor
-/// (the DetectorBase family); no-op otherwise. The fast path lives outside
-/// the detector handlers, so it must do its own rule accounting.
+/// (the DetectorBase family); no-op otherwise. The fast path and the
+/// Section 7 sync extras (rt::Volatile, rt::Barrier) live outside the
+/// detector handlers, so they do their own rule accounting through here.
 template <typename Tool>
 inline void bump_rule(Tool& tool, Rule r) {
   if constexpr (requires { tool.stats(); }) {

@@ -4,13 +4,14 @@
 //
 // Every detector carries an optional RuleStats pointer; when unset (the
 // default, and the Table 1 configuration) the only cost is one predictable
-// branch per handler exit. When set, counters are relaxed atomics so that
-// inline handlers in different target threads can bump them without
-// synchronizing.
+// branch per handler exit. When set, each thread bumps its own shard of
+// the counters (ShardedCounters below), so inline handlers in different
+// target threads never write a shared cache line; a read sums the shards.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -95,47 +96,121 @@ inline const char* rule_name(Rule r) {
   }
 }
 
+/// The calling thread's counter shard index, shared by every
+/// ShardedCounters: a process-wide counter hands it out on the thread's
+/// first add, modulo kCount, so threads beyond kCount (or, under thread
+/// churn, a later thread whose index wrapped) share a shard with an
+/// earlier one - they contend on it, but every add still lands exactly
+/// once.
+class CounterShard {
+ public:
+  static constexpr std::uint32_t kCount = 64;  ///< a power of two
+  static_assert((kCount & (kCount - 1)) == 0);
+
+  static std::uint32_t mine() {
+    const std::uint32_t i = tl_index_;
+    return i != kNone ? i : assign();
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((noinline, cold))
+#endif
+  static std::uint32_t assign() {
+    const std::uint32_t i =
+        next_.fetch_add(1, std::memory_order_relaxed) & (kCount - 1);
+    tl_index_ = i;
+    return i;
+  }
+
+  /// constinit: every TU reads the TLS slot directly, with no
+  /// dynamic-init wrapper call (as PageDirectory::tl_cache_).
+  inline static constinit thread_local std::uint32_t tl_index_ = kNone;
+  inline static std::atomic<std::uint32_t> next_{0};
+};
+
+/// N counters, kept as one cache-line-aligned shard per CounterShard
+/// index and summed only when read. An add is a relaxed fetch_add on the
+/// calling thread's own shard - atomic only because a shard can be
+/// shared (see CounterShard) - so threads bumping the same counter never
+/// write the same line. A sum is exact at every quiescent point (no add
+/// in flight); reset() is quiescent-only.
+template <std::size_t N>
+class ShardedCounters {
+ public:
+  void add(std::size_t i, std::uint64_t n = 1) {
+    mine()[i].fetch_add(n, std::memory_order_relaxed);
+  }
+
+  /// Counter i of the calling thread's shard.
+  std::atomic<std::uint64_t>* addr(std::size_t i) { return &mine()[i]; }
+
+  std::uint64_t sum(std::size_t i) const {
+    std::uint64_t n = 0;
+    for (const Shard& s : shards_) n += s.c[i].load(std::memory_order_relaxed);
+    return n;
+  }
+
+  void reset() {
+    for (Shard& s : shards_) {
+      for (auto& c : s.c) c.store(0, std::memory_order_relaxed);
+    }
+  }
+
+ private:
+  struct alignas(64) Shard {
+    std::array<std::atomic<std::uint64_t>, N> c{};
+  };
+
+  std::array<std::atomic<std::uint64_t>, N>& mine() {
+    return shards_[CounterShard::mine()].c;
+  }
+
+  std::array<Shard, CounterShard::kCount> shards_{};
+};
+
 class RuleStats {
  public:
   static constexpr std::size_t kN = static_cast<std::size_t>(Rule::kNumRules);
 
-  void bump(Rule r) {
-    counts_[static_cast<std::size_t>(r)].fetch_add(1, std::memory_order_relaxed);
-  }
+  void bump(Rule r) { counts_.add(static_cast<std::size_t>(r)); }
 
   /// Bulk bump: n observations of the same rule in one relaxed add. Used by
   /// the SIMD range kernels, which resolve a whole prefix of cells at once.
   void bump(Rule r, std::uint64_t n) {
-    counts_[static_cast<std::size_t>(r)].fetch_add(n, std::memory_order_relaxed);
+    counts_.add(static_cast<std::size_t>(r), n);
   }
 
-  /// Address of a rule's counter, for the header-inlined ABI fast path: the
-  /// inline hit bumps the counter through this pointer (same relaxed
-  /// fetch_add the out-of-line path performs), keeping the fast/slow paths
-  /// bit-identical on every counter without a flush protocol.
+  /// Address of a rule's counter in the *calling thread's* shard, for the
+  /// header-inlined ABI fast path: the thread that arms its descriptor
+  /// flushes its inline hits through this pointer (the same relaxed
+  /// fetch_add bump() performs), keeping the fast/slow paths bit-identical
+  /// on every counter. Only the calling thread should add through it; any
+  /// thread's adds still count exactly once.
   std::atomic<std::uint64_t>* counter_addr(Rule r) {
-    return &counts_[static_cast<std::size_t>(r)];
+    return counts_.addr(static_cast<std::size_t>(r));
   }
 
   std::uint64_t count(Rule r) const {
-    return counts_[static_cast<std::size_t>(r)].load(std::memory_order_relaxed);
+    return counts_.sum(static_cast<std::size_t>(r));
   }
 
   /// Total read+write accesses (excludes sync operations).
   std::uint64_t total_accesses() const {
     std::uint64_t n = 0;
     for (std::size_t i = 0; i <= static_cast<std::size_t>(Rule::kSharedWriteRace); ++i) {
-      n += counts_[i].load(std::memory_order_relaxed);
+      n += counts_.sum(i);
     }
     return n;
   }
 
-  void reset() {
-    for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  }
+  /// Quiescent-only: an add racing the reset may survive it.
+  void reset() { counts_.reset(); }
 
  private:
-  std::array<std::atomic<std::uint64_t>, kN> counts_{};
+  ShardedCounters<kN> counts_;
 };
 
 }  // namespace vft

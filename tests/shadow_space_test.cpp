@@ -81,6 +81,30 @@ TEST(ShadowSpace, ConcurrentLookupsAgreeOnOverlappingAddresses) {
   EXPECT_LE(space.pages(), kWords / Geometry::kSlotsPerPage + 2);
 }
 
+// Every thread counts its own page-cache misses; the stats sum them. A
+// fresh thread's one-entry cache is empty, and alternating between two
+// pages evicts it on every lookup, so each thread misses exactly twice
+// per round.
+TEST(ShadowSpace, CacheMissesSumAcrossThreads) {
+  PackedShadowSpace<VftV2> space;
+  std::vector<std::uint64_t> buf(2 * Geometry::kSlotsPerPage);
+  const void* page_a = buf.data();
+  const void* page_b = buf.data() + Geometry::kSlotsPerPage;
+  constexpr std::size_t kThreads = 6;
+  constexpr std::size_t kRounds = 500;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (std::size_t k = 0; k < kRounds; ++k) {
+        (void)space.cell_of(page_a);
+        (void)space.cell_of(page_b);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(space.stats().cache_misses, kThreads * 2 * kRounds);
+}
+
 TEST(ShadowSpace, RangeVariantsWalkWords) {
   RaceCollector rc;
   RuleStats stats;

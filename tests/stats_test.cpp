@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "trace/replay.h"
 #include "trace/trace.h"
 #include "vft/detector.h"
@@ -67,6 +71,60 @@ TEST(RuleStats, ResetZeroesEverything) {
   EXPECT_EQ(stats.count(Rule::kReadSameEpoch), 0u);
   EXPECT_EQ(stats.count(Rule::kFork), 0u);
   EXPECT_EQ(stats.total_accesses(), 0u);
+}
+
+// More threads than shards, all live at once, so some of them share a
+// shard and contend on it: every count must still be exact once they are
+// joined, single and bulk bumps alike, and reset() must clear all shards.
+TEST(RuleStats, ConcurrentBumpsSumExactly) {
+  RuleStats stats;
+  constexpr std::uint32_t kThreads = CounterShard::kCount + 16;
+  constexpr std::uint64_t kSingle = 300;  // bump(r) calls per rule
+  constexpr std::uint64_t kBulk = 7;      // bump(r, n) calls per rule
+  std::atomic<std::uint32_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (std::size_t r = 0; r < RuleStats::kN; ++r) {
+        const Rule rule = static_cast<Rule>(r);
+        for (std::uint64_t i = 0; i < kSingle; ++i) stats.bump(rule);
+        for (std::uint64_t i = 0; i < kBulk; ++i) stats.bump(rule, t + 1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  // Each thread t adds kSingle + kBulk * (t + 1) to every rule.
+  const std::uint64_t per_rule =
+      kThreads * kSingle + kBulk * kThreads * (kThreads + 1) / 2;
+  for (std::size_t r = 0; r < RuleStats::kN; ++r) {
+    const Rule rule = static_cast<Rule>(r);
+    EXPECT_EQ(stats.count(rule), per_rule) << rule_name(rule);
+  }
+  const std::size_t access_rules =
+      static_cast<std::size_t>(Rule::kSharedWriteRace) + 1;
+  EXPECT_EQ(stats.total_accesses(), access_rules * per_rule);
+  stats.reset();
+  for (std::size_t r = 0; r < RuleStats::kN; ++r) {
+    EXPECT_EQ(stats.count(static_cast<Rule>(r)), 0u);
+  }
+  EXPECT_EQ(stats.total_accesses(), 0u);
+}
+
+// counter_addr is the calling thread's own counter: two fresh threads get
+// distinct addresses, and an add through each counts exactly once.
+TEST(RuleStats, CounterAddrIsPerThread) {
+  RuleStats stats;
+  std::atomic<std::uint64_t>* addr[2] = {nullptr, nullptr};
+  for (auto* slot : {&addr[0], &addr[1]}) {
+    std::thread([&stats, slot] {
+      *slot = stats.counter_addr(Rule::kFastReadHit);
+      (*slot)->fetch_add(1, std::memory_order_relaxed);
+    }).join();
+  }
+  EXPECT_NE(addr[0], addr[1]);
+  EXPECT_EQ(stats.count(Rule::kFastReadHit), 2u);
 }
 
 TEST(RuleStats, NullStatsPointerIsSafe) {

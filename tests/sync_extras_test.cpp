@@ -124,6 +124,25 @@ TEST(RecursiveMutex, StillOrdersCriticalSections) {
   EXPECT_TRUE(rc.empty()) << rc.first()->str();
 }
 
+// The Section 7 sync extras bypass the detector's handlers and count
+// their own rules: each operation bumps its counter exactly once.
+TEST(SyncExtrasRules, VolatileAndBarrierBumpTheirRulesOnce) {
+  RaceCollector rc;
+  RuleStats stats;
+  Runtime<VftV2> R{VftV2(&rc, &stats)};
+  Runtime<VftV2>::MainScope scope(R);
+  Volatile<int, VftV2> flag(R, 0);
+  Barrier<VftV2> barrier(R, 1);
+  (void)flag.load();
+  EXPECT_EQ(stats.count(Rule::kVolRead), 1u);
+  flag.store(1);
+  EXPECT_EQ(stats.count(Rule::kVolWrite), 1u);
+  barrier.arrive_and_wait();
+  EXPECT_EQ(stats.count(Rule::kBarrier), 1u);
+  EXPECT_EQ(stats.count(Rule::kVolRead), 1u);
+  EXPECT_EQ(stats.count(Rule::kVolWrite), 1u);
+}
+
 TEST(Once, InitializerHappensBeforeEveryUse) {
   RaceCollector rc;
   Runtime<VftV2> R{VftV2(&rc)};
