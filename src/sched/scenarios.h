@@ -213,7 +213,7 @@ std::optional<std::string> duo_check(S& s, bool second_writes) {
     return "expected exactly one race report, got " +
            std::to_string(reports.size());
   }
-  const RaceReport& r = reports.front();
+  const RaceOccurrence& r = reports.front();
   if (r.var != kX) return "race reported on wrong variable";
   const auto matches = [&](const SpecEnd& e) {
     return e.raced && race_kind_of(e.rule) == r.kind && e.by == r.current_tid;
@@ -306,7 +306,7 @@ inline std::optional<std::string> packed_check(PackedState& s,
         return "expected exactly one race report, got " +
                std::to_string(reports.size());
       }
-      const RaceReport& r = reports.front();
+      const RaceOccurrence& r = reports.front();
       if (r.kind != RaceKind::kWriteWrite || r.var != kX ||
           (r.current_tid != 1 && r.current_tid != 2)) {
         return "write/write race report malformed";
@@ -323,7 +323,7 @@ inline std::optional<std::string> packed_check(PackedState& s,
                std::to_string(reports.size());
       }
       bool saw1 = false, saw2 = false;
-      for (const RaceReport& r : reports) {
+      for (const RaceOccurrence& r : reports) {
         if (r.kind != RaceKind::kWriteRead || r.var != kX) {
           return "missed-race report malformed";
         }
@@ -600,7 +600,7 @@ std::optional<std::string> atomic_handoff_check(S& s, bool relaxed) {
       return "expected exactly one race report, got " +
              std::to_string(reports.size());
     }
-    const RaceReport& rep = reports.front();
+    const RaceOccurrence& rep = reports.front();
     if (rep.kind != RaceKind::kWriteRead || rep.var != kX ||
         rep.current_tid != 2) {
       return "relaxed-handoff race report malformed";

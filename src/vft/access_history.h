@@ -6,7 +6,8 @@
 // only the *current* access has a capturable stack. This layer remembers,
 // per thread id slot, each (variable, kind)'s newest slow-path access -
 // {variable, full epoch, interned stack id} - so the detector can look the
-// prior epoch back up and attach its stack to the report.
+// prior epoch back up and attach its stack to the report that creates an
+// error context (repeats of a known context skip the lookup, report.h).
 //
 // Retention contract: each tid slot keeps its newest record per (variable,
 // access kind), in a direct-mapped table of kSlots slots. That is exactly

@@ -252,33 +252,36 @@ class DetectorBase {
       case RaceKind::kReadWrite: count(Rule::kReadWriteRace); break;
       case RaceKind::kSharedWrite: count(Rule::kSharedWriteRace); break;
     }
-    if (races_ != nullptr) {
-      RaceReport r{kind, var, st.t, prior, st.epoch(), CallStack{},
-                   CallStack{}};
-      // Stack capture is fire-on-race only: the race-free fast path never
-      // reaches this line. Yields an empty stack unless an interposition
-      // boundary armed the per-thread event context (vft/stack.h).
-      r.stack = capture_event_stack();
-      // Look the prior side up in the access history: the prior thread's
-      // record of this variable, matched on the opposite access kind and
-      // the exact full epoch (t@c). Exact matching makes tid-slot reuse
-      // safe: a reused slot continues its predecessor's clock, so the same
-      // t@c can never denote two different accesses. A SHARED prior
-      // (read-shared write race) carries no single epoch and finds
-      // nothing; the report then degrades to a bare epoch, exactly like
-      // pre-history reports.
-      if (history::AccessHistory* h = history::active()) {
-        const history::AccessKind want =
-            (kind == RaceKind::kReadWrite || kind == RaceKind::kSharedWrite)
-                ? history::AccessKind::kRead
-                : history::AccessKind::kWrite;
-        history::Entry pe;
-        if (h->find(var, prior, want, &pe)) {
-          h->stack_of(pe.stack_id, &r.prior_stack);
-        }
+    if (races_ == nullptr) return;
+    const RaceOccurrence o{kind, var, st.t, prior, st.epoch()};
+    // Stack capture is fire-on-race only: the race-free fast path never
+    // reaches this line. Yields an empty stack unless an interposition
+    // boundary armed the per-thread event context (vft/stack.h).
+    const CallStack stack = capture_event_stack();
+    // A repeat of a known context stops here (ALGORITHM.md §13.4): the
+    // prior stack is evidence for a context's first occurrence only (the
+    // keys are current-side only), so nothing below runs again for it.
+    if (races_->fold(o, stack)) return;
+    RaceReport r{o, stack, CallStack{}};
+    // Look the prior side up in the access history: the prior thread's
+    // record of this variable, matched on the opposite access kind and
+    // the exact full epoch (t@c). Exact matching makes tid-slot reuse
+    // safe: a reused slot continues its predecessor's clock, so the same
+    // t@c can never denote two different accesses. A SHARED prior
+    // (read-shared write race) carries no single epoch and finds
+    // nothing; the report then degrades to a bare epoch, exactly like
+    // pre-history reports.
+    if (history::AccessHistory* h = history::active()) {
+      const history::AccessKind want =
+          (kind == RaceKind::kReadWrite || kind == RaceKind::kSharedWrite)
+              ? history::AccessKind::kRead
+              : history::AccessKind::kWrite;
+      history::Entry pe;
+      if (h->find(var, prior, want, &pe)) {
+        h->stack_of(pe.stack_id, &r.prior_stack);
       }
-      races_->report(r);
     }
+    races_->report(r);
   }
 
  private:

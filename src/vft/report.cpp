@@ -26,7 +26,24 @@ std::uint64_t fnv_str(std::uint64_t h, const std::string& s) {
   return fnv_bytes(h, "\0", 1);  // delimiter: "ab","c" != "a","bc"
 }
 
-constexpr std::size_t kFlatCap = 65536;
+// A flat-log entry: 32 bytes keep a full log (kFlatCap entries) at 2 MiB.
+static_assert(sizeof(RaceOccurrence) <= 32);
+
+/// One hash_stack step (vft/stack.h): a whole word per multiply.
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * kFnvPrime;
+}
+
+/// The dedup key: hash_stack over the raw pcs, then the kind.
+std::uint64_t dedup_key(const RaceOccurrence& o, const CallStack& stack) {
+  std::uint64_t h = hash_stack(stack);
+  if (stack.empty()) {
+    // No capture boundary: the variable id is the only locality signal
+    // (and the historical per-variable behaviour the unit suites pin).
+    h = mix(mix(h, 0xA11), o.var);  // domain-separate the two key shapes
+  }
+  return mix(h, static_cast<std::uint64_t>(o.kind));
+}
 
 }  // namespace
 
@@ -40,25 +57,10 @@ const char* race_kind_name(RaceKind k) {
   return "unknown race";
 }
 
-std::string RaceReport::str() const {
+std::string RaceOccurrence::str() const {
   return std::string(race_kind_name(kind)) + " on var " + std::to_string(var) +
          ": thread " + std::to_string(current_tid) + " at " + current.str() +
          " conflicts with prior access at " + prior.str();
-}
-
-std::uint64_t RaceCollector::raw_key(const RaceReport& r) const {
-  std::uint64_t h = fnv_u64(kFnvOffset, static_cast<std::uint64_t>(r.kind));
-  if (r.stack.empty()) {
-    // No capture boundary: the variable id is the only locality signal
-    // (and the historical per-variable behaviour the unit suites pin).
-    h = fnv_u64(h, 0xA11);  // domain-separate the two key shapes
-    h = fnv_u64(h, r.var);
-  } else {
-    for (std::uint8_t i = 0; i < r.stack.depth; ++i) {
-      h = fnv_u64(h, static_cast<std::uint64_t>(r.stack.pc[i]));
-    }
-  }
-  return h;
 }
 
 std::uint64_t RaceCollector::stable_key(
@@ -83,26 +85,47 @@ std::uint64_t RaceCollector::stable_key(
   return h;
 }
 
+RaceCollector::Node* RaceCollector::find(std::uint64_t raw) const {
+  for (Node* n = bucket(raw).load(std::memory_order_acquire); n != nullptr;
+       n = n->next) {
+    if (n->raw == raw) return n;
+  }
+  return nullptr;
+}
+
+void RaceCollector::count_locked(Node& n, const RaceOccurrence& o) {
+  n.count.fetch_add(1, std::memory_order_relaxed);
+  if (n.hidden || flat_.size() >= kFlatCap) return;
+  flat_.push_back(o);
+  if (flat_.size() == kFlatCap) {
+    flat_full_.store(true, std::memory_order_relaxed);
+  }
+}
+
+bool RaceCollector::fold(const RaceOccurrence& o, const CallStack& stack) {
+  Node* n = find(dedup_key(o, stack));
+  if (n == nullptr) return false;
+  if (n->hidden || flat_full_.load(std::memory_order_relaxed)) {
+    n->count.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  std::scoped_lock lk(mu_);
+  count_locked(*n, o);
+  return true;
+}
+
 void RaceCollector::report(const RaceReport& r) {
   std::scoped_lock lk(mu_);
-  const std::uint64_t raw = raw_key(r);
-  if (auto it = index_.find(raw); it != index_.end()) {
-    RaceContext& ctx = contexts_[it->second];
-    ++ctx.count;
-    if (ctx.hidden()) {
-      ++suppressed_;
-      if (ctx.suppressed_by != nullptr) {
-        suppressions_.count_match(*ctx.suppressed_by, 1);
-      }
-    } else if (flat_.size() < kFlatCap) {
-      flat_.push_back(r);
-    }
+  const std::uint64_t raw = dedup_key(r, r.stack);
+  if (Node* n = find(raw)) {
+    // Known context: another thread created it after this occurrence's
+    // fold() missed, or the caller skipped fold().
+    count_locked(*n, r);
     return;
   }
 
   RaceContext ctx;
   ctx.first = r;
-  ctx.count = 1;
   ctx.frames.reserve(r.stack.depth);
   for (std::uint8_t i = 0; i < r.stack.depth; ++i) {
     ctx.frames.push_back(resolve_frame(r.stack.pc[i]));
@@ -126,27 +149,30 @@ void RaceCollector::report(const RaceReport& r) {
        per_var_contexts_[r.var] >= per_var_limit_)) {
     ctx.limit_dropped = true;
   }
-  if (ctx.hidden()) {
-    ++suppressed_;
-    if (ctx.suppressed_by != nullptr) {
-      suppressions_.count_match(*ctx.suppressed_by, 1);
-    }
-  } else {
+
+  Node& n = nodes_.emplace_back();
+  n.raw = raw;
+  n.hidden = ctx.hidden();
+  n.ctx = std::move(ctx);
+  if (!n.hidden) {
     ++visible_contexts_;
     ++per_var_contexts_[r.var];
-    if (flat_.size() < kFlatCap) flat_.push_back(r);
   }
-  index_.emplace(raw, contexts_.size());
-  contexts_.push_back(std::move(ctx));
+  count_locked(n, r);
+  // Publish: every field above is visible to a lookup that acquires this
+  // head. Older nodes behind it were published the same way, earlier.
+  std::atomic<Node*>& head = bucket(raw);
+  n.next = head.load(std::memory_order_relaxed);
+  head.store(&n, std::memory_order_release);
 }
 
 std::size_t RaceCollector::count() const {
   std::scoped_lock lk(mu_);
-  std::size_t n = 0;
-  for (const RaceContext& c : contexts_) {
-    if (!c.hidden()) n += c.count;
+  std::size_t total = 0;
+  for (const Node& n : nodes_) {
+    if (!n.hidden) total += n.count.load(std::memory_order_relaxed);
   }
-  return n;
+  return total;
 }
 
 std::size_t RaceCollector::context_count() const {
@@ -156,41 +182,52 @@ std::size_t RaceCollector::context_count() const {
 
 std::size_t RaceCollector::suppressed() const {
   std::scoped_lock lk(mu_);
-  return suppressed_;
+  std::size_t total = 0;
+  for (const Node& n : nodes_) {
+    if (n.hidden) total += n.count.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 std::vector<RaceContext> RaceCollector::contexts() const {
   std::scoped_lock lk(mu_);
-  return contexts_;
+  std::vector<RaceContext> out;
+  out.reserve(nodes_.size());
+  for (const Node& n : nodes_) {
+    out.push_back(n.ctx);
+    out.back().count = n.count.load(std::memory_order_relaxed);
+  }
+  return out;
 }
 
-std::vector<RaceReport> RaceCollector::all() const {
+std::vector<RaceOccurrence> RaceCollector::all() const {
   std::scoped_lock lk(mu_);
   return flat_;
 }
 
 std::optional<RaceReport> RaceCollector::first() const {
   std::scoped_lock lk(mu_);
-  for (const RaceContext& c : contexts_) {
-    if (!c.hidden()) return c.first;
+  for (const Node& n : nodes_) {
+    if (!n.hidden) return n.ctx.first;
   }
   return std::nullopt;
 }
 
 bool RaceCollector::empty() const {
   std::scoped_lock lk(mu_);
-  return contexts_.empty() && suppressed_ == 0;
+  return nodes_.empty();
 }
 
 void RaceCollector::clear() {
   std::scoped_lock lk(mu_);
-  contexts_.clear();
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    buckets_[b].store(nullptr, std::memory_order_relaxed);
+  }
+  nodes_.clear();
   flat_.clear();
-  index_.clear();
+  flat_full_.store(false, std::memory_order_relaxed);
   per_var_contexts_.clear();
   visible_contexts_ = 0;
-  suppressed_ = 0;
-  for (const SuppressionRule& r : suppressions_.rules()) r.matched = 0;
 }
 
 void RaceCollector::set_per_var_limit(std::size_t k) {
@@ -215,7 +252,7 @@ std::optional<std::string> RaceCollector::var_name(std::uint64_t var) const {
   return it->second;
 }
 
-std::string RaceCollector::describe(const RaceReport& r) const {
+std::string RaceCollector::describe(const RaceOccurrence& r) const {
   std::scoped_lock lk(mu_);
   const auto it = names_.find(r.var);
   const std::string var_label =
@@ -267,9 +304,16 @@ int RaceCollector::load_suppressions_env(const char* paths) {
 std::vector<std::pair<std::string, std::uint64_t>>
 RaceCollector::suppression_stats() const {
   std::scoped_lock lk(mu_);
+  std::unordered_map<const SuppressionRule*, std::uint64_t> hidden;
+  for (const Node& n : nodes_) {
+    if (n.ctx.suppressed_by != nullptr) {
+      hidden[n.ctx.suppressed_by] += n.count.load(std::memory_order_relaxed);
+    }
+  }
   std::vector<std::pair<std::string, std::uint64_t>> out;
   for (const SuppressionRule& r : suppressions_.rules()) {
-    out.emplace_back(r.name, r.matched);
+    const auto it = hidden.find(&r);
+    out.emplace_back(r.name, it == hidden.end() ? 0 : it->second);
   }
   return out;
 }

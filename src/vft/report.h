@@ -15,22 +15,31 @@
 // hide matching contexts from the report body while still counting them.
 //
 // Two keys per context:
-//   - the *dedup* key hashes the raw frame PCs: cheap, computed on every
-//     occurrence, process-local (ASLR-dependent);
+//   - the *dedup* key hashes the raw frame PCs with hash_stack's word
+//     steps, mixed with the kind: cheap, computed on every occurrence,
+//     process-local (ASLR-dependent);
 //   - the *context* key hashes the resolved module-basename+offset frames
 //     plus the kind: stable across runs of the same binaries, and the
 //     fusion key for `vft report merge` over a fleet of runs. Computed
 //     once, when the context is created.
 //
 // Cost model: the race-free fast path never touches any of this. An
-// occurrence of a known context pays one lock + one hash lookup. Only a
-// *new* context resolves frames (dladdr) and runs suppression matching.
+// occurrence of a known context is folded by fold(): one lock-free hash
+// lookup and one relaxed counter add - no lock once the flat log is full
+// (until then a visible repeat takes the lock to append its entry), and
+// for a hidden context never. Only a *new* context takes the lock to
+// resolve frames (dladdr) and run suppression matching.
 //
 // The collector is thread-safe: handlers run inline in target threads, so
-// concurrent reports are expected.
+// concurrent reports are expected. Contexts are created only under the
+// lock and published through atomic bucket heads, so lookups never lock;
+// every count is exact at a quiescent point (ALGORITHM.md §13.4).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -53,7 +62,8 @@ enum class RaceKind : std::uint8_t {
 
 const char* race_kind_name(RaceKind k);
 
-struct RaceReport {
+/// One race occurrence without its stacks: what the flat log keeps.
+struct RaceOccurrence {
   RaceKind kind;
   /// Variable identifier. The id scheme, by origin of the VarState:
   ///   - trace replay: the trace's small dense variable id;
@@ -75,6 +85,13 @@ struct RaceReport {
   Epoch prior;
   /// The current thread's epoch at the racing access.
   Epoch current;
+
+  std::string str() const;
+};
+
+/// A race occurrence with both call stacks: what a new error context is
+/// created from.
+struct RaceReport : RaceOccurrence {
   /// The racing (current) access's call stack, captured when the race
   /// fired (vft/stack.h). Empty when no interposition boundary was armed.
   CallStack stack;
@@ -84,8 +101,6 @@ struct RaceReport {
   /// evicted, or the prior is SHARED - the report then degrades to a bare
   /// prior epoch, exactly like pre-history reports.
   CallStack prior_stack;
-
-  std::string str() const;
 };
 
 /// One deduplicated error context: a representative report, the resolved
@@ -110,19 +125,34 @@ struct RaceContext {
 
 class RaceCollector {
  public:
-  /// Fold one race occurrence into its error context. Thread-safe.
+  /// Entries the flat log (all()) keeps.
+  static constexpr std::size_t kFlatCap = 65536;
+
+  /// Fold an occurrence into its error context if that context already
+  /// exists, and return true; return false for an unknown context, whose
+  /// occurrence the caller then passes to report() with both stacks.
+  /// `stack` is the racing access's call stack (the dedup key's input).
+  /// A hidden context, and any context once the flat log is full, costs
+  /// one relaxed counter add and no lock. Thread-safe.
+  bool fold(const RaceOccurrence& o, const CallStack& stack);
+
+  /// Fold one race occurrence into its error context, creating the
+  /// context when it is new: the one entry that creates contexts. A
+  /// context another thread created after this occurrence's fold()
+  /// missed is folded into, not duplicated. Thread-safe.
   void report(const RaceReport& r);
 
   /// Total *visible* race occurrences (sum of non-hidden context counts);
   /// detector tests count every occurrence, so dedup must not change
-  /// this number.
+  /// this number. Like every count below, exact at a quiescent point.
   std::size_t count() const;
 
   /// Number of distinct visible error contexts.
   std::size_t context_count() const;
 
   /// Occurrences hidden from the report: suppression-rule matches plus
-  /// over-limit drops. Nonzero suppression still means "racy run".
+  /// over-limit drops, i.e. the sum of the hidden contexts' counts.
+  /// Nonzero suppression still means "racy run".
   std::size_t suppressed() const;
 
   /// Every context, visible and hidden, in first-seen order.
@@ -131,14 +161,19 @@ class RaceCollector {
   /// Flat per-occurrence log of visible races, in arrival order, for
   /// callers that predate dedup. Each entry is the occurrence as
   /// reported (its own tid/epochs — occurrences folding into the same
-  /// context are NOT collapsed to the representative). Capped at 65536
-  /// entries; occurrences of hidden contexts are omitted.
-  std::vector<RaceReport> all() const;
+  /// context are NOT collapsed to the representative), without stacks:
+  /// a context's stacks are in contexts(). Capped at kFlatCap entries;
+  /// occurrences of hidden contexts are omitted.
+  std::vector<RaceOccurrence> all() const;
 
+  /// The first visible context's representative occurrence.
   std::optional<RaceReport> first() const;
 
   bool empty() const;
 
+  /// Forget every context and the flat log. Quiescent only: no thread
+  /// may fold or report concurrently, since lookups walk the contexts
+  /// without the lock.
   void clear();
 
   /// At most k stored contexts per distinct variable / in total
@@ -153,8 +188,8 @@ class RaceCollector {
   void name_var(std::uint64_t var, std::string name);
   std::optional<std::string> var_name(std::uint64_t var) const;
 
-  /// Like RaceReport::str() but with the registered variable name.
-  std::string describe(const RaceReport& r) const;
+  /// Like RaceOccurrence::str() but with the registered variable name.
+  std::string describe(const RaceOccurrence& r) const;
 
   /// The suppression rules this collector filters through. Loading is
   /// thread-safe; rules apply to contexts created after the load.
@@ -166,26 +201,53 @@ class RaceCollector {
   /// Returns the number of files loaded; parse failures warn to stderr.
   int load_suppressions_env(const char* paths);
 
-  /// Per-rule match statistics: (rule name, occurrences hidden).
+  /// Per-rule match statistics: (rule name, occurrences hidden), each the
+  /// sum of the counts of the contexts that rule hides.
   std::vector<std::pair<std::string, std::uint64_t>> suppression_stats() const;
   std::size_t suppression_rule_count() const;
 
  private:
-  std::uint64_t raw_key(const RaceReport& r) const;
+  /// One error context in the lock-free index. Created only under mu_
+  /// and published by a release store of its bucket head; everything but
+  /// `count` is immutable once published. The fields a lookup reads come
+  /// first, so a fold touches one cache line of the node.
+  struct Node {
+    std::uint64_t raw = 0;  ///< dedup key
+    Node* next = nullptr;   ///< bucket chain, fixed before publication
+    bool hidden = false;    ///< ctx.hidden()
+    std::atomic<std::uint64_t> count{0};
+    RaceContext ctx;  ///< ctx.count is unused: `count` holds it
+  };
+
+  static constexpr std::size_t kBucketBits = 10;
+  static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
+
+  /// The chain head for dedup key `raw`: its high bits, which the
+  /// key's multiplies fill from every input.
+  std::atomic<Node*>& bucket(std::uint64_t raw) const {
+    return buckets_[raw >> (64 - kBucketBits)];
+  }
+  Node* find(std::uint64_t raw) const;
+  /// An occurrence of context `n`, under mu_: count it, and append a
+  /// visible one to the flat log while there is room.
+  void count_locked(Node& n, const RaceOccurrence& o);
   std::uint64_t stable_key(const RaceReport& r,
                            const std::vector<ResolvedFrame>& frames) const;
 
   mutable std::mutex mu_;
-  std::vector<RaceContext> contexts_;
-  std::vector<RaceReport> flat_;  // visible occurrences, arrival order
-  std::unordered_map<std::uint64_t, std::size_t> index_;  // raw key -> idx
+  std::unique_ptr<std::atomic<Node*>[]> buckets_ =
+      std::make_unique<std::atomic<Node*>[]>(kBuckets);
+  std::deque<Node> nodes_;  // every context, first-seen order
+  std::vector<RaceOccurrence> flat_;  // visible occurrences, arrival order
+  /// Set under mu_ when flat_ reaches its cap; from then on visible
+  /// repeats fold without the lock.
+  std::atomic<bool> flat_full_{false};
   std::unordered_map<std::uint64_t, std::size_t> per_var_contexts_;
   std::unordered_map<std::uint64_t, std::string> names_;
   SuppressionEngine suppressions_;
   std::size_t per_var_limit_ = static_cast<std::size_t>(-1);
   std::size_t total_limit_ = static_cast<std::size_t>(-1);
   std::size_t visible_contexts_ = 0;
-  std::size_t suppressed_ = 0;
 };
 
 }  // namespace vft

@@ -27,10 +27,12 @@
 //     valgrind.
 //
 // Matching runs only when a new error context is created (report.h), so
-// the per-occurrence cost of a suppressed hot race is a hash lookup, and
-// the race-free fast path never sees any of this. Matched contexts are
-// counted, not dropped: valgrind's "suppressed: N" discipline, so a
-// suppression hiding a *new* race is still visible in the stats.
+// the per-occurrence cost of a suppressed hot race is a lock-free hash
+// lookup and one counter add, and the race-free fast path never sees any
+// of this. Matched contexts are counted, not dropped: valgrind's
+// "suppressed: N" discipline, so a suppression hiding a *new* race is
+// still visible in the stats. A rule's count is derived, never kept: the
+// collector sums the counts of the contexts the rule hides.
 #pragma once
 
 #include <cstddef>
@@ -56,8 +58,6 @@ struct SuppressionRule {
   std::string name;
   std::string kind_glob;  ///< matched against race_kind_name(); "race" = all
   std::vector<SuppressionFrame> frames;
-  /// Occurrences this rule has hidden (including dedup-folded repeats).
-  mutable std::uint64_t matched = 0;
 };
 
 class SuppressionEngine {
@@ -69,15 +69,11 @@ class SuppressionEngine {
   bool load_text(const std::string& text, const std::string& origin,
                  std::string* err = nullptr);
 
-  /// First rule matching this kind + resolved stack, or nullptr. Does
-  /// not bump the match counter - the collector owns occurrence
-  /// accounting via count_match().
+  /// First rule matching this kind + resolved stack, or nullptr. The
+  /// collector owns occurrence accounting (RaceCollector::
+  /// suppression_stats()).
   const SuppressionRule* match(const char* kind_name,
                                const std::vector<ResolvedFrame>& stack) const;
-
-  void count_match(const SuppressionRule& rule, std::uint64_t n) const {
-    rule.matched += n;
-  }
 
   const std::deque<SuppressionRule>& rules() const { return rules_; }
   bool empty() const { return rules_.empty(); }

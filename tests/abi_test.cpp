@@ -3,7 +3,8 @@
 // protocol, graceful tid-space exhaustion, free-hint shadow/lock
 // resetting (also concurrent with the session's first access), the
 // event-context clear on every slow-path exit, launch-time detector
-// selection, and report dumping.
+// selection, repeat-race counting past the flat log's cap, and report
+// dumping.
 //
 // Thread-lifecycle invariants under test (ALGORITHM.md s12): a thread's
 // slot retires exactly once - at its join if joinable, at its end if
@@ -385,6 +386,37 @@ TEST(AbiDeathTest, TypedRuntimeUnderOtherDetectorDiesActionably) {
       },
       "launched with detector.*VFT_DETECTOR=v2");
   fresh_session("v2");
+}
+
+TEST(Abi, RepeatedRacePastTheFlatLogCapCountsEveryRead) {
+  fresh_session();
+  long x = 0;
+  constexpr std::size_t kReads = vft::RaceCollector::kFlatCap + 4000;
+  std::atomic<bool> written{false};
+  run_concurrent_pair([&](int who) {
+    if (who == 0) {
+      vft_write8(&x);
+      written.store(true, std::memory_order_release);
+      return;
+    }
+    while (!written.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    long mine = 0;  // a lock no other thread touches
+    for (std::size_t i = 0; i < kReads; ++i) {
+      vft_read8(&x);
+      // The release starts a fresh epoch, so the next read is checked
+      // against the unordered write again instead of hitting same-epoch.
+      vft_mutex_lock(&mine);
+      vft_mutex_unlock(&mine);
+    }
+  });
+  EXPECT_EQ(vft_race_count(), kReads);
+  const vft::reportio::ReportDoc doc = Session::instance().report_doc();
+  ASSERT_EQ(doc.contexts.size(), 1u);
+  EXPECT_EQ(doc.contexts[0].count, kReads);
+  EXPECT_EQ(Session::instance().rule_stats().count(vft::Rule::kWriteReadRace),
+            kReads);
 }
 
 TEST(Abi, ReportWriteTextAndJson) {
