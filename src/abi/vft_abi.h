@@ -2,8 +2,8 @@
  * interposition layer (LD_PRELOAD, a compiler pass, a DBI tool, or a
  * foreign-language binding) needs, and nothing else.
  *
- * The whole C++ runtime stack - detector, shadow memory, thread registry,
- * native-lock registry - sits behind these ~20 plain functions; the
+ * The whole C++ runtime stack - detector, shadow memory (data, locks,
+ * atomics), thread registry - sits behind these ~20 plain functions; the
  * detector is fixed per process but selectable at launch (VFT_DETECTOR
  * environment variable: v1 v1.5 v2 ft-mutex ft-cas djit; default v2).
  *
@@ -141,17 +141,17 @@ void vft_atomic_fence(int mo);
 /* --- native locks ------------------------------------------------------ */
 
 /* Acquire/release events for a native lock identified by its address
- * (e.g. a pthread_mutex_t*). States are created on first use in the
- * session's lock registry; vft_free_hint drops states whose addresses
- * die, so recycled addresses start from scratch. */
+ * (e.g. a pthread_mutex_t*). States are created on first use beside the
+ * shadow of the lock's memory; vft_free_hint resets states whose
+ * addresses die, so recycled addresses start from scratch. */
 void vft_mutex_lock(const void* m);
 void vft_mutex_unlock(const void* m);
 
 /* --- memory lifetime --------------------------------------------------- */
 
 /* The target freed [addr, addr+size) (free, munmap, ...): clear the
- * covered shadow words and drop dead lock states so a recycled address
- * cannot inherit stale analysis state. */
+ * covered shadow words and reset dead lock and atomic states so a
+ * recycled address cannot inherit stale analysis state. */
 void vft_free_hint(const void* addr, size_t size);
 
 /* --- event context (stack capture) ------------------------------------- */

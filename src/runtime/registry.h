@@ -153,7 +153,8 @@ class Registry {
   };
 
  private:
-  static thread_local ThreadState* tl_self_;
+  /// constinit: every TU reads the slot directly, not via a TLS wrapper.
+  inline static constinit thread_local ThreadState* tl_self_ = nullptr;
 
   mutable std::mutex mu_;
   std::deque<std::unique_ptr<ThreadState>> slots_;

@@ -10,7 +10,8 @@
 //                                       locks, lifecycle, free hints)
 //                                                                  │
 //                            SessionImpl<D>: Runtime<D> + PackedShadowSpace
-//                                          + LockRegistry + lifecycle
+//                                            (data, locks, atomics)
+//                                          + lifecycle
 //
 // The detector D is fixed for the whole process but selectable at launch
 // (VFT_DETECTOR environment variable, or Session::configure before first
@@ -49,7 +50,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "runtime/lock_registry.h"
 #include "runtime/tool.h"
 #include "vft/access_history.h"
 #include "vft/atomics.h"
@@ -99,8 +99,8 @@ class SessionBackend {
   virtual void thread_join(std::uint64_t token) = 0;
   virtual void thread_detach(std::uint64_t token) = 0;
 
-  /// The target freed [addr, addr+size): clear shadow words and drop
-  /// dead locks so recycled addresses start from bottom state.
+  /// The target freed [addr, addr+size): clear shadow words and reset
+  /// dead lock and atomic states so recycled addresses start from bottom.
   virtual void free_hint(const void* addr, std::size_t size) = 0;
 
   // --- introspection for end-of-run reports.
@@ -138,7 +138,6 @@ class SessionImpl final : public SessionBackend {
   /// The typed runtime, for same-detector callers (ambient wrappers,
   /// benches) that want the inlined path next to the erased one.
   Runtime<D>& runtime() { return rt_; }
-  LockRegistry& locks() { return locks_; }
 
   const char* detector_name() const override { return D::kName; }
 
@@ -187,13 +186,13 @@ class SessionImpl final : public SessionBackend {
   void mutex_lock(const void* m) override {
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
-    rt_.tool().acquire(*ts, locks_.of(m));
+    rt_.tool().acquire(*ts, packed_.lock_of(m));
   }
 
   void mutex_unlock(const void* m) override {
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
-    rt_.tool().release(*ts, locks_.of(m));
+    rt_.tool().release(*ts, packed_.lock_of(m));
   }
 
   // --- __tsan_atomic* sync events, keyed by address like locks. The
@@ -212,7 +211,7 @@ class SessionImpl final : public SessionBackend {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
-    rt_.tool().atomic_load(*ts, atomics_.of(a),
+    rt_.tool().atomic_load(*ts, packed_.atomic_of(a),
                            atomics::fence_tls(generation_),
                            atomics::effective_mo(atomics_mode_, mo));
   }
@@ -221,7 +220,7 @@ class SessionImpl final : public SessionBackend {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
-    rt_.tool().atomic_store(*ts, atomics_.of(a),
+    rt_.tool().atomic_store(*ts, packed_.atomic_of(a),
                             atomics::fence_tls(generation_),
                             atomics::effective_mo(atomics_mode_, mo));
   }
@@ -230,7 +229,7 @@ class SessionImpl final : public SessionBackend {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
-    rt_.tool().atomic_rmw_pre(*ts, atomics_.of(a),
+    rt_.tool().atomic_rmw_pre(*ts, packed_.atomic_of(a),
                               atomics::fence_tls(generation_),
                               atomics::effective_mo(atomics_mode_, mo));
   }
@@ -239,7 +238,7 @@ class SessionImpl final : public SessionBackend {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
-    rt_.tool().atomic_rmw_post(*ts, atomics_.of(a),
+    rt_.tool().atomic_rmw_post(*ts, packed_.atomic_of(a),
                                atomics::fence_tls(generation_),
                                atomics::effective_mo(atomics_mode_, mo));
   }
@@ -358,9 +357,7 @@ class SessionImpl final : public SessionBackend {
 
   void free_hint(const void* addr, std::size_t size) override {
     if (size == 0) return;
-    packed_.reset_range(addr, size);
-    locks_.reset_range(addr, size);
-    atomics_.reset_range(addr, size);
+    packed_.reset_range(addr, size);  // data, lock and atomic state
     // Recycled addresses are new variables: any cooled sampling state
     // covering them goes back to full rate.
     if (gate_ != nullptr) gate_->on_page_reset(addr, size);
@@ -376,7 +373,7 @@ class SessionImpl final : public SessionBackend {
     return threads_seen_;
   }
 
-  std::size_t locks_seen() const override { return locks_.size(); }
+  std::size_t locks_seen() const override { return packed_.locks(); }
 
   std::size_t shadow_words() const override { return packed_.size(); }
 
@@ -511,12 +508,11 @@ class SessionImpl final : public SessionBackend {
   }
 
   Runtime<D> rt_;
-  /// The raw-address shadow, built with the backend: every thread that
-  /// reaches the backend through Session's release/acquire publication
-  /// sees it, so no access or free hint races its creation.
+  /// The raw-address shadow of data, locks and atomics, built with the
+  /// backend: every thread that reaches the backend through Session's
+  /// release/acquire publication sees it, so no event or free hint races
+  /// its creation.
   PackedShadowSpace<D>& packed_;
-  LockRegistry locks_;
-  atomics::AtomicRegistry atomics_;
   const atomics::Mode atomics_mode_ = atomics::mode_from_env();
   sampling::Gate* const gate_;  ///< nullptr: sampling off, every access sampled
   /// vft_g_fastpath_gen at creation (Session::reset() bumps the global):
@@ -624,8 +620,9 @@ class Session {
     return v2_->runtime();
   }
 
-  /// Drops all analysis state (shadow, reports, thread registry, lock
-  /// registry) and re-creates the backend with the configured detector.
+  /// Drops all analysis state (shadow, lock and atomic states, reports,
+  /// thread registry) and re-creates the backend with the configured
+  /// detector.
   /// Only safe while no ambient/ABI threads are live; intended for tests.
   void reset();
 

@@ -21,6 +21,11 @@
 // scan for anything wider) and access_slot<IsWrite> for rt::Array's
 // pre-resolved slots.
 //
+// A page also holds the lock and atomic states of the sync objects in its
+// memory (lock_of / atomic_of: a lazily allocated side table keyed by exact
+// address), so one directory maps every target address to its state and
+// one reset_range clears all of it.
+//
 // Pages are allocated on first touch and published with a CAS into the
 // bucket's chain - no lock anywhere on the lookup path. Distinct page
 // bases that land in the same bucket chain off each other (the chain is
@@ -47,9 +52,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
+#include "vft/atomics.h"
 #include "vft/detector.h"
 #include "vft/packed_cell.h"
+#include "vft/shadow_state.h"
 #include "vft/stats.h"
 #include "vft/vc_simd.h"
 
@@ -105,7 +113,7 @@ struct ShadowGeometry {
 struct ShadowSpaceStats {
   std::size_t pages = 0;       ///< shadow pages allocated
   std::size_t slots = 0;       ///< shadow slots those pages hold
-  std::size_t bytes = 0;       ///< footprint: top-level array + pages
+  std::size_t bytes = 0;       ///< footprint: directory, pages, spills, sync
   std::size_t collisions = 0;  ///< bucket chains longer than one + CAS races
   std::size_t cache_misses = 0;  ///< lookups that fell past the TL cache
   std::size_t spilled = 0;  ///< packed cells escalated to full VarStates
@@ -361,15 +369,35 @@ class PackedShadowSpace {
     return reinterpret_cast<const std::uint64_t*>(dir_.page(base).cells);
   }
 
+  /// The lock state of the sync object at exactly `addr`, created bottom
+  /// on first use and stable until a reset_range covers it. Handlers use it
+  /// under the target lock (§4); the lookup itself takes no lock.
+  LockState& lock_of(const void* addr) {
+    SyncObject& o = sync_object(addr);
+    if (!o.lock_live.load(std::memory_order_relaxed) &&
+        !o.lock_live.exchange(true, std::memory_order_relaxed)) {
+      live_locks_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return o.lock;
+  }
+
+  /// The atomic location at exactly `addr` (vft/atomics.h), as lock_of.
+  atomics::AtomicState& atomic_of(const void* addr) {
+    return sync_object(addr).atomic;
+  }
+
   /// Reset every shadow word overlapping [addr, addr+size) to bottom
-  /// state. This is the shadow half of free()/munmap() interposition:
-  /// without it, memory the allocator recycles would inherit the dead
-  /// object's access history and report false races against its previous
-  /// life (docs/ALGORITHM.md s8). An epoch-mode cell goes back to {bottom,
-  /// bottom}; an escalated word stays escalated and its spilled VarState
-  /// is re-bottomed in place, keeping the report id - re-entering epoch
-  /// mode would need to un-publish the VarState other threads may have
-  /// cached.
+  /// state, and every sync object whose address lies in the range. This is
+  /// the shadow half of free()/munmap() interposition: without it, memory
+  /// the allocator recycles would inherit the dead object's access history
+  /// and report false races against its previous life, and a recycled lock
+  /// or atomic the dead one's release clock (docs/ALGORITHM.md s8). An
+  /// epoch-mode cell goes back to {bottom, bottom}; an escalated word stays
+  /// escalated and its spilled VarState is re-bottomed in place, keeping
+  /// the report id - re-entering epoch mode would need to un-publish the
+  /// VarState other threads may have cached. Sync objects are re-bottomed
+  /// in place too (a lookup of a live neighbour may be walking past them),
+  /// and a reset lock leaves locks() until it is used again.
   ///
   /// Only pages that already exist are touched - clearing never allocates.
   /// The caller must guarantee no thread concurrently accesses the range
@@ -390,7 +418,9 @@ class PackedShadowSpace {
       std::size_t i = Geometry::slot_index(first);
       const std::size_t end =
           ((last - 1 - base) >> Geometry::kGranularityLog2) + 1;
+      SyncTable* sync = p->sync.load(std::memory_order_acquire);
       for (; i < end; ++i) {
+        if (sync != nullptr) reset_sync(sync->heads[i], lo, hi);
         if (VarState* vs = p->spills[i].load(std::memory_order_relaxed)) {
           const std::uint64_t id = vs->id;
           std::destroy_at(vs);
@@ -418,13 +448,24 @@ class PackedShadowSpace {
   std::size_t words_reset() const {
     return words_reset_.load(std::memory_order_relaxed);
   }
+  /// Lock states used since their creation or last reset.
+  std::size_t locks() const {
+    return live_locks_.load(std::memory_order_relaxed);
+  }
+  /// Sync objects allocated, reset ones included.
+  std::size_t sync_objects() const {
+    return sync_objects_.load(std::memory_order_relaxed);
+  }
 
   ShadowSpaceStats stats() const {
     ShadowSpaceStats s;
     s.pages = pages();
     s.slots = s.pages * Geometry::kSlotsPerPage;
     s.bytes = Geometry::kBuckets * sizeof(std::atomic<Page*>) +
-              s.pages * sizeof(Page) + spilled() * sizeof(VarState);
+              s.pages * sizeof(Page) + spilled() * sizeof(VarState) +
+              sync_tables_.load(std::memory_order_relaxed) *
+                  sizeof(SyncTable) +
+              sync_objects() * sizeof(SyncObject);
     s.collisions = dir_.collisions();
     s.cache_misses = dir_.cache_misses();
     s.spilled = spilled();
@@ -433,6 +474,34 @@ class PackedShadowSpace {
   }
 
  private:
+  /// One target sync object, keyed by its exact address (two atomics in
+  /// one word are two objects). A spinlock flag used both as a lock and as
+  /// an atomic keeps the two states apart.
+  struct SyncObject {
+    explicit SyncObject(std::uintptr_t a) : addr(a) {}
+
+    const std::uintptr_t addr;
+    SyncObject* next = nullptr;  ///< set before publication, never after
+    LockState lock;
+    atomics::AtomicState atomic;
+    std::atomic<bool> lock_live{false};  ///< a lock since creation/reset
+  };
+
+  /// A page's sync side table, allocated on its first lock_of/atomic_of:
+  /// heads[i] chains the objects whose address lies in word i. Objects are
+  /// CAS-pushed and never unlinked before the page dies, so walks take no
+  /// lock (the spills[] discipline).
+  struct SyncTable {
+    ~SyncTable() {
+      for (std::atomic<SyncObject*>& h : heads) {
+        SyncObject* o = h.load(std::memory_order_relaxed);
+        while (o != nullptr) delete std::exchange(o, o->next);
+      }
+    }
+
+    std::atomic<SyncObject*> heads[Geometry::kSlotsPerPage]{};
+  };
+
   struct Page {
     explicit Page(std::uintptr_t b) : base(b) {}
 
@@ -440,6 +509,7 @@ class PackedShadowSpace {
       for (std::size_t i = 0; i < Geometry::kSlotsPerPage; ++i) {
         delete spills[i].load(std::memory_order_relaxed);
       }
+      delete sync.load(std::memory_order_relaxed);
     }
 
     const std::uintptr_t base;
@@ -451,7 +521,61 @@ class PackedShadowSpace {
     std::atomic<Page*> adjacent{nullptr};
     PackedCell cells[Geometry::kSlotsPerPage];
     std::atomic<VarState*> spills[Geometry::kSlotsPerPage]{};
+    /// Locks and atomics in this page's memory; nullptr until the first.
+    std::atomic<SyncTable*> sync{nullptr};
   };
+
+  /// The sync object at exactly `addr`, created on first use: the page
+  /// lookup, then one chain walk. Table and object are published by CAS,
+  /// and a lost CAS re-scans what the winner added, so concurrent creators
+  /// of one address agree on one object (as PageDirectory::publish_page).
+  SyncObject& sync_object(const void* addr) {
+    const auto a = reinterpret_cast<std::uintptr_t>(addr);
+    Page& p = dir_.page(Geometry::base_of(a));
+    SyncTable* t = p.sync.load(std::memory_order_acquire);
+    if (t == nullptr) {
+      auto table = std::make_unique<SyncTable>();
+      if (p.sync.compare_exchange_strong(t, table.get(),
+                                         std::memory_order_release,
+                                         std::memory_order_acquire)) {
+        t = table.release();
+        sync_tables_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    std::atomic<SyncObject*>& head = t->heads[Geometry::slot_index(a)];
+    SyncObject* expected = head.load(std::memory_order_acquire);
+    std::unique_ptr<SyncObject> fresh;
+    for (;;) {
+      for (SyncObject* o = expected; o != nullptr; o = o->next) {
+        if (o->addr == a) return *o;
+      }
+      if (fresh == nullptr) fresh = std::make_unique<SyncObject>(a);
+      fresh->next = expected;
+      if (head.compare_exchange_weak(expected, fresh.get(),
+                                     std::memory_order_release,
+                                     std::memory_order_acquire)) {
+        sync_objects_.fetch_add(1, std::memory_order_relaxed);
+        return *fresh.release();
+      }
+    }
+  }
+
+  /// reset_range's sync half for word chain `head`: re-bottom in place
+  /// every object whose exact address lies in [lo, hi).
+  void reset_sync(std::atomic<SyncObject*>& head, std::uintptr_t lo,
+                  std::uintptr_t hi) {
+    for (SyncObject* o = head.load(std::memory_order_acquire); o != nullptr;
+         o = o->next) {
+      if (o->addr < lo || o->addr >= hi) continue;
+      if (o->lock_live.exchange(false, std::memory_order_relaxed)) {
+        live_locks_.fetch_sub(1, std::memory_order_relaxed);
+      }
+      std::destroy_at(&o->lock);
+      std::construct_at(&o->lock);
+      std::destroy_at(&o->atomic);
+      std::construct_at(&o->atomic);
+    }
+  }
 
   /// access()'s range scan, for accesses wider than one shadow word.
   template <bool IsWrite, typename Tool>
@@ -552,6 +676,9 @@ class PackedShadowSpace {
   PageDirectory<Page> dir_;
   std::atomic<std::size_t> spilled_{0};
   std::atomic<std::size_t> words_reset_{0};
+  std::atomic<std::size_t> sync_tables_{0};
+  std::atomic<std::size_t> sync_objects_{0};
+  std::atomic<std::size_t> live_locks_{0};
 };
 
 }  // namespace vft::rt

@@ -26,8 +26,11 @@
 //   fence(seq_cst)  both halves. The seq_cst total order itself is not
 //                   modeled (like TSan; only its acquire/release strength).
 //
-// Sa.V lives in a LockRegistry-style sharded address-keyed registry
-// (AtomicRegistry below). Each state carries the FastTrack volatile-epoch
+// Sa.V lives in the packed shadow's per-page sync table, keyed by the
+// location's exact address (rt::PackedShadowSpace::atomic_of, beside the
+// lock states of rt::PackedShadowSpace::lock_of): stable until a free of
+// the location resets it, shared by every alias of the address, and looked
+// up without a lock. Each state carries the FastTrack volatile-epoch
 // fast path: a release publication whose thread clock dominated Sa.V arms
 // `fast_epoch` with the publishing epoch t@c, and an acquirer that already
 // knows t@c skips the locked join entirely (knowing t@c implies having
@@ -41,7 +44,6 @@
 #include <cstdint>
 
 #include "sched/sched_point.h"
-#include "vft/address_table.h"
 #include "vft/epoch.h"
 #include "vft/vector_clock.h"
 
@@ -99,14 +101,6 @@ struct AtomicState {
   /// V[t] >= c already absorbed Sa.V and skips the join.
   std::atomic<std::uint32_t> fast_epoch{0};
 };
-
-/// Address-keyed map from atomic locations to their AtomicState, with the
-/// LockRegistry contract (vft/address_table.h): references are stable for
-/// the session, every alias maps to the same state, and reset_range drops
-/// states whose addresses die so recycled memory starts from a bottom
-/// clock. Atomics are at least naturally aligned; the shard hash drops
-/// three low bits.
-using AtomicRegistry = AddressTable<AtomicState, 3>;
 
 /// Per-OS-thread fence state, generation-tagged so a Session::reset()
 /// can never leak a previous backend's clocks into the next.

@@ -17,7 +17,7 @@
 #include <stdint.h>
 
 #ifdef __cplusplus
-#define VFT_EVENT_CTX_TLS thread_local
+#define VFT_EVENT_CTX_TLS constinit thread_local
 extern "C" {
 #else
 #define VFT_EVENT_CTX_TLS __thread

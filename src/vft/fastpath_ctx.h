@@ -27,7 +27,7 @@
 #include <stdint.h>
 
 #ifdef __cplusplus
-#define VFT_FASTPATH_TLS thread_local
+#define VFT_FASTPATH_TLS constinit thread_local
 extern "C" {
 #else
 #define VFT_FASTPATH_TLS __thread

@@ -12,9 +12,9 @@
 #include "vft/fastpath_ctx.h"
 
 extern "C" {
-thread_local vft_event_ctx_s vft_tl_event_ctx = {nullptr, nullptr};
-thread_local vft_shadow_stack_s vft_tl_shadow_stack = {};
-thread_local vft_fastpath_s vft_tl_fastpath = {};
+constinit thread_local vft_event_ctx_s vft_tl_event_ctx = {nullptr, nullptr};
+constinit thread_local vft_shadow_stack_s vft_tl_shadow_stack = {};
+constinit thread_local vft_fastpath_s vft_tl_fastpath = {};
 // Starts at 1 so a zero-initialized thread descriptor is always stale.
 uint64_t vft_g_fastpath_gen = 1;
 }

@@ -1,10 +1,10 @@
 // The C ABI (src/abi/vft_abi.h) end to end against the process-global
 // session: implicit attach, the explicit create/begin/join/detach token
 // protocol, graceful tid-space exhaustion, free-hint shadow/lock
-// resetting (also concurrent with the session's first access), the
-// event-context clear on every slow-path exit, launch-time detector
-// selection, repeat-race counting past the flat log's cap, and report
-// dumping.
+// resetting (also concurrent with the session's first access and with a
+// page's first lock and atomic events), the event-context clear on every
+// slow-path exit, launch-time detector selection, repeat-race counting
+// past the flat log's cap, and report dumping.
 //
 // Thread-lifecycle invariants under test (ALGORITHM.md s12): a thread's
 // slot retires exactly once - at its join if joinable, at its end if
@@ -252,25 +252,62 @@ TEST(Abi, FreeHintResetsShadowWordsAndLockStates) {
   vft_attach();
   auto* buf = new long[8];
   for (int i = 0; i < 8; ++i) vft_write8(&buf[i]);
-  long mu_stand_in = 0;
-  vft_mutex_lock(&mu_stand_in);
-  vft_mutex_unlock(&mu_stand_in);
+  // Two stand-in mutexes in one aligned 16-byte block, so on one 4 KiB
+  // shadow page.
+  alignas(16) long mu_stand_ins[2] = {0, 0};
+  vft_mutex_lock(&mu_stand_ins[0]);
+  vft_mutex_unlock(&mu_stand_ins[0]);
 
   auto& backend = Session::instance().backend();
   EXPECT_GE(backend.shadow_words(), 8u);
   EXPECT_EQ(backend.locks_seen(), 1u);
+  vft_detach();
 
+  // A hands `data` to B through the second lock, and the first lock's
+  // memory is freed between A's release and B's acquire: the reset must
+  // leave its page neighbour's release clock alone, or B's read races.
+  long data = 0;
+  std::atomic<int> stage{0};
+  std::thread a([&] {
+    vft_attach();
+    vft_mutex_lock(&mu_stand_ins[1]);
+    vft_write8(&data);
+    vft_mutex_unlock(&mu_stand_ins[1]);
+    stage.store(1, std::memory_order_release);
+    while (stage.load(std::memory_order_acquire) < 3) {
+      std::this_thread::yield();
+    }
+    vft_detach();
+  });
+  std::thread b([&] {
+    vft_attach();
+    while (stage.load(std::memory_order_acquire) < 2) {
+      std::this_thread::yield();
+    }
+    vft_mutex_lock(&mu_stand_ins[1]);
+    vft_read8(&data);
+    vft_mutex_unlock(&mu_stand_ins[1]);
+    stage.store(3, std::memory_order_release);
+    vft_detach();
+  });
+  while (stage.load(std::memory_order_acquire) < 1) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(backend.locks_seen(), 2u);
   vft_free_hint(buf, 8 * sizeof(long));
-  vft_free_hint(&mu_stand_in, sizeof(mu_stand_in));
+  vft_free_hint(&mu_stand_ins[0], sizeof(mu_stand_ins[0]));
   delete[] buf;
+  EXPECT_EQ(backend.locks_seen(), 1u);
+  stage.store(2, std::memory_order_release);
+  a.join();
+  b.join();
+  EXPECT_EQ(vft_race_count(), 0u);
 
-  EXPECT_EQ(backend.locks_seen(), 0u);
   // Every session access runs against the packed space, so the free
   // hint's resets land there.
   const auto packed =
       Session::instance().runtime().packed_space().stats();
   EXPECT_GE(packed.words_reset, 8u);
-  vft_detach();
 }
 
 TEST(Abi, FreeHintPreventsStaleStateOnRecycledAddresses) {
@@ -339,6 +376,46 @@ TEST(Abi, FreeHintConcurrentWithFirstAccess) {
   b.join();
   EXPECT_EQ(vft_race_count(), 0u);
   EXPECT_GE(Session::instance().backend().shadow_words(), 1u);
+}
+
+TEST(Abi, SyncStateCreationConcurrentWithFirstAccessAndFree) {
+  // On one fresh page, three threads run unordered: A's first lock and
+  // atomic events (which create the page's sync table and objects), B's
+  // first data access, and C's free hint of a disjoint word. Pages, sync
+  // tables and sync objects are all published by CAS, and the reset walk
+  // only reads what it finds, so a TSan build stays quiet; the free must
+  // leave A's lock alone.
+  fresh_session();
+  Session::instance().backend();
+  alignas(32) long words[4] = {0, 0, 0, 0};  // 32 aligned bytes: one page
+  std::atomic<int> ready{0};
+  auto start_together = [&] {
+    ready.fetch_add(1, std::memory_order_relaxed);
+    while (ready.load(std::memory_order_relaxed) < 3) {
+      std::this_thread::yield();
+    }
+  };
+  std::thread a([&] {
+    start_together();
+    vft_mutex_lock(&words[0]);
+    vft_atomic_store(&words[1], __ATOMIC_RELEASE);
+    vft_mutex_unlock(&words[0]);
+    vft_detach();
+  });
+  std::thread b([&] {
+    start_together();
+    vft_write8(&words[2]);
+    vft_detach();
+  });
+  std::thread c([&] {
+    start_together();
+    vft_free_hint(&words[3], sizeof(words[3]));
+  });
+  a.join();
+  b.join();
+  c.join();
+  EXPECT_EQ(vft_race_count(), 0u);
+  EXPECT_EQ(Session::instance().backend().locks_seen(), 1u);
 }
 
 TEST(Abi, ZeroSizeRangeClearsEventContext) {

@@ -14,8 +14,9 @@
 //                 counters with the inline fast path armed and retracted,
 //                 atomic events are never sampled out, and the
 //                 VFT_ATOMICS mode knob (precise / sc / off) gates the
-//                 sync edge end to end through the session dispatch, and
-//                 a free hint drops a freed location's release clock.
+//                 sync edge end to end through the session dispatch, a
+//                 free hint drops a freed location's release clock, and
+//                 two atomics sharing a shadow word keep separate clocks.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -473,6 +474,30 @@ TEST(AtomicsAbi, FreeHintDropsAtomicState) {
   // a bottom release clock, so the acquire joins nothing and the data
   // read races A's write.
   EXPECT_EQ(freed_flag_races(/*free_hint=*/true), 1u);
+}
+
+TEST(AtomicsAbi, AtomicsSharingAWordAreDistinctSyncObjects) {
+  // Two 4-byte atomics in one 8-byte shadow word. The child publishes
+  // through pair[0]; the parent acquires pair[1], which nobody released.
+  // Sync state is keyed by exact address, so the acquire joins nothing and
+  // the data read races the child's write. A word-keyed table would merge
+  // the two atomics and hide the race.
+  configure("v2", /*inline_on=*/true, nullptr);
+  alignas(8) static std::uint32_t pair[2];
+  static long data;
+  vft_attach();
+  const std::uint64_t tok = vft_thread_create();
+  std::thread child([tok] {
+    vft_thread_begin(tok);
+    vft_write8(&data);
+    vft_atomic_store(&pair[0], atomics::kMoRelease);
+    vft_detach();
+  });
+  child.join();  // real edge only: no vft_thread_join
+  vft_atomic_load(&pair[1], atomics::kMoAcquire);
+  vft_read8(&data);
+  vft_detach();
+  EXPECT_EQ(vft_race_count(), 1u);
 }
 
 TEST(AtomicsAbi, ModeKnobGatesTheSyncEdge) {
