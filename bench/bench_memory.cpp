@@ -4,7 +4,7 @@
 //   - static VarState size per detector,
 //   - measured bytes per shadowed element for a large instrumented array
 //     (allocation deltas, including the vector-clock spill for read-shared
-//     data), fine-grained vs coarse granularity,
+//     data) in the fine-grained wrapper shadow,
 //   - measured bytes per *word* of target memory for the packed-cell
 //     shadow (PackedShadowSpace): epoch-only workloads stay in the 16 B
 //     cell+spill-slot pages, read-shared workloads pay the VarState spill,
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "harness.h"
-#include "runtime/coarse_array.h"
 #include "runtime/instrument.h"
 #include "vft/detector.h"
 
@@ -161,20 +160,6 @@ int main() {
               sizeof(ThreadState), sizeof(LockState), VectorClock::kInline,
               sizeof(VectorClock));
 
-  // Coarse shadow at granularity 64 for comparison (the Section 9 knob).
-  {
-    RaceCollector races;
-    rt::Runtime<VftV2> R{VftV2(&races)};
-    rt::Runtime<VftV2>::MainScope scope(R);
-    const std::size_t before = g_alloc_bytes;
-    rt::CoarseArray<std::uint64_t, VftV2> a(R, kN, 64);
-    const std::size_t after = g_alloc_bytes;
-    std::printf("CoarseArray<v2> granule=64: %.1f B/elem exclusive\n",
-                static_cast<double>(after - before) / kN);
-    report.add("coarse", "v2_granule_64",
-               {{"bytes_per_elem_exclusive",
-                 static_cast<double>(after - before) / kN}});
-  }
   std::printf("\ncontext: 8 bytes of target data cost ~2 VarState pointers "
               "of shadow in fine-grained mode - the memory pressure that "
               "motivates the compression line of work. The packed cell cuts "

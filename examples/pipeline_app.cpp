@@ -124,7 +124,10 @@ int run(bool inject_bug) {
   std::printf("pipeline total = %ld (expected %d)\n", total,
               kItems * (kItems + 1) / 2);
   std::printf("race reports: %zu\n", races.count());
-  for (const auto& r : races.all()) std::printf("  %s\n", r.str().c_str());
+  for (const RaceContext& c : races.contexts()) {
+    std::printf("  %s (count %llu)\n", c.first.str().c_str(),
+                static_cast<unsigned long long>(c.count));
+  }
   if (inject_bug && races.empty()) {
     std::printf("expected reports under --bug but saw none!\n");
     return 1;

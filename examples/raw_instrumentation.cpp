@@ -81,13 +81,15 @@ int main() {
   std::printf("shadow: %s\n",
               vft::rt::str(amb::runtime().packed_space().stats()).c_str());
   std::printf("race reports: %zu\n", amb::races().count());
-  for (const auto& r : amb::races().all()) {
-    std::printf("  %s\n", amb::races().describe(r).c_str());
+  const std::vector<vft::RaceContext> contexts = amb::races().contexts();
+  for (const vft::RaceContext& c : contexts) {
+    std::printf("  %s (count %llu)\n", amb::races().describe(c.first).c_str(),
+                static_cast<unsigned long long>(c.count));
   }
   // Every report should be about the named shared total - the locked book
   // and the private tallies stay clean.
-  for (const auto& r : amb::races().all()) {
-    if (r.var != reinterpret_cast<std::uint64_t>(&hot_total)) {
+  for (const vft::RaceContext& c : contexts) {
+    if (c.first.var != reinterpret_cast<std::uint64_t>(&hot_total)) {
       std::printf("unexpected report on a non-bug location!\n");
       return 1;
     }

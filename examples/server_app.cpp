@@ -1,17 +1,16 @@
 // A server-shaped application on the extended runtime surface: a thread
 // pool serving requests against a configuration loaded through Once
 // (static-initializer ordering), a cache guarded by a reader-writer lock,
-// and metrics in a dynamic-granularity array that stays coarse until the
-// workers actually share it. Demonstrates that VerifiedFT-v2 stays quiet
-// across the whole primitive zoo on a realistic composition - and, with
-// --bug, that dropping the cache's write lock to a read lock is caught.
+// and per-request-class metrics under a mutex. Demonstrates that
+// VerifiedFT-v2 stays quiet across the whole primitive zoo on a realistic
+// composition - and, with --bug, that dropping the cache's write lock to a
+// read lock is caught.
 //
 //   $ ./server_app
 //   $ ./server_app --bug
 #include <cstdio>
 #include <cstring>
 
-#include "runtime/adaptive_array.h"
 #include "runtime/sync_extras.h"
 #include "runtime/thread_pool.h"
 #include "vft/vft_v2.h"
@@ -40,9 +39,9 @@ int run(bool inject_bug) {
   cache_keys.set_name("cache.keys");
   cache_vals.set_name("cache.vals");
 
-  // Metrics: per-request-class counters; the pool workers share them, so
-  // the adaptive shadow splits on first contention and stays precise.
-  rt::AdaptiveArray<std::uint64_t, VftV2> metrics(R, 64, 16, 0);
+  // Metrics: per-request-class counters the pool workers share under
+  // metrics_mu.
+  rt::Array<std::uint64_t, VftV2> metrics(R, 64, 0);
   rt::Mutex<VftV2> metrics_mu(R);
 
   rt::ThreadPool<VftV2> pool(R, 3);
@@ -122,9 +121,9 @@ int run(bool inject_bug) {
               static_cast<unsigned long long>(served), kRequests);
   std::printf("race reports: %zu%s\n", races.count(),
               races.suppressed() != 0 ? " (+suppressed)" : "");
-  races.set_per_var_limit(1);
-  for (const auto& r : races.all()) {
-    std::printf("  %s\n", races.describe(r).c_str());
+  for (const RaceContext& c : races.contexts()) {
+    std::printf("  %s (count %llu)\n", races.describe(c.first).c_str(),
+                static_cast<unsigned long long>(c.count));
   }
   if (inject_bug) {
     return races.empty() ? 1 : 0;  // must be caught

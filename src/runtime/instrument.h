@@ -42,20 +42,15 @@ inline constexpr bool kInstrumented = !std::is_same_v<D, NullTool>;
 template <typename D>
 inline constexpr bool kPackedCapable = SpillableVarState<typename D::VarState>;
 
-/// One instrumented scalar variable with an inline shadow VarState.
-///
-/// With `packed = true` (and a spill-capable detector), accesses first run
-/// the vft/packed_cell.h fast path against an inline 64-bit cell and only
-/// escalation calls the detector on the inline VarState - the spill target
-/// pre-exists, so escalation is just inject + publish. Default off: the
-/// Table 1 benches measure the detectors themselves, so removing their
-/// calls must be an explicit choice, not a silent one.
+/// One instrumented scalar variable with an inline shadow VarState: every
+/// access calls the detector (the Table 1 benches measure the detectors
+/// themselves). For the packed-cell fast path, carve a one-element Array
+/// from the runtime's packed space instead.
 template <typename T, Detector D>
 class Var {
  public:
-  explicit Var(Runtime<D>& rt, T initial = T{}, std::uint64_t id = 0,
-               bool packed = false)
-      : rt_(&rt), packed_(packed && kPackedCapable<D>), data_(initial) {
+  explicit Var(Runtime<D>& rt, T initial = T{}, std::uint64_t id = 0)
+      : rt_(&rt), data_(initial) {
     // Default id: the shadow VarState's own address - the same scheme
     // Array uses for its element shadows, so ids are consistent across
     // wrapper kinds (see the id taxonomy in vft/report.h).
@@ -63,26 +58,11 @@ class Var {
   }
 
   T load() {
-    if constexpr (kPackedCapable<D>) {
-      if (packed_) {
-        packed_access<false>(rt_->tool(), rt_->self(), cell_, spill_target(),
-                             spill_target());
-        return data_.load(std::memory_order_relaxed);
-      }
-    }
     rt_->tool().read(rt_->self(), shadow_);
     return data_.load(std::memory_order_relaxed);
   }
 
   void store(T v) {
-    if constexpr (kPackedCapable<D>) {
-      if (packed_) {
-        packed_access<true>(rt_->tool(), rt_->self(), cell_, spill_target(),
-                            spill_target());
-        data_.store(v, std::memory_order_relaxed);
-        return;
-      }
-    }
     rt_->tool().write(rt_->self(), shadow_);
     data_.store(v, std::memory_order_relaxed);
   }
@@ -97,26 +77,10 @@ class Var {
     }
   }
 
-  /// In packed mode the cell is force-escalated first, so external probes
-  /// always observe coherent detector state.
-  typename D::VarState& shadow() {
-    if constexpr (kPackedCapable<D>) {
-      if (packed_) escalate_cell(cell_, spill_target(), spill_target());
-    }
-    return shadow_;
-  }
-
-  /// The packed cell (tests; meaningful only in packed mode).
-  PackedCell& cell() { return cell_; }
+  typename D::VarState& shadow() { return shadow_; }
 
  private:
-  auto spill_target() {
-    return [this]() -> typename D::VarState& { return shadow_; };
-  }
-
   Runtime<D>* rt_;
-  const bool packed_;
-  PackedCell cell_;
   std::atomic<T> data_;
   typename D::VarState shadow_;
 };

@@ -48,6 +48,8 @@ std::string detector_from_env() {
 
 }  // namespace
 
+Session::Session() = default;
+
 bool Session::configure(const std::string& name) {
   // Validate against the table without constructing a backend: a dry
   // probe would allocate a whole runtime just to throw it away.

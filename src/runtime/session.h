@@ -627,7 +627,10 @@ class Session {
   void reset();
 
  private:
-  Session() = default;
+  /// Out of line (session.cpp): inlined, the members' constructors make
+  /// instance() too large to inline into the ABI entry points, which then
+  /// call it through the PLT on every event.
+  Session();
 
   SessionBackend& create_backend();
 

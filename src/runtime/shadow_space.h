@@ -54,6 +54,7 @@
 #include <string>
 #include <utility>
 
+#include "sched/sched_point.h"
 #include "vft/atomics.h"
 #include "vft/detector.h"
 #include "vft/packed_cell.h"
@@ -242,6 +243,7 @@ class PageDirectory {
         }
       }
       fresh->next.store(expected, std::memory_order_relaxed);
+      VFT_SCHED_POINT(kCas, &head);
       if (head.compare_exchange_weak(expected, fresh.get(),
                                      std::memory_order_release,
                                      std::memory_order_acquire)) {
@@ -535,6 +537,7 @@ class PackedShadowSpace {
     SyncTable* t = p.sync.load(std::memory_order_acquire);
     if (t == nullptr) {
       auto table = std::make_unique<SyncTable>();
+      VFT_SCHED_POINT(kCas, &p.sync);
       if (p.sync.compare_exchange_strong(t, table.get(),
                                          std::memory_order_release,
                                          std::memory_order_acquire)) {
@@ -551,6 +554,7 @@ class PackedShadowSpace {
       }
       if (fresh == nullptr) fresh = std::make_unique<SyncObject>(a);
       fresh->next = expected;
+      VFT_SCHED_POINT(kCas, &head);
       if (head.compare_exchange_weak(expected, fresh.get(),
                                      std::memory_order_release,
                                      std::memory_order_acquire)) {
@@ -581,7 +585,7 @@ class PackedShadowSpace {
   template <bool IsWrite, typename Tool>
   bool range_access(Tool& tool, ThreadState& st, const void* addr,
                     std::size_t size, bool sampled, bool* spilled) {
-    const std::uint32_t e = st.epoch().bits();
+    [[maybe_unused]] const std::uint32_t e = st.epoch().bits();
     const std::uintptr_t lo =
         reinterpret_cast<std::uintptr_t>(addr) &
         ~static_cast<std::uintptr_t>(Geometry::kGranularity - 1);
@@ -614,7 +618,8 @@ class PackedShadowSpace {
       std::size_t i = Geometry::slot_index(first);
       const std::size_t end =
           ((last - 1 - base) >> Geometry::kGranularityLog2) + 1;
-      const auto* bits = reinterpret_cast<const std::uint64_t*>(p.cells);
+      [[maybe_unused]] const auto* bits =
+          reinterpret_cast<const std::uint64_t*>(p.cells);
       while (i < end) {
 #ifndef VFT_SCHED
         // Sched builds skip the prefix: the per-word loop below funnels

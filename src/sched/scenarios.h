@@ -24,6 +24,7 @@
 
 #include "runtime/instrument.h"
 #include "runtime/registry.h"
+#include "runtime/shadow_space.h"
 #include "runtime/tool.h"
 #include "sched/explore.h"
 #include "sched/sched_point.h"
@@ -193,11 +194,11 @@ std::optional<std::string> duo_check(S& s, bool second_writes) {
   SpecEnd ab = run_spec(base + a_ops + b_ops);
   SpecEnd ba = run_spec(base + b_ops + a_ops);
   const trace::HbResult hb = trace::analyze(base + a_ops + b_ops);
-  const auto reports = s.races.all();
+  const std::size_t reports = s.races.count();
 
   if (hb.race_free()) {
     if (ab.raced || ba.raced) return "spec raced on an hb-race-free trace";
-    if (!reports.empty()) {
+    if (reports != 0) {
       return "detector reported a race on a race-free program";
     }
     const std::string da = diff_var_state(s.x, ab.spec, 2);
@@ -209,11 +210,10 @@ std::optional<std::string> duo_check(S& s, bool second_writes) {
   }
 
   if (!ab.raced && !ba.raced) return "hb raced but spec did not";
-  if (reports.size() != 1) {
-    return "expected exactly one race report, got " +
-           std::to_string(reports.size());
+  if (reports != 1) {
+    return "expected exactly one race report, got " + std::to_string(reports);
   }
-  const RaceOccurrence& r = reports.front();
+  const RaceReport r = *s.races.first();
   if (r.var != kX) return "race reported on wrong variable";
   const auto matches = [&](const SpecEnd& e) {
     return e.raced && race_kind_of(e.rule) == r.kind && e.by == r.current_tid;
@@ -260,6 +260,8 @@ struct PackedState {
   PackedCell cell;
   SyncVarState spill;
   ThreadState t0{0}, t1{1}, t2{2};
+  /// Whether each forked thread's packed_access reported a race.
+  bool raced1 = false, raced2 = false;
 
   PackedState() { spill.id = kX; }
 
@@ -277,10 +279,10 @@ enum class PackedShape {
 inline std::optional<std::string> packed_check(PackedState& s,
                                                PackedShape shape) {
   const std::uint64_t spills = s.stats.count(Rule::kFastSpill);
-  const auto reports = s.races.all();
+  const std::size_t reports = s.races.count();
   switch (shape) {
     case PackedShape::kReadRead: {
-      if (!reports.empty()) {
+      if (reports != 0) {
         return "detector reported a race on a race-free program";
       }
       if (spills != 1) {
@@ -302,11 +304,11 @@ inline std::optional<std::string> packed_check(PackedState& s,
       if (spills != 1) {
         return "expected exactly one spill, got " + std::to_string(spills);
       }
-      if (reports.size() != 1) {
+      if (reports != 1) {
         return "expected exactly one race report, got " +
-               std::to_string(reports.size());
+               std::to_string(reports);
       }
-      const RaceOccurrence& r = reports.front();
+      const RaceReport r = *s.races.first();
       if (r.kind != RaceKind::kWriteWrite || r.var != kX ||
           (r.current_tid != 1 && r.current_tid != 2)) {
         return "write/write race report malformed";
@@ -317,20 +319,18 @@ inline std::optional<std::string> packed_check(PackedState& s,
       // Both readers race with the pre-escalation write the cell snapshot
       // carries; the snapshot reaches them through inject(), so both MUST
       // report - a schedule where one does not means the publication
-      // order leaked an empty VarState.
-      if (reports.size() != 2) {
+      // order leaked an empty VarState. Both occurrences fold into one
+      // context, so each reader's own verdict tells who reported.
+      if (reports != 2) {
         return "expected two write/read reports, got " +
-               std::to_string(reports.size());
+               std::to_string(reports);
       }
-      bool saw1 = false, saw2 = false;
-      for (const RaceOccurrence& r : reports) {
-        if (r.kind != RaceKind::kWriteRead || r.var != kX) {
-          return "missed-race report malformed";
-        }
-        saw1 |= r.current_tid == 1;
-        saw2 |= r.current_tid == 2;
+      const RaceReport r = *s.races.first();
+      if (s.races.context_count() != 1 || r.kind != RaceKind::kWriteRead ||
+          r.var != kX) {
+        return "missed-race report malformed";
       }
-      if (!saw1 || !saw2) return "both readers must report the race";
+      if (!s.raced1 || !s.raced2) return "both readers must report the race";
       if (spills != 1) {
         return "expected exactly one spill, got " + std::to_string(spills);
       }
@@ -367,21 +367,23 @@ inline Instance make_packed(PackedShape shape) {
   inst.bodies = {
       [s, writes, reads] {
         if (writes) {
-          packed_access<true>(s->det, s->t1, s->cell, s->slot(), s->slot());
+          s->raced1 |= !packed_access<true>(s->det, s->t1, s->cell,
+                                            s->slot(), s->slot());
         } else {
           for (int i = 0; i < reads; ++i) {
-            packed_access<false>(s->det, s->t1, s->cell, s->slot(),
-                                 s->slot());
+            s->raced1 |= !packed_access<false>(s->det, s->t1, s->cell,
+                                               s->slot(), s->slot());
           }
         }
       },
       [s, writes, reads] {
         if (writes) {
-          packed_access<true>(s->det, s->t2, s->cell, s->slot(), s->slot());
+          s->raced2 |= !packed_access<true>(s->det, s->t2, s->cell,
+                                            s->slot(), s->slot());
         } else {
           for (int i = 0; i < reads; ++i) {
-            packed_access<false>(s->det, s->t2, s->cell, s->slot(),
-                                 s->slot());
+            s->raced2 |= !packed_access<false>(s->det, s->t2, s->cell,
+                                               s->slot(), s->slot());
           }
         }
       },
@@ -584,9 +586,9 @@ std::optional<std::string> atomic_handoff_check(S& s, bool relaxed) {
   } else if (bits != pub.bits()) {
     return "fast epoch is not the sole publisher's epoch";
   }
-  const auto reports = s.races.all();
+  const std::size_t reports = s.races.count();
   if (!s.saw) {
-    if (!reports.empty()) return "race reported without the gated read";
+    if (reports != 0) return "race reported without the gated read";
     const std::string d = diff_var_state(s.x, spec, 2);
     if (!d.empty()) return "terminal state diverges from Spec: " + d;
     return std::nullopt;
@@ -596,11 +598,11 @@ std::optional<std::string> atomic_handoff_check(S& s, bool relaxed) {
     if (!r.error || r.rule != Rule::kWriteReadRace) {
       return "spec did not halt on the relaxed-published read";
     }
-    if (reports.size() != 1) {
+    if (reports != 1) {
       return "expected exactly one race report, got " +
-             std::to_string(reports.size());
+             std::to_string(reports);
     }
-    const RaceOccurrence& rep = reports.front();
+    const RaceReport rep = *s.races.first();
     if (rep.kind != RaceKind::kWriteRead || rep.var != kX ||
         rep.current_tid != 2) {
       return "relaxed-handoff race report malformed";
@@ -608,7 +610,7 @@ std::optional<std::string> atomic_handoff_check(S& s, bool relaxed) {
     return std::nullopt;
   }
   if (r.error) return "spec raced on the release/acquire handoff";
-  if (!reports.empty()) return "false race on a release/acquire handoff";
+  if (reports != 0) return "false race on a release/acquire handoff";
   const std::string d = diff_var_state(s.x, spec, 2);
   if (!d.empty()) return "terminal state diverges from Spec: " + d;
   return std::nullopt;
@@ -742,6 +744,77 @@ Instance make_atomic_cas_publish() {
 }
 
 // ---------------------------------------------------------------------------
+// Sync-state creation on a fresh shadow page (rt::PackedShadowSpace's
+// per-page sync side table, ALGORITHM.md §12.3): one thread's first lock
+// use of an address races another thread's first atomic use of the same
+// address and its first data write to a neighbouring word. Both creators
+// publish the page, the page's sync table and the address's sync object
+// by CAS, and every one of those CASes is a sched point, so the explorer
+// visits each lost-CAS re-scan. In every schedule the two threads must
+// agree on one page and one sync object, and the write must land in the
+// cell.
+// ---------------------------------------------------------------------------
+
+struct SyncCreateState {
+  RaceCollector races;
+  RuleStats stats;
+  VftV2 det{&races, &stats};
+  rt::PackedShadowSpace<VftV2> space;
+  atomics::FenceTls f2;
+  ThreadState t0{0}, t1{1}, t2{2};
+  /// Target memory: a sync object at mem[0] and a data word at mem[1],
+  /// on one shadow page (16-byte alignment keeps the pair off a boundary).
+  alignas(16) std::uint64_t mem[2] = {0, 0};
+
+  SyncCreateState() {
+    det.fork(t0, t1);
+    det.fork(t0, t2);
+  }
+};
+
+inline std::optional<std::string> sync_create_check(SyncCreateState& s) {
+  if (s.space.pages() != 1) {
+    return "expected one shadow page, got " +
+           std::to_string(s.space.pages());
+  }
+  if (s.space.sync_objects() != 1) {
+    return "expected one sync object, got " +
+           std::to_string(s.space.sync_objects());
+  }
+  if (s.space.locks() != 1) {
+    return "expected one lock state, got " + std::to_string(s.space.locks());
+  }
+  if (!s.races.empty()) {
+    return "false race: " + s.races.first()->str();
+  }
+  const PackedCell& cell = s.space.cell_of(&s.mem[1]);
+  if (cell.escalated() || PackedCell::unpack_w(cell.bits()) != s.t2.epoch()) {
+    return "written word's cell does not hold the writer's epoch";
+  }
+  return std::nullopt;
+}
+
+inline Instance make_sync_create() {
+  auto s = std::make_shared<SyncCreateState>();
+  Instance inst;
+  inst.state = s;
+  inst.bodies = {
+      [s] {
+        LockState& m = s->space.lock_of(&s->mem[0]);
+        s->det.acquire(s->t1, m);
+        s->det.release(s->t1, m);
+      },
+      [s] {
+        atomics::AtomicState& a = s->space.atomic_of(&s->mem[0]);
+        s->det.atomic_store(s->t2, a, s->f2, atomics::kMoRelease);
+        s->space.access<true>(s->det, s->t2, &s->mem[1], sizeof(s->mem[1]));
+      },
+  };
+  inst.check = [s] { return sync_create_check(*s); };
+  return inst;
+}
+
+// ---------------------------------------------------------------------------
 // Harness self-test: a textbook AB-BA deadlock over cooperative mutexes.
 // The explorer must FIND the deadlock (deadlocks > 0); a harness that
 // cannot is not exploring lock orders.
@@ -814,6 +887,9 @@ inline const std::vector<Scenario>& scenarios() {
       {"atomic-cas-publish",
        "unordered CAS publishers: joined clock, SHARED arm", false,
        [] { return make_atomic_cas_publish<VftV2>(); }},
+      {"sync-create",
+       "first lock and atomic of one address race a first write: one page",
+       false, make_sync_create},
       {"toy-deadlock", "AB-BA lock order: explorer must find the deadlock",
        true, make_toy_deadlock},
   };

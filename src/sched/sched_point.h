@@ -4,7 +4,9 @@
 // The detectors' lock-free hot paths (sync_var_state.h, ft_cas.h,
 // packed_cell.h, sync_vector_clock.h, the Volatile fast path in
 // runtime/instrument.h) announce every shared atomic load/store/CAS
-// through VFT_SCHED_POINT before performing it. Under a VFT_SCHED build
+// through VFT_SCHED_POINT before performing it; the shadow space
+// (runtime/shadow_space.h) announces the CASes that publish its pages,
+// sync tables and sync objects. Under a VFT_SCHED build
 // with a scheduler installed (src/sched/scheduler.h), each announcement
 // parks the calling thread until the scheduler picks it to run, so a
 // driver can enumerate or sample every interleaving of the announced

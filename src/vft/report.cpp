@@ -26,9 +26,6 @@ std::uint64_t fnv_str(std::uint64_t h, const std::string& s) {
   return fnv_bytes(h, "\0", 1);  // delimiter: "ab","c" != "a","bc"
 }
 
-// A flat-log entry: 32 bytes keep a full log (kFlatCap entries) at 2 MiB.
-static_assert(sizeof(RaceOccurrence) <= 32);
-
 /// One hash_stack step (vft/stack.h): a whole word per multiply.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return (h ^ v) * kFnvPrime;
@@ -57,10 +54,14 @@ const char* race_kind_name(RaceKind k) {
   return "unknown race";
 }
 
-std::string RaceOccurrence::str() const {
-  return std::string(race_kind_name(kind)) + " on var " + std::to_string(var) +
+std::string RaceOccurrence::str(const std::string& var_label) const {
+  return std::string(race_kind_name(kind)) + " on " + var_label +
          ": thread " + std::to_string(current_tid) + " at " + current.str() +
          " conflicts with prior access at " + prior.str();
+}
+
+std::string RaceOccurrence::str() const {
+  return str("var " + std::to_string(var));
 }
 
 std::uint64_t RaceCollector::stable_key(
@@ -93,36 +94,23 @@ RaceCollector::Node* RaceCollector::find(std::uint64_t raw) const {
   return nullptr;
 }
 
-void RaceCollector::count_locked(Node& n, const RaceOccurrence& o) {
-  n.count.fetch_add(1, std::memory_order_relaxed);
-  if (n.hidden || flat_.size() >= kFlatCap) return;
-  flat_.push_back(o);
-  if (flat_.size() == kFlatCap) {
-    flat_full_.store(true, std::memory_order_relaxed);
-  }
-}
-
-bool RaceCollector::fold(const RaceOccurrence& o, const CallStack& stack) {
-  Node* n = find(dedup_key(o, stack));
+bool RaceCollector::bump(std::uint64_t raw) const {
+  Node* n = find(raw);
   if (n == nullptr) return false;
-  if (n->hidden || flat_full_.load(std::memory_order_relaxed)) {
-    n->count.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  std::scoped_lock lk(mu_);
-  count_locked(*n, o);
+  n->count.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
+bool RaceCollector::fold(const RaceOccurrence& o, const CallStack& stack) {
+  return bump(dedup_key(o, stack));
+}
+
 void RaceCollector::report(const RaceReport& r) {
-  std::scoped_lock lk(mu_);
   const std::uint64_t raw = dedup_key(r, r.stack);
-  if (Node* n = find(raw)) {
-    // Known context: another thread created it after this occurrence's
-    // fold() missed, or the caller skipped fold().
-    count_locked(*n, r);
-    return;
-  }
+  if (bump(raw)) return;
+  std::scoped_lock lk(mu_);
+  // Another thread may have created the context since the lookup missed.
+  if (bump(raw)) return;
 
   RaceContext ctx;
   ctx.first = r;
@@ -144,21 +132,13 @@ void RaceCollector::report(const RaceReport& r) {
     ctx.suppressed_by =
         suppressions_.match(race_kind_name(r.kind), ctx.prior_frames);
   }
-  if (ctx.suppressed_by == nullptr &&
-      (visible_contexts_ >= total_limit_ ||
-       per_var_contexts_[r.var] >= per_var_limit_)) {
-    ctx.limit_dropped = true;
-  }
 
   Node& n = nodes_.emplace_back();
   n.raw = raw;
   n.hidden = ctx.hidden();
+  n.count.store(1, std::memory_order_relaxed);
   n.ctx = std::move(ctx);
-  if (!n.hidden) {
-    ++visible_contexts_;
-    ++per_var_contexts_[r.var];
-  }
-  count_locked(n, r);
+  if (!n.hidden) ++visible_contexts_;
   // Publish: every field above is visible to a lookup that acquires this
   // head. Older nodes behind it were published the same way, earlier.
   std::atomic<Node*>& head = bucket(raw);
@@ -200,11 +180,6 @@ std::vector<RaceContext> RaceCollector::contexts() const {
   return out;
 }
 
-std::vector<RaceOccurrence> RaceCollector::all() const {
-  std::scoped_lock lk(mu_);
-  return flat_;
-}
-
 std::optional<RaceReport> RaceCollector::first() const {
   std::scoped_lock lk(mu_);
   for (const Node& n : nodes_) {
@@ -224,20 +199,7 @@ void RaceCollector::clear() {
     buckets_[b].store(nullptr, std::memory_order_relaxed);
   }
   nodes_.clear();
-  flat_.clear();
-  flat_full_.store(false, std::memory_order_relaxed);
-  per_var_contexts_.clear();
   visible_contexts_ = 0;
-}
-
-void RaceCollector::set_per_var_limit(std::size_t k) {
-  std::scoped_lock lk(mu_);
-  per_var_limit_ = k;
-}
-
-void RaceCollector::set_total_limit(std::size_t n) {
-  std::scoped_lock lk(mu_);
-  total_limit_ = n;
 }
 
 void RaceCollector::name_var(std::uint64_t var, std::string name) {
@@ -253,14 +215,8 @@ std::optional<std::string> RaceCollector::var_name(std::uint64_t var) const {
 }
 
 std::string RaceCollector::describe(const RaceOccurrence& r) const {
-  std::scoped_lock lk(mu_);
-  const auto it = names_.find(r.var);
-  const std::string var_label =
-      it != names_.end() ? it->second : "var " + std::to_string(r.var);
-  return std::string(race_kind_name(r.kind)) + " on " + var_label +
-         ": thread " + std::to_string(r.current_tid) + " at " +
-         r.current.str() + " conflicts with prior access at " +
-         r.prior.str();
+  const std::optional<std::string> name = var_name(r.var);
+  return name ? r.str(*name) : r.str();
 }
 
 bool RaceCollector::load_suppressions(const std::string& path,

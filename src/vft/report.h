@@ -25,10 +25,8 @@
 //
 // Cost model: the race-free fast path never touches any of this. An
 // occurrence of a known context is folded by fold(): one lock-free hash
-// lookup and one relaxed counter add - no lock once the flat log is full
-// (until then a visible repeat takes the lock to append its entry), and
-// for a hidden context never. Only a *new* context takes the lock to
-// resolve frames (dladdr) and run suppression matching.
+// lookup and one relaxed counter add, no lock. Only a *new* context takes
+// the lock to resolve frames (dladdr) and run suppression matching.
 //
 // The collector is thread-safe: handlers run inline in target threads, so
 // concurrent reports are expected. Contexts are created only under the
@@ -62,7 +60,8 @@ enum class RaceKind : std::uint8_t {
 
 const char* race_kind_name(RaceKind k);
 
-/// One race occurrence without its stacks: what the flat log keeps.
+/// One race occurrence without its stacks: what fold() and the report
+/// formatters take.
 struct RaceOccurrence {
   RaceKind kind;
   /// Variable identifier. The id scheme, by origin of the VarState:
@@ -86,6 +85,10 @@ struct RaceOccurrence {
   /// The current thread's epoch at the racing access.
   Epoch current;
 
+  /// "<kind> on <var_label>: thread T at E conflicts with prior access at
+  /// P", the one race formatter.
+  std::string str(const std::string& var_label) const;
+  /// str() with the label "var <id>".
   std::string str() const;
 };
 
@@ -112,34 +115,27 @@ struct RaceContext {
   std::vector<ResolvedFrame> prior_frames;  ///< resolved first.prior_stack
   std::uint64_t count = 0;            ///< occurrences folded in
   /// Matching suppression rule, or nullptr. Suppressed contexts are
-  /// hidden from count()/all()/first() but remain in contexts() so the
-  /// report can show what was hidden.
+  /// hidden from count()/first() but remain in contexts() so the report
+  /// can show what was hidden.
   const SuppressionRule* suppressed_by = nullptr;
-  /// Context arrived past set_total_limit()/set_per_var_limit(): hidden
-  /// like a suppressed context, attributed to the limits instead of a
-  /// rule.
-  bool limit_dropped = false;
 
-  bool hidden() const { return suppressed_by != nullptr || limit_dropped; }
+  bool hidden() const { return suppressed_by != nullptr; }
 };
 
 class RaceCollector {
  public:
-  /// Entries the flat log (all()) keeps.
-  static constexpr std::size_t kFlatCap = 65536;
-
   /// Fold an occurrence into its error context if that context already
   /// exists, and return true; return false for an unknown context, whose
   /// occurrence the caller then passes to report() with both stacks.
   /// `stack` is the racing access's call stack (the dedup key's input).
-  /// A hidden context, and any context once the flat log is full, costs
-  /// one relaxed counter add and no lock. Thread-safe.
+  /// Costs one lock-free lookup and one relaxed counter add. Thread-safe.
   bool fold(const RaceOccurrence& o, const CallStack& stack);
 
   /// Fold one race occurrence into its error context, creating the
-  /// context when it is new: the one entry that creates contexts. A
-  /// context another thread created after this occurrence's fold()
-  /// missed is folded into, not duplicated. Thread-safe.
+  /// context when it is new: the one entry that creates contexts. A known
+  /// context is folded as by fold(), without the lock; one another thread
+  /// created after this occurrence's lookup missed is folded into, not
+  /// duplicated. Thread-safe.
   void report(const RaceReport& r);
 
   /// Total *visible* race occurrences (sum of non-hidden context counts);
@@ -150,45 +146,30 @@ class RaceCollector {
   /// Number of distinct visible error contexts.
   std::size_t context_count() const;
 
-  /// Occurrences hidden from the report: suppression-rule matches plus
-  /// over-limit drops, i.e. the sum of the hidden contexts' counts.
-  /// Nonzero suppression still means "racy run".
+  /// Occurrences hidden from the report by suppression rules, i.e. the
+  /// sum of the suppressed contexts' counts. Nonzero suppression still
+  /// means "racy run".
   std::size_t suppressed() const;
 
   /// Every context, visible and hidden, in first-seen order.
   std::vector<RaceContext> contexts() const;
-
-  /// Flat per-occurrence log of visible races, in arrival order, for
-  /// callers that predate dedup. Each entry is the occurrence as
-  /// reported (its own tid/epochs — occurrences folding into the same
-  /// context are NOT collapsed to the representative), without stacks:
-  /// a context's stacks are in contexts(). Capped at kFlatCap entries;
-  /// occurrences of hidden contexts are omitted.
-  std::vector<RaceOccurrence> all() const;
 
   /// The first visible context's representative occurrence.
   std::optional<RaceReport> first() const;
 
   bool empty() const;
 
-  /// Forget every context and the flat log. Quiescent only: no thread
-  /// may fold or report concurrently, since lookups walk the contexts
-  /// without the lock.
+  /// Forget every context. Quiescent only: no thread may fold or report
+  /// concurrently, since lookups walk the contexts without the lock.
   void clear();
-
-  /// At most k stored contexts per distinct variable / in total
-  /// (default: unlimited). With dedup these are triage guards, not
-  /// memory guards: past the limit, *new* contexts are recorded hidden
-  /// and their occurrences count as suppressed.
-  void set_per_var_limit(std::size_t k);
-  void set_total_limit(std::size_t n);
 
   /// Attach a human-readable name to a variable id; describe() and the
   /// report writers use it.
   void name_var(std::uint64_t var, std::string name);
   std::optional<std::string> var_name(std::uint64_t var) const;
 
-  /// Like RaceOccurrence::str() but with the registered variable name.
+  /// RaceOccurrence::str() labelled with the registered variable name,
+  /// when there is one.
   std::string describe(const RaceOccurrence& r) const;
 
   /// The suppression rules this collector filters through. Loading is
@@ -228,9 +209,9 @@ class RaceCollector {
     return buckets_[raw >> (64 - kBucketBits)];
   }
   Node* find(std::uint64_t raw) const;
-  /// An occurrence of context `n`, under mu_: count it, and append a
-  /// visible one to the flat log while there is room.
-  void count_locked(Node& n, const RaceOccurrence& o);
+  /// Count one occurrence of the context keyed `raw`, if it exists; no
+  /// lock. Returns whether it did.
+  bool bump(std::uint64_t raw) const;
   std::uint64_t stable_key(const RaceReport& r,
                            const std::vector<ResolvedFrame>& frames) const;
 
@@ -238,15 +219,8 @@ class RaceCollector {
   std::unique_ptr<std::atomic<Node*>[]> buckets_ =
       std::make_unique<std::atomic<Node*>[]>(kBuckets);
   std::deque<Node> nodes_;  // every context, first-seen order
-  std::vector<RaceOccurrence> flat_;  // visible occurrences, arrival order
-  /// Set under mu_ when flat_ reaches its cap; from then on visible
-  /// repeats fold without the lock.
-  std::atomic<bool> flat_full_{false};
-  std::unordered_map<std::uint64_t, std::size_t> per_var_contexts_;
   std::unordered_map<std::uint64_t, std::string> names_;
   SuppressionEngine suppressions_;
-  std::size_t per_var_limit_ = static_cast<std::size_t>(-1);
-  std::size_t total_limit_ = static_cast<std::size_t>(-1);
   std::size_t visible_contexts_ = 0;
 };
 

@@ -381,11 +381,7 @@ ReportDoc build_report_doc(const RaceCollector& rc, const char* detector,
     out.var = hex(c.first.var);
     if (const auto name = rc.var_name(c.first.var)) out.var_name = *name;
     out.count = c.count;
-    if (c.suppressed_by != nullptr) {
-      out.suppressed_by = c.suppressed_by->name;
-    } else if (c.limit_dropped) {
-      out.suppressed_by = "<limit>";
-    }
+    if (c.suppressed_by != nullptr) out.suppressed_by = c.suppressed_by->name;
 
     // Access kinds follow from the race kind: a write-read race is a
     // current *read* against a prior *write*; every other kind has a

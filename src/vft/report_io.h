@@ -19,7 +19,7 @@
 //         "var": "0x<hex>",
 //         "var_name": "...",          // only when registered
 //         "count": 1000,              // occurrences folded into the context
-//         "suppressed_by": "rule",    // only when hidden ("<limit>": caps)
+//         "suppressed_by": "rule",    // only when hidden
 //         "accesses": [
 //           { "role": "current", "kind": "write", "tid": 2, "epoch": "2@7",
 //             "stack": [ { "pc": "0x..", "module": "/path", "offset": "0x..",

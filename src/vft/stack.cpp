@@ -23,7 +23,8 @@ namespace vft {
 namespace {
 
 /// The calling thread's stack mapping [lo, hi), from pthread_getattr_np,
-/// resolved lazily and cached per thread. Queried only on the race path.
+/// resolved lazily and cached per thread. Queried by every frame-pointer
+/// walk: each access-history record and each race report.
 struct StackBounds {
   std::uintptr_t lo = 0;
   std::uintptr_t hi = 0;

@@ -465,10 +465,10 @@ TEST(AbiDeathTest, TypedRuntimeUnderOtherDetectorDiesActionably) {
   fresh_session("v2");
 }
 
-TEST(Abi, RepeatedRacePastTheFlatLogCapCountsEveryRead) {
+TEST(Abi, RepeatedRaceCountsEveryRead) {
   fresh_session();
   long x = 0;
-  constexpr std::size_t kReads = vft::RaceCollector::kFlatCap + 4000;
+  constexpr std::size_t kReads = 69536;
   std::atomic<bool> written{false};
   run_concurrent_pair([&](int who) {
     if (who == 0) {

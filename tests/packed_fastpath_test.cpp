@@ -1,5 +1,5 @@
 // The packed-cell same-epoch fast path (vft/packed_cell.h and the
-// PackedShadowSpace / wrapper packed modes built on it), checked four ways:
+// PackedShadowSpace built on it), checked four ways:
 //
 //   - PackedCell unit semantics: the decision tree, the one-way
 //     ESCALATING -> ESCALATED protocol, bottom-epoch first touches;
@@ -11,19 +11,18 @@
 //   - backend parity: the same traces against real memory through
 //     PackedShadowSpace must agree with the oracle;
 //   - deterministic schedules scripted in the schedule explorer's replay
-//     format (sched::ScriptedOrder) and concurrent stress through
-//     the production wrappers (rt::Var packed mode), including forced
-//     spill/promotion interleavings: simultaneous escalation must spill
-//     exactly once, ordered handoffs must stay race-free (and on the fast
-//     path), and unsynchronized sharing must still race.
+//     format (sched::ScriptedOrder) and concurrent stress through the
+//     production wrappers (a one-element rt::Array carved from the
+//     runtime's packed space), including forced spill/promotion
+//     interleavings: simultaneous escalation must spill exactly once,
+//     ordered handoffs must stay race-free (and on the fast path), and
+//     unsynchronized sharing must still race.
 #include "vft/packed_cell.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
 
-#include "runtime/adaptive_array.h"
-#include "runtime/coarse_array.h"
 #include "runtime/instrument.h"
 #include "sched/script.h"
 #include "trace/generator.h"
@@ -108,9 +107,8 @@ TEST(PackedCell, EscalateCellInjectsSnapshotIntoSpillTarget) {
 // --- Randomized differential vs the Spec oracle -----------------------------
 
 /// Trace-level shadow store with a packed cell fronting every variable's
-/// (eagerly allocated) VarState - the rt::Var packed-mode shape, driven by
-/// hand-managed ThreadStates so generated traces exercise the exact
-/// production fast-path/spill code.
+/// (eagerly allocated) VarState, driven by hand-managed ThreadStates so
+/// generated traces exercise the exact production fast-path/spill code.
 template <typename D>
 class PackedStore {
  public:
@@ -334,18 +332,18 @@ TYPED_TEST(PackedFastPath, ReadSharePromotionSpillsWithSpecParity) {
   RuleStats stats;
   rt::Runtime<TypeParam> R{TypeParam(&rc, &stats)};
   typename rt::Runtime<TypeParam>::MainScope scope(R);
-  rt::Var<int, TypeParam> x(R, 0, 0, /*packed=*/true);
+  rt::Array<int, TypeParam> x(R, R.packed_space(), 1);
   sched::ScriptedOrder order({0, 1, 1});
 
-  x.store(7);
+  x.store(0, 7);
   rt::Thread<TypeParam> t1(R, [&] {
-    order.step(0, [&] { EXPECT_EQ(x.load(), 7); });
+    order.step(0, [&] { EXPECT_EQ(x.load(0), 7); });
   });
   rt::Thread<TypeParam> t2(R, [&] {
     // unordered with t1's read: escalates
-    order.step(1, [&] { EXPECT_EQ(x.load(), 7); });
+    order.step(1, [&] { EXPECT_EQ(x.load(0), 7); });
     // post-spill: detector [Read Shared Same Epoch]
-    order.step(1, [&] { EXPECT_EQ(x.load(), 7); });
+    order.step(1, [&] { EXPECT_EQ(x.load(0), 7); });
   });
   t1.join();
   t2.join();
@@ -360,7 +358,7 @@ TYPED_TEST(PackedFastPath, ReadSharePromotionSpillsWithSpecParity) {
   error |= oracle.on_read(2, 1).error;
   EXPECT_FALSE(error);
   EXPECT_EQ(rc.count(), 0u) << rc.first()->str();
-  EXPECT_TRUE(x.cell().escalated());
+  EXPECT_TRUE(R.packed_space().cell_of(x.data()).escalated());
   EXPECT_EQ(stats.count(Rule::kFastSpill), 1u);
 }
 
@@ -372,22 +370,22 @@ TYPED_TEST(PackedFastPath, LockedHandoffStaysOnFastPath) {
   RuleStats stats;
   rt::Runtime<TypeParam> R{TypeParam(&rc, &stats)};
   typename rt::Runtime<TypeParam>::MainScope scope(R);
-  rt::Var<int, TypeParam> x(R, 0, 0, /*packed=*/true);
+  rt::Array<int, TypeParam> x(R, R.packed_space(), 1);
   rt::Mutex<TypeParam> m(R);
   sched::ScriptedOrder order({0, 1});
 
   rt::Thread<TypeParam> t1(R, [&] {
     order.step(0, [&] {
       rt::Guard<TypeParam> g(m);
-      x.store(1);
-      x.store(2);  // [Write Same Epoch] hit
+      x.store(0, 1);
+      x.store(0, 2);  // [Write Same Epoch] hit
     });
   });
   rt::Thread<TypeParam> t2(R, [&] {
     order.step(1, [&] {
       rt::Guard<TypeParam> g(m);
-      EXPECT_EQ(x.load(), 2);  // ordered via m: [Read Exclusive] inline
-      x.store(3);              // ordered: [Write Exclusive] inline
+      EXPECT_EQ(x.load(0), 2);  // ordered via m: [Read Exclusive] inline
+      x.store(0, 3);  // ordered: [Write Exclusive] inline
     });
   });
   t1.join();
@@ -407,7 +405,7 @@ TYPED_TEST(PackedFastPath, LockedHandoffStaysOnFastPath) {
   oracle.on_release(2, 1);
   EXPECT_FALSE(error);
   EXPECT_EQ(rc.count(), 0u) << rc.first()->str();
-  EXPECT_FALSE(x.cell().escalated());
+  EXPECT_FALSE(R.packed_space().cell_of(x.data()).escalated());
   EXPECT_EQ(stats.count(Rule::kFastSpill), 0u);
   EXPECT_EQ(stats.count(Rule::kFastMiss), 0u);
 }
@@ -420,14 +418,14 @@ TYPED_TEST(PackedFastPath, RacingWriteSpillsAndReports) {
   RuleStats stats;
   rt::Runtime<TypeParam> R{TypeParam(&rc, &stats)};
   typename rt::Runtime<TypeParam>::MainScope scope(R);
-  rt::Var<int, TypeParam> x(R, 0, 0, /*packed=*/true);
+  rt::Array<int, TypeParam> x(R, R.packed_space(), 1);
   sched::ScriptedOrder order({0, 1});  // scripted: invisible to analysis
 
   rt::Thread<TypeParam> t1(R, [&] {
-    order.step(0, [&] { x.store(1); });
+    order.step(0, [&] { x.store(0, 1); });
   });
   rt::Thread<TypeParam> t2(R, [&] {
-    order.step(1, [&] { x.store(2); });  // races with t1's write
+    order.step(1, [&] { x.store(0, 2); });  // races with t1's write
   });
   t1.join();
   t2.join();
@@ -440,7 +438,7 @@ TYPED_TEST(PackedFastPath, RacingWriteSpillsAndReports) {
   error |= oracle.on_write(2, 1).error;
   EXPECT_TRUE(error);
   EXPECT_GE(rc.count(), 1u);
-  EXPECT_TRUE(x.cell().escalated());
+  EXPECT_TRUE(R.packed_space().cell_of(x.data()).escalated());
   EXPECT_EQ(stats.count(Rule::kFastSpill), 1u);
 }
 
@@ -456,15 +454,15 @@ TYPED_TEST(PackedFastPath, SimultaneousEscalationSpillsExactlyOnce) {
     RuleStats stats;
     rt::Runtime<TypeParam> R{TypeParam(&rc, &stats)};
     typename rt::Runtime<TypeParam>::MainScope scope(R);
-    rt::Var<int, TypeParam> x(R, 0, 0, /*packed=*/true);
-    x.store(5);
+    rt::Array<int, TypeParam> x(R, R.packed_space(), 1);
+    x.store(0, 5);
     rt::parallel_for_threads(R, 4, [&](std::uint32_t) {
-      for (int i = 0; i < 16; ++i) EXPECT_EQ(x.load(), 5);
+      for (int i = 0; i < 16; ++i) EXPECT_EQ(x.load(0), 5);
     });
     EXPECT_EQ(rc.count(), 0u) << rc.first()->str();
     EXPECT_LE(stats.count(Rule::kFastSpill), 1u);
     // 4 unordered readers cannot all stay in epoch mode.
-    EXPECT_TRUE(x.cell().escalated());
+    EXPECT_TRUE(R.packed_space().cell_of(x.data()).escalated());
     EXPECT_EQ(stats.count(Rule::kFastSpill), 1u);
   }
 }
@@ -476,12 +474,12 @@ TYPED_TEST(PackedFastPath, UnsynchronizedWritersStillRace) {
   RaceCollector rc;
   rt::Runtime<TypeParam> R{TypeParam(&rc)};
   typename rt::Runtime<TypeParam>::MainScope scope(R);
-  rt::Var<int, TypeParam> x(R, 0, 0, /*packed=*/true);
+  rt::Array<int, TypeParam> x(R, R.packed_space(), 1);
   rt::parallel_for_threads(R, 2, [&](std::uint32_t w) {
-    for (int i = 0; i < 50; ++i) x.store(static_cast<int>(w));
+    for (int i = 0; i < 50; ++i) x.store(0, static_cast<int>(w));
   });
   EXPECT_GE(rc.count(), 1u);
-  EXPECT_TRUE(x.cell().escalated());
+  EXPECT_TRUE(R.packed_space().cell_of(x.data()).escalated());
 }
 
 TYPED_TEST(PackedFastPath, LockOrderedHammerNoFalsePositives) {
@@ -490,16 +488,16 @@ TYPED_TEST(PackedFastPath, LockOrderedHammerNoFalsePositives) {
   RaceCollector rc;
   rt::Runtime<TypeParam> R{TypeParam(&rc)};
   typename rt::Runtime<TypeParam>::MainScope scope(R);
-  rt::Var<int, TypeParam> x(R, 0, 0, /*packed=*/true);
+  rt::Array<int, TypeParam> x(R, R.packed_space(), 1);
   rt::Mutex<TypeParam> m(R);
   rt::parallel_for_threads(R, 4, [&](std::uint32_t) {
     for (int i = 0; i < 200; ++i) {
       rt::Guard<TypeParam> g(m);
-      x.store(x.load() + 1);
+      x.store(0, x.load(0) + 1);
     }
   });
   EXPECT_EQ(rc.count(), 0u) << rc.first()->str();
-  EXPECT_EQ(x.raw(), 800);
+  EXPECT_EQ(x.raw(0), 800);
 }
 
 // --- Wrapper / raw-pointer agreement on the packed space --------------------
@@ -538,91 +536,6 @@ TYPED_TEST(PackedFastPath, ArrayAndRawInstrumentationShareCells) {
   EXPECT_TRUE(pspace.template access<false>(
       R.tool(), R.self(), a.data(), a.size() * sizeof(std::uint64_t)));
   EXPECT_EQ(rc.count(), 0u);
-}
-
-// --- CoarseArray / AdaptiveArray packed modes -------------------------------
-
-TYPED_TEST(PackedFastPath, CoarseArrayPackedKeepsGranulePartitionsQuiet) {
-  // Granule-aligned thread partitions with an ordered handoff: every
-  // granule's cell sees only ordered accesses, so the whole run stays on
-  // the fast path with zero reports.
-  RaceCollector rc;
-  RuleStats stats;
-  rt::Runtime<TypeParam> R{TypeParam(&rc, &stats)};
-  typename rt::Runtime<TypeParam>::MainScope scope(R);
-  rt::CoarseArray<int, TypeParam> a(R, 128, 32, 0, /*packed=*/true);
-  rt::parallel_for_threads(R, 4, [&](std::uint32_t w) {
-    for (std::size_t i = w * 32; i < (w + 1) * 32; ++i) {
-      a.store(i, static_cast<int>(i));
-      EXPECT_EQ(a.load(i), static_cast<int>(i));
-    }
-  });
-  EXPECT_EQ(rc.count(), 0u) << rc.first()->str();
-  EXPECT_EQ(stats.count(Rule::kFastSpill), 0u);
-  EXPECT_GT(stats.count(Rule::kFastWriteHit), 0u);
-}
-
-TYPED_TEST(PackedFastPath, CoarseArrayPackedStillFalseAlarmsAcrossGranule) {
-  // The documented coarse-shadow imprecision must survive the packed
-  // front: two threads on different elements of one granule still report.
-  RaceCollector rc;
-  rt::Runtime<TypeParam> R{TypeParam(&rc)};
-  typename rt::Runtime<TypeParam>::MainScope scope(R);
-  rt::CoarseArray<int, TypeParam> a(R, 64, 64, 0, /*packed=*/true);
-  sched::ScriptedOrder order({0, 1});
-  rt::Thread<TypeParam> t1(R, [&] {
-    order.step(0, [&] { a.store(1, 1); });
-  });
-  rt::Thread<TypeParam> t2(R, [&] {
-    // distinct element, same granule: merged history
-    order.step(1, [&] { a.store(60, 1); });
-  });
-  t1.join();
-  t2.join();
-  EXPECT_GE(rc.count(), 1u);
-}
-
-TEST(PackedAdaptiveArray, OwnerStaysInlineAndSplitSnapshotsFromCell) {
-  // The owner's coarse-path accesses run against the granule cell; the
-  // second thread's touch splits with the cell's exact {R, W} snapshot,
-  // so an ordered handoff stays race-free and precision is per-element
-  // afterwards.
-  RaceCollector rc;
-  RuleStats stats;
-  rt::Runtime<VftV2> R{VftV2(&rc, &stats)};
-  rt::Runtime<VftV2>::MainScope scope(R);
-  rt::AdaptiveArray<int, VftV2> a(R, 64, 16, 0, /*packed=*/true);
-  for (std::size_t i = 0; i < a.size(); ++i) a.store(i, 1);
-  EXPECT_EQ(a.split_count(), 0u);
-  EXPECT_GT(stats.count(Rule::kFastWriteHit), 0u);
-
-  rt::Thread<VftV2> t1(R, [&] {
-    a.store(5, 2);  // ordered via fork: splits granule 0, no report
-    a.store(5, 3);
-  });
-  t1.join();
-  EXPECT_EQ(a.split_count(), 1u);
-  EXPECT_EQ(rc.count(), 0u) << rc.first()->str();
-  EXPECT_EQ(a.raw(5), 3);
-}
-
-TEST(PackedAdaptiveArray, RacyTouchAfterSplitStillReports) {
-  RaceCollector rc;
-  rt::Runtime<VftV2> R{VftV2(&rc)};
-  rt::Runtime<VftV2>::MainScope scope(R);
-  rt::AdaptiveArray<int, VftV2> a(R, 32, 32, 0, /*packed=*/true);
-  sched::ScriptedOrder order({0, 1});
-  rt::Thread<VftV2> t1(R, [&] {
-    // claims the granule, packed coarse path
-    order.step(0, [&] { a.store(3, 1); });
-  });
-  rt::Thread<VftV2> t2(R, [&] {
-    // unordered second thread: split, then race on elem 3
-    order.step(1, [&] { a.store(3, 2); });
-  });
-  t1.join();
-  t2.join();
-  EXPECT_GE(rc.count(), 1u);
 }
 
 TEST(PackedShadowSpaceStats, CountsPagesAndSpills) {

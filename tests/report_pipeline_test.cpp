@@ -241,6 +241,27 @@ TEST(ParseReport, OlderSamplingBlockWithPolicyKeyStillParses) {
   EXPECT_NE(merged.find("\"skipped\": 980"), std::string::npos) << merged;
 }
 
+TEST(ParseReport, OlderLimitHiddenContextStillParses) {
+  // Builds that capped contexts per variable marked the over-limit ones
+  // "suppressed_by": "<limit>"; such a context parses as hidden.
+  const std::string text =
+      "{\"schema\": \"vft-report-v2\", \"detector\": \"VerifiedFT-v2\","
+      " \"runs\": 1, \"clean_exit\": true, \"contexts\": ["
+      " {\"key\": \"0x00000000000000aa\", \"kind\": \"write-write race\","
+      " \"var\": \"0x7\", \"count\": 3, \"accesses\": []},"
+      " {\"key\": \"0x00000000000000bb\", \"kind\": \"read-write race\","
+      " \"var\": \"0x7\", \"count\": 2, \"suppressed_by\": \"<limit>\","
+      " \"accesses\": []}]}";
+  ReportDoc doc;
+  std::string err;
+  ASSERT_TRUE(reportio::parse_report(text, &doc, &err)) << err;
+  ASSERT_EQ(doc.contexts.size(), 2u);
+  EXPECT_EQ(doc.summary.races, 3u);
+  EXPECT_EQ(doc.summary.contexts, 1u);
+  EXPECT_EQ(doc.summary.suppressed, 2u);
+  EXPECT_EQ(doc.summary.suppressed_contexts, 1u);
+}
+
 TEST(ParseReport, RenderParseRoundTripPreservesEverything) {
   RaceCollector c;
   c.name_var(5, "Account.balance \"quoted\"");

@@ -1,6 +1,5 @@
 // RaceCollector behaviour: error-context folding, report formatting,
-// limits, the flat compatibility views, and the lock-free fold of known
-// contexts past the flat log's cap.
+// suppression accounting, and the lock-free fold of known contexts.
 //
 // Reports here carry no call stack (unit-level callers never arm the
 // interposition boundary), so contexts key on (kind, var) - the
@@ -25,8 +24,6 @@ void occur(RaceCollector& c, const RaceReport& r) {
   if (!c.fold(r, r.stack)) c.report(r);
 }
 
-constexpr std::size_t kCap = RaceCollector::kFlatCap;
-
 TEST(RaceCollector, StartsEmpty) {
   RaceCollector c;
   EXPECT_TRUE(c.empty());
@@ -42,7 +39,8 @@ TEST(RaceCollector, RecordsInOrder) {
   EXPECT_EQ(c.count(), 2u);
   EXPECT_EQ(c.context_count(), 2u);
   EXPECT_EQ(c.first()->var, 1u);
-  EXPECT_EQ(c.all()[1].var, 2u);
+  ASSERT_EQ(c.contexts().size(), 2u);
+  EXPECT_EQ(c.contexts()[1].first.var, 2u);
 }
 
 TEST(RaceCollector, DuplicateOccurrencesFoldIntoOneContext) {
@@ -52,7 +50,6 @@ TEST(RaceCollector, DuplicateOccurrencesFoldIntoOneContext) {
   EXPECT_EQ(c.context_count(), 1u);  // ...in one deduplicated context
   ASSERT_EQ(c.contexts().size(), 1u);
   EXPECT_EQ(c.contexts()[0].count, 5u);
-  EXPECT_EQ(c.all().size(), 5u);  // flat view expands the count
 }
 
 TEST(RaceCollector, DistinctKindsAreDistinctContexts) {
@@ -110,58 +107,33 @@ TEST(RaceReport, StrNamesKindThreadsAndEpochs) {
   EXPECT_NE(s.find("2@3"), std::string::npos);
 }
 
-TEST(RaceCollector, PerVarLimitHidesExcessContextsButCounts) {
+TEST(RaceCollector, ClearResetsCountsAndSuppression) {
   RaceCollector c;
-  c.set_per_var_limit(2);
-  // Three distinct contexts on var 7 (three kinds); the third arrives
-  // over the limit and is recorded hidden.
-  c.report(sample(RaceKind::kWriteWrite, 7));
-  c.report(sample(RaceKind::kWriteRead, 7));
-  c.report(sample(RaceKind::kReadWrite, 7));
-  c.report(sample(RaceKind::kWriteWrite, 8));  // different var: unaffected
-  EXPECT_EQ(c.count(), 3u);       // 2 visible for var 7, 1 for var 8
-  EXPECT_EQ(c.suppressed(), 1u);  // the over-limit context's occurrence
-  EXPECT_FALSE(c.empty());        // suppression still means "racy run"
-  // Repeats of an already-visible context are never limited - dedup
-  // made the limits context guards, not occurrence guards.
-  c.report(sample(RaceKind::kWriteWrite, 7));
-  EXPECT_EQ(c.count(), 4u);
-  // Repeats of the hidden context keep accruing to suppressed.
-  c.report(sample(RaceKind::kReadWrite, 7));
-  EXPECT_EQ(c.suppressed(), 2u);
-}
-
-TEST(RaceCollector, TotalLimitCapsVisibleContexts) {
-  RaceCollector c;
-  c.set_total_limit(3);
-  for (std::uint64_t v = 0; v < 10; ++v) {
-    c.report(sample(RaceKind::kReadWrite, v));
-  }
-  EXPECT_EQ(c.count(), 3u);
-  EXPECT_EQ(c.context_count(), 3u);
-  EXPECT_EQ(c.suppressed(), 7u);
-}
-
-TEST(RaceCollector, ClearResetsLimitsCountsAndSuppression) {
-  RaceCollector c;
-  c.set_per_var_limit(1);
+  ASSERT_TRUE(c.load_suppressions_text(
+      "{\n hide-ww\n vft:write-write*\n ...\n}\n", "test"));
   c.report(sample(RaceKind::kWriteRead, 1));
   c.report(sample(RaceKind::kWriteWrite, 1));  // second context: hidden
   EXPECT_EQ(c.suppressed(), 1u);
   c.clear();
   EXPECT_TRUE(c.empty());
   EXPECT_EQ(c.suppressed(), 0u);
-  c.report(sample(RaceKind::kWriteRead, 1));  // budget is fresh again
+  EXPECT_EQ(c.context_count(), 0u);
+  c.report(sample(RaceKind::kWriteRead, 1));
   EXPECT_EQ(c.count(), 1u);
 }
 
 TEST(RaceCollector, DescribeUsesRegisteredNames) {
   RaceCollector c;
   c.name_var(42, "Account.balance");
-  const std::string with_name = c.describe(sample(RaceKind::kWriteWrite, 42));
+  const RaceReport named = sample(RaceKind::kWriteWrite, 42);
+  const std::string with_name = c.describe(named);
   EXPECT_NE(with_name.find("Account.balance"), std::string::npos);
-  const std::string without = c.describe(sample(RaceKind::kWriteWrite, 43));
+  const RaceReport unnamed = sample(RaceKind::kWriteWrite, 43);
+  const std::string without = c.describe(unnamed);
   EXPECT_NE(without.find("var 43"), std::string::npos);
+  // One formatter: describe() is str() with the label swapped.
+  EXPECT_EQ(with_name, named.str("Account.balance"));
+  EXPECT_EQ(without, unnamed.str());
 }
 
 TEST(RaceKindNames, AllDistinct) {
@@ -198,14 +170,15 @@ TEST(RaceCollector, FoldMissesUnknownContextsAndCountsKnownOnes) {
   c.report(r);
   EXPECT_TRUE(c.fold(r, r.stack));
   EXPECT_EQ(c.count(), 2u);
-  EXPECT_EQ(c.all().size(), 2u);
+  ASSERT_EQ(c.contexts().size(), 1u);
+  EXPECT_EQ(c.contexts()[0].count, 2u);
   // The kind is part of the key.
   EXPECT_FALSE(c.fold(sample(RaceKind::kWriteWrite, 5), CallStack{}));
 }
 
-TEST(RaceCollector, RepeatsPastTheFlatCapCountExactly) {
+TEST(RaceCollector, RepeatsCountExactlyAndKeepTheFirstOccurrence) {
   RaceCollector c;
-  constexpr std::size_t kTotal = kCap + 5000;
+  constexpr std::size_t kTotal = 70000;
   for (std::size_t i = 0; i < kTotal; ++i) {
     RaceReport r = sample(i % 2 == 0 ? RaceKind::kWriteWrite
                                      : RaceKind::kReadWrite,
@@ -220,23 +193,19 @@ TEST(RaceCollector, RepeatsPastTheFlatCapCountExactly) {
   ASSERT_EQ(ctxs.size(), 2u);
   EXPECT_EQ(ctxs[0].count, kTotal / 2);
   EXPECT_EQ(ctxs[1].count, kTotal / 2);
-  // The flat log keeps the first kCap occurrences, in arrival order.
-  const auto flat = c.all();
-  ASSERT_EQ(flat.size(), kCap);
-  for (std::size_t i = 0; i < kCap; ++i) {
-    ASSERT_EQ(flat[i].var, i % 2 == 0 ? 1u : 2u) << i;
-    ASSERT_EQ(flat[i].current, Epoch::make(2, static_cast<Clock>(i + 1)))
-        << i;
-  }
+  // Each context keeps its first occurrence as the representative.
+  EXPECT_EQ(ctxs[1].first.var, 2u);
+  EXPECT_EQ(ctxs[1].first.current, Epoch::make(2, 2));
   ASSERT_TRUE(c.first().has_value());
   EXPECT_EQ(c.first()->var, 1u);
   EXPECT_EQ(c.first()->current, Epoch::make(2, 1));
 }
 
-TEST(RaceCollector, ConcurrentRepeatsPastTheFlatCapCountExactly) {
+TEST(RaceCollector, ConcurrentRepeatsAndCreationsCountExactly) {
+  // Four threads fold into three shared contexts while a fifth creates
+  // new ones: lock-free lookups run while nodes are being published.
   RaceCollector c;
   constexpr int kRepeaters = 4, kShared = 3, kEach = 6000, kCreated = 500;
-  static_assert(std::size_t{kRepeaters} * kShared * kEach > kCap);
   std::vector<std::thread> threads;
   for (int t = 0; t < kRepeaters; ++t) {
     threads.emplace_back([&c] {
@@ -259,7 +228,6 @@ TEST(RaceCollector, ConcurrentRepeatsPastTheFlatCapCountExactly) {
   EXPECT_EQ(c.count(),
             static_cast<std::size_t>(kRepeaters * kShared * kEach + kCreated));
   EXPECT_EQ(c.context_count(), static_cast<std::size_t>(kShared + kCreated));
-  EXPECT_EQ(c.all().size(), kCap);
   std::size_t shared = 0, created = 0;
   for (const RaceContext& ctx : c.contexts()) {
     if (ctx.first.kind == RaceKind::kWriteWrite) {
@@ -278,51 +246,42 @@ TEST(RaceCollector, HiddenContextsFoldAndStillCountAsSuppressed) {
   RaceCollector c;
   ASSERT_TRUE(c.load_suppressions_text(
       "{\n hide-ww\n vft:write-write*\n ...\n}\n", "test"));
-  c.set_per_var_limit(1);
-  constexpr std::size_t kVisible = kCap + 10;
-  constexpr std::size_t kRuled = kCap + 1000;
-  constexpr std::size_t kDropped = kCap + 2000;
-  // One visible context on var 1 fills the flat log; a second context on
-  // var 1 arrives over the per-variable limit.
+  constexpr std::size_t kVisible = 70010;
+  constexpr std::size_t kRuled = 71000;
   for (std::size_t i = 0; i < kVisible; ++i) {
     occur(c, sample(RaceKind::kWriteRead, 1));
   }
   for (std::size_t i = 0; i < kRuled; ++i) {
     occur(c, sample(RaceKind::kWriteWrite, 2));
   }
-  for (std::size_t i = 0; i < kDropped; ++i) {
-    occur(c, sample(RaceKind::kReadWrite, 1));
-  }
-  EXPECT_EQ(c.count(), kVisible);  // neither hidden context counts
+  EXPECT_EQ(c.count(), kVisible);  // the hidden context does not count
   EXPECT_EQ(c.context_count(), 1u);
-  EXPECT_EQ(c.suppressed(), kRuled + kDropped);
-  EXPECT_EQ(c.all().size(), kCap);
+  EXPECT_EQ(c.suppressed(), kRuled);
   const auto stats = c.suppression_stats();
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].first, "hide-ww");
   EXPECT_EQ(stats[0].second, kRuled);
   const auto ctxs = c.contexts();
-  ASSERT_EQ(ctxs.size(), 3u);
+  ASSERT_EQ(ctxs.size(), 2u);
   EXPECT_NE(ctxs[1].suppressed_by, nullptr);
   EXPECT_EQ(ctxs[1].count, kRuled);
-  EXPECT_TRUE(ctxs[2].limit_dropped);
-  EXPECT_EQ(ctxs[2].count, kDropped);
+  ASSERT_TRUE(c.first().has_value());
+  EXPECT_EQ(c.first()->kind, RaceKind::kWriteRead);
 }
 
-TEST(RaceCollector, ClearAfterTheCapStartsOver) {
+TEST(RaceCollector, ClearAfterRepeatsStartsOver) {
   RaceCollector c;
   const RaceReport r = sample(RaceKind::kWriteRead, 9);
-  for (std::size_t i = 0; i < kCap + 100; ++i) occur(c, r);
-  ASSERT_EQ(c.all().size(), kCap);
+  for (std::size_t i = 0; i < 100; ++i) occur(c, r);
+  ASSERT_EQ(c.count(), 100u);
   c.clear();
   EXPECT_TRUE(c.empty());
   occur(c, r);  // a new context again
   EXPECT_EQ(c.count(), 1u);
   ASSERT_EQ(c.contexts().size(), 1u);
   EXPECT_EQ(c.contexts()[0].count, 1u);
-  EXPECT_EQ(c.all().size(), 1u);
-  occur(c, r);  // the flat log has room again
-  EXPECT_EQ(c.all().size(), 2u);
+  occur(c, r);  // folds into the new context
+  EXPECT_EQ(c.contexts()[0].count, 2u);
 }
 
 }  // namespace

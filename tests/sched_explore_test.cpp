@@ -249,6 +249,16 @@ TEST(SchedExplore, AtomicCasPublishExhaustive) {
   EXPECT_EQ(r.schedules, 312u);
 }
 
+// Sync-state creation on a fresh shadow page: every interleaving of the
+// page, sync-table and sync-object publication CASes of a first lock use,
+// a first atomic use of the same address and a first write to the page.
+
+TEST(SchedExplore, SyncCreateExhaustive) {
+  const ExploreResult r = run_dfs("sync-create");
+  expect_clean(r);
+  EXPECT_EQ(r.schedules, 35u);
+}
+
 TEST(SchedExplore, SleepSetsOnlyPrune) {
   // Same scenario with pruning off: strictly more schedules, same verdict.
   // (v2-read-share, not packed-escalate: the latter's unpruned space is

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/instrument.h"
@@ -283,7 +284,8 @@ TEST(ShadowSpace, ArrayCarvedFromSpaceAgreesWithRawPointers) {
 ///   t0: read  z, t1: read z -> read-share, no race
 struct Verdict {
   std::size_t reports;
-  std::vector<RaceKind> kinds;
+  /// Each error context's kind and count, in first-seen order.
+  std::vector<std::pair<RaceKind, std::uint64_t>> contexts;
 
   bool operator==(const Verdict&) const = default;
 };
@@ -307,7 +309,9 @@ Verdict run_schedule(Access&& acc) {
   step(t1, 0, 2);
   Verdict v;
   v.reports = rc.count();
-  for (const auto& r : rc.all()) v.kinds.push_back(r.kind);
+  for (const RaceContext& c : rc.contexts()) {
+    v.contexts.emplace_back(c.first.kind, c.count);
+  }
   return v;
 }
 
@@ -350,7 +354,9 @@ void expect_parity() {
   wrapped_step(t1, 0, 2);
   Verdict via_wrapper;
   via_wrapper.reports = rc.count();
-  for (const auto& r : rc.all()) via_wrapper.kinds.push_back(r.kind);
+  for (const RaceContext& c : rc.contexts()) {
+    via_wrapper.contexts.emplace_back(c.first.kind, c.count);
+  }
 
   EXPECT_GE(via_space.reports, 2u) << D::kName;  // both races reported
   EXPECT_EQ(via_space, via_wrapper) << D::kName;

@@ -167,8 +167,9 @@ int analyze_with(const trace::Trace& t, D detector, RaceCollector& rc) {
   if (run.first_race) {
     std::printf("%s: race detected at op %zu (%s)\n", D::kName,
                 *run.first_race, t[*run.first_race].str().c_str());
-    for (const auto& r : rc.all()) {
-      std::printf("  %s\n", r.str().c_str());
+    for (const RaceContext& c : rc.contexts()) {
+      std::printf("  %s (count %llu)\n", c.first.str().c_str(),
+                  static_cast<unsigned long long>(c.count));
     }
   } else {
     std::printf("%s: race-free (%zu operations)\n", D::kName, t.size());
