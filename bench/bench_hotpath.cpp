@@ -583,34 +583,37 @@ void sampling_section(JsonReport& json, std::size_t scale) {
 /// What the two-stack report machinery costs, and where. Recording is
 /// slow-path-only by construction, so two interleaved A/B rows:
 ///   spill_write  every write is [Write Exclusive] (the thread's epoch is
-///                bumped between sweeps), so with the history installed
-///                every access captures its stack, interns it, and writes
-///                its thread's table slot. The on/off delta is the full
+///                bumped between sweeps), so with the history on every
+///                access captures its stack, interns it, and writes its
+///                thread's table slot. The on/off delta is the full
 ///                per-record cost - paid only on epoch transitions, which
 ///                the Section 5 access mix puts at ~1% of accesses.
 ///   same_epoch_write  the same traffic without the epoch bump: pure
 ///                [Write Same Epoch] hits that return before the history
-///                hook, so installed-vs-not must be indistinguishable.
-///                check_bench_floor.sh pins the installed value.
+///                hook, so on-vs-off must be indistinguishable.
+///                check_bench_floor.sh pins the "on" value.
+/// The two modes are two detectors on the same variables, reporting to a
+/// collector without a history and to one that owns a history.
 void history_section(JsonReport& json, std::size_t scale) {
   const std::size_t vars_n = std::size_t{1} << 10;
   const int kBlocks = 8;
   const std::size_t block_sweeps = std::max<std::size_t>(1, 16 * scale);
 
-  RaceCollector races;
-  VftV2 det(&races);
+  // One history for every "on" block: a steady-state table and a warm
+  // intern table, not first-touch allocation.
+  RaceCollector races_off;
+  RaceCollector races_on;
+  races_on.set_history(true);
+  VftV2 det_off(&races_off);
+  VftV2 det_on(&races_on);
   ThreadState st(0);
   std::deque<VftV2::VarState> vars(vars_n);
   for (std::size_t i = 0; i < vars_n; ++i) {
     vars[i].id = 0x1000 + 8 * i;
   }
 
-  // One shared history instance for every "on" block: a steady-state
-  // table and a warm intern table, not first-touch allocation.
-  auto* hist = new history::AccessHistory();
-
   auto block = [&](bool slow, bool with_history) {
-    history::install(with_history ? hist : nullptr);
+    VftV2& det = with_history ? det_on : det_off;
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t s = 0; s < block_sweeps; ++s) {
       for (auto& x : vars) {
@@ -622,7 +625,6 @@ void history_section(JsonReport& json, std::size_t scale) {
       }
       if (slow) st.inc();  // next sweep: every write is [Write Exclusive]
     }
-    history::install(nullptr);
     vft_tl_event_ctx = vft_event_ctx_s{};
     return 1e9 * now_minus(t0) /
            (static_cast<double>(block_sweeps) * static_cast<double>(vars_n));
@@ -659,8 +661,9 @@ void history_section(JsonReport& json, std::size_t scale) {
               {"spread_ns", spread_ns},
               {"ratio", on_ns / off_ns}});
   }
-  VFT_CHECK(races.empty());
-  std::printf("interned_stacks=%zu\n\n", hist->interned_stacks());
+  VFT_CHECK(races_off.empty() && races_on.empty());
+  std::printf("interned_stacks=%zu\n\n",
+              races_on.history()->interned_stacks());
 }
 
 // ---------------------------------------------------------------------------
@@ -881,7 +884,7 @@ int main() {
   const std::size_t scale = env_or("VFT_HOTPATH_SCALE", 1);
 
   std::printf("Hot-path microbenchmarks (E13)\n");
-  std::printf("dispatched vector-clock ISA: %s (override with VFT_VC_ISA)\n\n",
+  std::printf("dispatched vector-clock ISA: %s\n\n",
               simd::isa_name(simd::active_isa()));
 
   JsonReport json("hotpath");

@@ -173,13 +173,12 @@ void vft_free_hint(const void* addr, size_t size);
 /* --- reporting --------------------------------------------------------- */
 
 /* Number of *visible* race occurrences collected so far (occurrences
- * hidden by suppression rules or report limits are counted separately;
- * see vft_suppressed_count and the report summary). */
+ * hidden by suppression rules are counted separately; see
+ * vft_suppressed_count and the report summary). */
 size_t vft_race_count(void);
 
-/* Occurrences hidden from the report: suppression-rule matches plus
- * over-limit drops. racy run := vft_race_count() + vft_suppressed_count()
- * > 0. */
+/* Occurrences hidden from the report by suppression-rule matches.
+ * racy run := vft_race_count() + vft_suppressed_count() > 0. */
 size_t vft_suppressed_count(void);
 
 /* Load a valgrind-style suppression file (see docs: `vft:<kind-glob>`,

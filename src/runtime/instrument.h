@@ -77,8 +77,6 @@ class Var {
     }
   }
 
-  typename D::VarState& shadow() { return shadow_; }
-
  private:
   Runtime<D>* rt_;
   std::atomic<T> data_;

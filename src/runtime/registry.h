@@ -60,9 +60,11 @@ class Registry {
       // reused slot must be *detectable* (identity check below), which
       // requires the stale reference to stay readable - and the successor
       // must never be handed the predecessor's address by the allocator.
-      // Costs sizeof(ThreadState) per reused slot; diagnosability over
-      // footprint.
-      graveyard_.push_back(std::move(slots_[t]));
+      // One parked state per slot: parking frees the slot's previous
+      // predecessor, which no caller references once its own successor
+      // retired (the session drops a thread's record when its slot
+      // retires).
+      parked_[t] = std::move(slots_[t]);
       slots_[t] = std::move(fresh);
       live_[t] = true;
       return slots_[t].get();
@@ -70,6 +72,7 @@ class Registry {
     if (slots_.size() > Epoch::kMaxTid) return nullptr;
     const Tid t = static_cast<Tid>(slots_.size());
     slots_.push_back(std::make_unique<ThreadState>(t));
+    parked_.emplace_back();
     live_.push_back(true);
     return slots_.back().get();
   }
@@ -95,7 +98,8 @@ class Registry {
   /// Return a joined (or detached-and-exited) thread's slot to the free
   /// list. The caller must have already run the join handler; the state
   /// object stays alive (its final VC seeds the slot's next occupant, and
-  /// after reuse it is parked so stale references remain readable).
+  /// after reuse it is parked, until the slot's next reuse, so stale
+  /// references remain readable).
   /// Retiring the same live slot twice would hand one tid to two live
   /// threads, and retiring a parked predecessor would retire its live
   /// successor's slot out from under it - both rejected with a
@@ -160,9 +164,9 @@ class Registry {
   std::deque<std::unique_ptr<ThreadState>> slots_;
   std::vector<bool> live_;  ///< per-tid: allocated and not retired
   std::vector<Tid> free_;
-  /// Predecessors displaced by slot reuse, kept alive so a stale
-  /// retire() is a diagnosed error instead of a use-after-free.
-  std::deque<std::unique_ptr<ThreadState>> graveyard_;
+  /// Per tid: the predecessor the slot's last reuse displaced, kept alive
+  /// so a stale retire() is a diagnosed error instead of a use-after-free.
+  std::deque<std::unique_ptr<ThreadState>> parked_;
 };
 
 }  // namespace vft::rt

@@ -79,11 +79,10 @@ SessionBackend& Session::create_backend() {
         scfg.enabled) {
       gate_ = std::make_unique<sampling::Gate>(scfg);
     }
-    // The access-history layer (prior-side stacks in race reports) is
-    // published before the backend exists so the first slow-path access
-    // can record; default ON, VFT_HISTORY=off disables.
-    history::install(history::enabled_from_env() ? new history::AccessHistory()
-                                                 : nullptr);
+    // The access-history layer (prior-side stacks in race reports) lives
+    // in the collector, installed before the backend exists so the first
+    // slow-path access can record; default ON, VFT_HISTORY=off disables.
+    races_.set_history(history::enabled_from_env());
     const DetectorEntry* entry = find_detector(detector_);
     if (entry == nullptr) {
       std::string names;
@@ -124,11 +123,10 @@ void Session::reset() {
   // so a successor gate re-syncs them on first use.
   gate_.reset();
   races_.clear();
+  // Drop the access history with the contexts: clocks restart with the
+  // next backend, so old records would match new epochs.
+  races_.set_history(false);
   stats_.reset();
-  // Retract the access history with the backend: its var ids point into
-  // the torn-down shadow space's address scheme. Replaced histories are
-  // leaked by design (see history::install).
-  history::install(nullptr);
 }
 
 }  // namespace vft::rt::ambient

@@ -48,10 +48,8 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "runtime/tool.h"
-#include "vft/access_history.h"
 #include "vft/atomics.h"
 #include "vft/detector.h"
 #include "vft/fastpath_ctx.h"
@@ -324,23 +322,19 @@ class SessionImpl final : public SessionBackend {
 
   /// Joiner-side half of pthread_join, called *after* the native join
   /// returned success (§4: the join handler runs when the child state is
-  /// read-only). Consumes the token; the child's slot retires here unless
-  /// a detach already retired it.
+  /// read-only). Consumes the token and retires the child's slot; a token
+  /// whose detached thread already retired is gone, and joins nothing.
   void thread_join(std::uint64_t token) override {
     if (token == 0) return;
     ThreadState* joiner = self_or_attach();
     std::scoped_lock lk(mu_);
     auto it = records_.find(token);
     if (it == records_.end()) return;
-    ThreadRecord& rec = it->second;
-    if (!rec.retired) {
-      // The child may still be between "end of user code" and its key
-      // destructor only in hand-driven tests; real pthread_join returns
-      // after the child fully terminated.
-      if (joiner != nullptr) rt_.tool().join(*joiner, *rec.ts);
-      rt_.registry().retire(*rec.ts);
-      rec.retired = true;
-    }
+    // The child may still be between "end of user code" and its key
+    // destructor only in hand-driven tests; real pthread_join returns
+    // after the child fully terminated.
+    if (joiner != nullptr) rt_.tool().join(*joiner, *it->second.ts);
+    rt_.registry().retire(*it->second.ts);
     records_.erase(it);
   }
 
@@ -361,11 +355,9 @@ class SessionImpl final : public SessionBackend {
     // Recycled addresses are new variables: any cooled sampling state
     // covering them goes back to full rate.
     if (gate_ != nullptr) gate_->on_page_reset(addr, size);
-    // Drop access-history records too: a freed allocation's stacks must
-    // not appear as the prior side of a race on recycled memory.
-    if (history::AccessHistory* h = history::active()) {
-      h->reset_range(reinterpret_cast<std::uint64_t>(addr), size);
-    }
+    // The access history is left alone: the reset re-bottomed every cell
+    // in the range, so a prior a later race names was installed, and
+    // recorded, after this free (docs/ALGORITHM.md s17.1).
   }
 
   std::size_t threads_seen() const override {
@@ -378,20 +370,23 @@ class SessionImpl final : public SessionBackend {
   std::size_t shadow_words() const override { return packed_.size(); }
 
  private:
-  /// One target thread's lifecycle. The invariant behind "slot retired
-  /// exactly once": retirement happens at exactly one of
+  /// One target thread's lifecycle, live in records_ exactly while its
+  /// slot is. The invariant behind "slot retired exactly once":
+  /// retirement happens at exactly one of
   ///   - thread_join (joinable thread, whether or not it already ended),
   ///   - retire_if_due on end (detached or implicitly attached thread),
   ///   - retire_if_due on thread_detach (thread already ended),
-  /// guarded by `retired` under mu_. A joinable thread that ends and is
-  /// never joined keeps its slot (still consistent - just not reusable,
-  /// exactly like a leaked pthread).
+  /// and each of them erases the record under mu_, so no path can find
+  /// it again. A joinable thread that ends and is never joined keeps its
+  /// slot and record (still consistent - just not reusable, exactly like a
+  /// leaked pthread).
   struct ThreadRecord {
     ThreadState* ts;
-    std::uint64_t token = 0;  ///< 0: implicit attach (not joinable)
+    /// The record's key in records_. An implicit thread's token was never
+    /// returned by thread_create, so no thread_join names it.
+    std::uint64_t token;
     bool detached = false;
     bool ended = false;
-    bool retired = false;
   };
 
   /// VFT_FASTPATH=off|0 disables descriptor arming (the differential
@@ -474,24 +469,22 @@ class SessionImpl final : public SessionBackend {
     ++threads_seen_;
     // Implicit threads have no joiner, so they behave as detached:
     // end-of-thread retires the slot.
-    auto rec = std::make_unique<ThreadRecord>(ts, std::uint64_t{0});
-    rec->detached = true;
-    ThreadRecord* r = rec.get();
-    implicit_records_.push_back(std::move(rec));
+    const std::uint64_t token = next_token_++;
+    ThreadRecord& rec =
+        records_.emplace(token, ThreadRecord{ts, token, /*detached=*/true})
+            .first->second;
     Registry::bind(ts);
-    tl_session = SessionTls{r, generation_, false};
+    tl_session = SessionTls{&rec, generation_, false};
     return ts;
   }
 
-  /// Retire the slot if this record's lifecycle is complete. Caller holds
-  /// mu_. The `retired` flag makes retirement idempotent across the
-  /// end/detach/join paths; Registry::retire itself rejects a double
-  /// retire as a backstop.
+  /// Retire the slot and erase the record if this record's lifecycle is
+  /// complete, leaving `rec` dangling. Caller holds mu_. Registry::retire
+  /// rejects a double retire as a backstop.
   void retire_if_due(ThreadRecord& rec) {
-    if (rec.ended && rec.detached && !rec.retired) {
-      rt_.registry().retire(*rec.ts);
-      rec.retired = true;
-    }
+    if (!rec.ended || !rec.detached) return;
+    rt_.registry().retire(*rec.ts);
+    records_.erase(rec.token);
   }
 
   void warn_exhausted() {
@@ -523,8 +516,9 @@ class SessionImpl final : public SessionBackend {
   bool fastpath_arm_ = false;  ///< ungated + stats + env allow arming
 
   mutable std::mutex mu_;
+  /// Every live thread's record, by token. Node-based: SessionTls keeps a
+  /// pointer to its thread's record.
   std::unordered_map<std::uint64_t, ThreadRecord> records_;
-  std::vector<std::unique_ptr<ThreadRecord>> implicit_records_;
   std::uint64_t next_token_ = 1;
   std::size_t threads_seen_ = 0;
   bool warned_exhausted_ = false;

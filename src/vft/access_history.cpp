@@ -7,8 +7,6 @@ namespace vft::history {
 
 namespace {
 
-std::atomic<AccessHistory*> g_active{nullptr};
-
 /// Per-thread front of every StackTable: a direct-mapped cache of
 /// (table, hash) -> id. The table tag is the instance's uid_, never reused,
 /// so an entry left behind by a destroyed table can never hit.
@@ -24,27 +22,7 @@ constinit thread_local FrontSlot tl_front[std::size_t{1} << kFrontBits] = {};
 
 std::atomic<std::uint64_t> g_next_table_uid{1};
 
-/// Claim a slot's seqlock: even -> odd. Fails (the caller skips the slot)
-/// while another writer holds it.
-bool claim(std::atomic<std::uint32_t>& seq, std::uint32_t* held) {
-  std::uint32_t s = seq.load(std::memory_order_relaxed);
-  do {
-    if ((s & 1) != 0) return false;
-  } while (!seq.compare_exchange_weak(s, s + 1, std::memory_order_acquire,
-                                      std::memory_order_relaxed));
-  *held = s + 1;
-  return true;
-}
-
 }  // namespace
-
-AccessHistory* active() { return g_active.load(std::memory_order_acquire); }
-
-void install(AccessHistory* h) {
-  // Publication only: a replaced instance is leaked by design, because a
-  // concurrently racing recorder may still hold the old pointer.
-  g_active.store(h, std::memory_order_release);
-}
 
 bool enabled_from_env() {
   const char* env = std::getenv("VFT_HISTORY");
@@ -107,34 +85,28 @@ AccessHistory::~AccessHistory() {
 }
 
 AccessHistory::Table& AccessHistory::publish_table(Tid t) {
-  // First record under this tid slot: allocate and CAS-publish. A thread
-  // that loses the race frees its copy and uses the winner's.
+  // First record under this tid slot. Only the thread owning the tid
+  // records into it, so nothing races the publication; find() acquires it.
   auto* fresh = new Table();
-  Table* expected = nullptr;
-  if (tables_[t].compare_exchange_strong(expected, fresh,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-    return *fresh;
-  }
-  delete fresh;
-  return *expected;
+  tables_[t].store(fresh, std::memory_order_release);
+  return *fresh;
 }
 
 void AccessHistory::record(std::uint64_t var, Epoch epoch, AccessKind kind,
                            const CallStack& stack) {
   const std::uint32_t sid = stacks_.intern(stack);
   Slot& s = table_of(epoch.tid()).slots[slot_index(var, kind)];
-  std::uint32_t held;
-  // A held slot means a concurrent reset_range is clearing it; dropping
-  // this record degrades at most this access's future prior to its epoch.
-  if (!claim(s.seq, &held)) return;
-  // Release stores: a reader that sees any new field synchronizes with the
-  // claim before it, so its version re-check sees the odd value and
-  // retries instead of pairing new and old fields.
+  // The single-writer seqlock: this thread is the slot's only writer, so
+  // a plain load/store pair takes the version odd. The field stores are
+  // release stores: a reader that sees any new field synchronizes with
+  // the odd store before it, so its version re-check sees an odd or newer
+  // value and retries instead of pairing new and old fields.
+  const std::uint32_t seq = s.seq.load(std::memory_order_relaxed);
+  s.seq.store(seq + 1, std::memory_order_relaxed);
   s.var.store(var, std::memory_order_release);
   s.epoch.store(epoch.bits(), std::memory_order_release);
   s.stack_id.store(sid, std::memory_order_release);
-  s.seq.store(held + 1, std::memory_order_release);
+  s.seq.store(seq + 2, std::memory_order_release);
 }
 
 bool AccessHistory::find(std::uint64_t var, Epoch epoch, AccessKind want,
@@ -157,41 +129,6 @@ bool AccessHistory::find(std::uint64_t var, Epoch epoch, AccessKind want,
     return true;
   }
   return false;
-}
-
-void AccessHistory::reset_range(std::uint64_t addr, std::size_t size) {
-  if (size == 0) return;
-  const std::uint64_t lo = addr & ~std::uint64_t{7};
-  const std::uint64_t hi = addr + size;
-  auto doomed = [lo, hi](std::uint64_t v) { return v >= lo && v < hi; };
-  auto clear = [&doomed](Slot& s) {
-    if (!doomed(s.var.load(std::memory_order_relaxed))) return;
-    std::uint32_t held;
-    // A held slot is being rewritten by its owner or cleared by another
-    // reset: either way it stops holding the doomed record.
-    if (!claim(s.seq, &held)) return;
-    if (doomed(s.var.load(std::memory_order_relaxed))) {
-      s.var.store(0, std::memory_order_release);
-      s.epoch.store(0, std::memory_order_release);
-      s.stack_id.store(0, std::memory_order_release);
-    }
-    s.seq.store(held + 1, std::memory_order_release);
-  };
-  // Per-word probes cost two slots per word per table, a scan kSlots per
-  // table: probe up to half a table's worth of words.
-  const bool scan = (hi - lo) / 8 > kSlots / 2;
-  for (auto& tp : tables_) {
-    Table* t = tp.load(std::memory_order_acquire);
-    if (t == nullptr) continue;
-    if (scan) {
-      for (Slot& s : t->slots) clear(s);
-      continue;
-    }
-    for (std::uint64_t v = lo; v < hi; v += 8) {
-      clear(t->slots[slot_index(v, AccessKind::kRead)]);
-      clear(t->slots[slot_index(v, AccessKind::kWrite)]);
-    }
-  }
 }
 
 }  // namespace vft::history

@@ -4,27 +4,38 @@
 // FastTrack-style last-access shadow state (VarState / PackedCell) keeps
 // no history: when a race fires, the prior side is a bare epoch t@c and
 // only the *current* access has a capturable stack. This layer remembers,
-// per thread id slot, each (variable, kind)'s newest slow-path access -
+// per thread id slot, each (variable, kind)'s newest analysed access -
 // {variable, full epoch, interned stack id} - so the detector can look the
 // prior epoch back up and attach its stack to the report that creates an
 // error context (repeats of a known context skip the lookup, report.h).
+// The RaceCollector whose reports it serves owns it (RaceCollector::
+// history()); a collector without one, or a tool without a collector,
+// records nothing.
 //
 // Retention contract: each tid slot keeps its newest record per (variable,
 // access kind), in a direct-mapped table of kSlots slots. That is exactly
 // what a race lookup asks for: W, an exclusive R, and a read-shared V[u]
-// always name their thread's newest access of that kind. A record lost to
-// a slot collision (another variable of the same thread mapping to the
-// same slot) degrades the report to the bare prior epoch, never to a
+// always name their thread's newest analysed access of that kind. A record
+// lost to a slot collision (another variable of the same thread mapping to
+// the same slot) degrades the report to the bare prior epoch, never to a
 // wrong stack: lookups match variable and full epoch exactly.
+//
+// Frees leave the history alone. A free re-bottoms the word's shadow, so
+// any prior a later race names was installed after the free, by an access
+// that recorded and so replaced its thread's older record of that
+// (variable, kind). Only a sampled-out access can install an epoch without
+// recording; a lookup may then return that thread's pre-free record of the
+// same word, kind and exact epoch - still an access unordered with the
+// racing one (docs/ALGORITHM.md s17.1).
 //
 // Cost discipline (the SmartTrack argument: per-variable access metadata
 // is affordable iff it stays off the fast path):
 //   - recording happens ONLY on the slow path: a same-epoch packed-cell
-//     hit and a sampled-out access never reach note_access();
-//   - record and find take no lock: a thread writes only its own tid's
-//     table, and each slot is a seqlock whose writers claim the version
-//     with a CAS, so reset_range from a freeing thread never interleaves
-//     with the owner's record and readers retry instead of blocking;
+//     hit and a sampled-out access never record, and a free never touches
+//     the tables;
+//   - record and find take no lock: only the thread owning a tid writes
+//     that tid's table, and each slot is a single-writer seqlock, so
+//     readers retry instead of blocking;
 //   - stacks are hash-consed into a bounded intern table; a stack the
 //     thread interned before resolves through a per-thread front cache
 //     without the table's mutex, and lookup() never locks.
@@ -113,9 +124,10 @@ class StackTable {
   std::atomic<std::uint64_t> dropped_{0};
 };
 
-/// The process-wide access history: one lazily allocated, direct-mapped
-/// table per tid slot plus the shared stack intern table. All methods are
-/// thread-safe; none are on the same-epoch fast path.
+/// One collector's access history: one lazily allocated, direct-mapped
+/// table per tid slot plus the shared stack intern table. find() is
+/// thread-safe; record() is for the thread owning the epoch's tid. None
+/// are on the same-epoch fast path.
 class AccessHistory {
  public:
   /// Slots per tid table: 24 bytes each, so 96 KiB per recording tid.
@@ -140,6 +152,9 @@ class AccessHistory {
 
   /// Record one slow-path access with an explicit stack (tests, replay)
   /// into epoch.tid()'s table, replacing that slot's previous record.
+  /// Precondition: calls for one tid never overlap - the thread that owns
+  /// epoch.tid() is that table's only writer (a reused tid slot's
+  /// successor starts after its predecessor retired).
   void record(std::uint64_t var, Epoch epoch, AccessKind kind,
               const CallStack& stack);
 
@@ -160,21 +175,14 @@ class AccessHistory {
     return stacks_.lookup(id, out);
   }
 
-  /// Drop every thread's records of variables in [addr, addr+size): called
-  /// from the free-hint path so recycled heap memory cannot leak a dead
-  /// allocation's stacks into a new allocation's report. Probes per word
-  /// for ranges up to half a table; scans each allocated table once above.
-  void reset_range(std::uint64_t addr, std::size_t size);
-
   std::uint64_t stack_drops() const { return stacks_.dropped(); }
   std::size_t interned_stacks() const { return stacks_.size(); }
 
  private:
-  /// A seqlock-versioned record. `seq` is even when stable; a writer (the
-  /// owning thread's record, or any thread's reset) claims it by CAS to
-  /// odd, stores the fields, and releases it at the next even value. An
-  /// empty slot holds epoch 0@0, which no access carries (clocks start
-  /// at 1).
+  /// A seqlock-versioned record. `seq` is even when stable; its one
+  /// writer (the thread owning the table's tid) stores the next odd
+  /// value, the fields, then the next even value. An empty slot holds
+  /// epoch 0@0, which no access carries (clocks start at 1).
   struct Slot {
     std::atomic<std::uint32_t> seq{0};
     std::atomic<std::uint32_t> epoch{0};  ///< Epoch::bits()
@@ -199,21 +207,7 @@ class AccessHistory {
   StackTable stacks_;
 };
 
-/// The installed history, or nullptr when the layer is off. install()
-/// publishes with release (active() loads with acquire); replaced
-/// instances are leaked by design (a racing recorder may still hold the
-/// old pointer).
-AccessHistory* active();
-void install(AccessHistory* h);
-
 /// VFT_HISTORY env gate: default ON; "0"/"off"/"false" disables.
 bool enabled_from_env();
-
-/// The detector-side hook: record the in-flight slow-path access. A
-/// single predicted-null load when the layer is off. NEVER call this
-/// from a same-epoch hit or a sampled-out access.
-inline void note_access(std::uint64_t var, Epoch epoch, AccessKind kind) {
-  if (AccessHistory* h = active()) h->record_current(var, epoch, kind);
-}
 
 }  // namespace vft::history

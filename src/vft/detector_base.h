@@ -235,13 +235,14 @@ class DetectorBase {
 
   /// History hooks: every slow-path access handler calls one of these
   /// after the same-epoch checks (a same-epoch hit and a sampled-out
-  /// access never record - see access_history.h). One predicted-null
-  /// load when the history layer is off.
+  /// access never record - see access_history.h). They record into the
+  /// collector's history; a detector without a collector, or a collector
+  /// with the history off, records nothing.
   void record_read(std::uint64_t var, const ThreadState& st) {
-    history::note_access(var, st.epoch(), history::AccessKind::kRead);
+    record(var, st, history::AccessKind::kRead);
   }
   void record_write(std::uint64_t var, const ThreadState& st) {
-    history::note_access(var, st.epoch(), history::AccessKind::kWrite);
+    record(var, st, history::AccessKind::kWrite);
   }
 
   void report(RaceKind kind, std::uint64_t var, const ThreadState& st,
@@ -271,7 +272,7 @@ class DetectorBase {
     // (read-shared write race) carries no single epoch and finds
     // nothing; the report then degrades to a bare epoch, exactly like
     // pre-history reports.
-    if (history::AccessHistory* h = history::active()) {
+    if (history::AccessHistory* h = races_->history()) {
       const history::AccessKind want =
           (kind == RaceKind::kReadWrite || kind == RaceKind::kSharedWrite)
               ? history::AccessKind::kRead
@@ -285,6 +286,14 @@ class DetectorBase {
   }
 
  private:
+  void record(std::uint64_t var, const ThreadState& st,
+              history::AccessKind kind) {
+    if (races_ == nullptr) return;
+    if (history::AccessHistory* h = races_->history()) {
+      h->record_current(var, st.epoch(), kind);
+    }
+  }
+
   RaceCollector* races_;
   RuleStats* stats_;
 };

@@ -275,13 +275,17 @@ inline bool packed_access(Tool& tool, ThreadState& st, PackedCell& cell,
       // An exclusive advance installs a NEW last-access epoch without ever
       // reaching a detector, and that epoch is exactly what a later racing
       // access will name as its prior - so the advance is a history-worthy
-      // (non-same-epoch) transition. Callers with a stable variable id
-      // (the packed shadow space) pass it; var 0 (trace tests, benches)
-      // keeps the historical un-instrumented behaviour.
+      // (non-same-epoch) transition, recorded in the tool's collector's
+      // history. Callers with a stable variable id (the packed shadow
+      // space) pass it; var 0 (trace tests, benches) records nothing.
       if (var != 0) {
-        history::note_access(var, st.epoch(),
-                             IsWrite ? history::AccessKind::kWrite
-                                     : history::AccessKind::kRead);
+        if (RaceCollector* rc = tool.races()) {
+          if (history::AccessHistory* h = rc->history()) {
+            h->record_current(var, st.epoch(),
+                              IsWrite ? history::AccessKind::kWrite
+                                      : history::AccessKind::kRead);
+          }
+        }
       }
       return true;
     case PackedCell::Fast::kSlow:

@@ -202,6 +202,10 @@ void RaceCollector::clear() {
   visible_contexts_ = 0;
 }
 
+void RaceCollector::set_history(bool enabled) {
+  history_ = enabled ? std::make_unique<history::AccessHistory>() : nullptr;
+}
+
 void RaceCollector::name_var(std::uint64_t var, std::string name) {
   std::scoped_lock lk(mu_);
   names_[var] = std::move(name);

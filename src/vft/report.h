@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "vft/access_history.h"
 #include "vft/epoch.h"
 #include "vft/stack.h"
 #include "vft/suppress.h"
@@ -163,6 +164,15 @@ class RaceCollector {
   /// concurrently, since lookups walk the contexts without the lock.
   void clear();
 
+  /// Install a fresh access history (vft/access_history.h) whose records
+  /// the detectors reporting here look prior stacks up in, or none. The
+  /// previous instance is destroyed. Quiescent only, like clear(): no
+  /// thread may record or report through this collector concurrently.
+  void set_history(bool enabled);
+
+  /// The installed access history, or nullptr when the layer is off.
+  history::AccessHistory* history() const { return history_.get(); }
+
   /// Attach a human-readable name to a variable id; describe() and the
   /// report writers use it.
   void name_var(std::uint64_t var, std::string name);
@@ -222,6 +232,7 @@ class RaceCollector {
   std::unordered_map<std::uint64_t, std::string> names_;
   SuppressionEngine suppressions_;
   std::size_t visible_contexts_ = 0;
+  std::unique_ptr<history::AccessHistory> history_;
 };
 
 }  // namespace vft

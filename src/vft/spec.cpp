@@ -1,6 +1,5 @@
 #include "vft/spec.h"
 
-#include "vft/access_history.h"
 #include "vft/assert.h"
 #include "vft/atomics.h"
 
@@ -62,11 +61,6 @@ Spec::StepResult Spec::on_read(Tid t, VarId x) {
     return ok(Rule::kReadSharedSameEpoch);
   }
 
-  // History hook, past the same-epoch rules: the oracle records through
-  // the same installed AccessHistory as the production detectors, so
-  // differential runs see consistent prior-side metadata.
-  history::note_access(x, e, history::AccessKind::kRead);
-
   // [Write-Read Race]: Sx.W not happens-before St.V.
   if (!epoch_leq(sx.W, st)) return error(Rule::kWriteReadRace);
 
@@ -99,9 +93,6 @@ Spec::StepResult Spec::on_write(Tid t, VarId x) {
 
   // [Write Same Epoch]: Sx.W = E_t.
   if (sx.W == e) return ok(Rule::kWriteSameEpoch);
-
-  // History hook, past the same-epoch rule (see on_read).
-  history::note_access(x, e, history::AccessKind::kWrite);
 
   // [Write-Write Race].
   if (!epoch_leq(sx.W, st)) return error(Rule::kWriteWriteRace);

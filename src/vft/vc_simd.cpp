@@ -1,6 +1,5 @@
 #include "vft/vc_simd.h"
 
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -381,14 +380,6 @@ Isa probe_isa() {
 #else
   Isa best = Isa::kScalar;
 #endif
-  if (const char* v = std::getenv("VFT_VC_ISA")) {
-    Isa wanted = best;
-    if (std::strcmp(v, "scalar") == 0) wanted = Isa::kScalar;
-    if (std::strcmp(v, "sse2") == 0) wanted = Isa::kSse2;
-    if (std::strcmp(v, "avx2") == 0) wanted = Isa::kAvx2;
-    // Never dispatch above what the hardware can run.
-    if (static_cast<int>(wanted) <= static_cast<int>(best)) best = wanted;
-  }
   return best;
 }
 

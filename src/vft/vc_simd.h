@@ -14,8 +14,7 @@
 // dependencies - exactly the shape SSE2/AVX2 eat: 4 or 8 slots per
 // instruction instead of one compare-and-branch per slot.
 //
-// Dispatch: a single resolution point picks the widest ISA the CPU (and
-// an optional VFT_VC_ISA=scalar|sse2|avx2 env override, read once) is
+// Dispatch: a single resolution point picks the widest ISA the CPU is
 // able to run; the per-ISA entry points stay exported so the differential
 // test (tests/vector_clock_simd_test.cpp) and bench_hotpath can pit every
 // variant against the scalar reference on the same inputs. SSE2 is the
@@ -35,8 +34,8 @@ namespace vft::simd {
 
 enum class Isa : std::uint8_t { kScalar, kSse2, kAvx2 };
 
-/// The ISA the dispatched kernels below actually run (after the cpuid
-/// probe and the VFT_VC_ISA override).
+/// The ISA the dispatched kernels below actually run (the cpuid probe's
+/// pick).
 Isa active_isa();
 
 const char* isa_name(Isa isa);

@@ -1,10 +1,11 @@
 // The C ABI (src/abi/vft_abi.h) end to end against the process-global
 // session: implicit attach, the explicit create/begin/join/detach token
-// protocol, graceful tid-space exhaustion, free-hint shadow/lock
-// resetting (also concurrent with the session's first access and with a
-// page's first lock and atomic events), the event-context clear on every
-// slow-path exit, launch-time detector selection, repeat-race counting
-// past the flat log's cap, and report dumping.
+// protocol, a flat heap under thread churn, graceful tid-space
+// exhaustion, free-hint shadow/lock resetting (also concurrent with the
+// session's first access and with a page's first lock and atomic events),
+// the prior stack of a race on a recycled address, the event-context
+// clear on every slow-path exit, launch-time detector selection,
+// repeat-race counting, and report dumping.
 //
 // Thread-lifecycle invariants under test (ALGORITHM.md s12): a thread's
 // slot retires exactly once - at its join if joinable, at its end if
@@ -22,12 +23,15 @@
 // Tests share one process-global Session, so each begins with reset().
 #include <gtest/gtest.h>
 
+#include <malloc.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -214,6 +218,74 @@ TEST(Abi, DetachedThreadRetiresAtItsEndExactlyOnce) {
   vft_detach();
 }
 
+/// Bytes the heap holds in use, or nullopt under a sanitizer allocator,
+/// which mallinfo2 does not see.
+std::optional<std::size_t> heap_in_use() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return std::nullopt;
+#else
+  return mallinfo2().uordblks;
+#endif
+}
+
+TEST(Abi, ThreadChurnLeavesTheHeapFlat) {
+  // Thousands of threads of each kind, one at a time: a thread's record
+  // and its slot's displaced predecessor may outlive it only until its
+  // slot's next reuse, so after a warm-up the heap must not grow with the
+  // number of threads that came and went.
+  constexpr int kWarmup = 200;
+  constexpr int kThreads = 2000;
+  fresh_session();
+  vft_attach();
+  long x = 0;
+  const auto joined = [&x] {
+    const uint64_t token = vft_thread_create();
+    std::thread child([token, &x] {
+      vft_thread_begin(token);
+      vft_read8(&x);
+      vft_detach();
+    });
+    child.join();
+    vft_thread_join(token);
+  };
+  const auto detached = [&x] {
+    const uint64_t token = vft_thread_create();
+    vft_thread_detach(token);
+    std::thread child([token, &x] {
+      vft_thread_begin(token);
+      vft_read8(&x);
+      vft_detach();
+    });
+    child.join();
+  };
+  const auto implicit = [&x] {
+    std::thread child([&x] {
+      vft_read8(&x);
+      vft_detach();
+    });
+    child.join();
+  };
+  const std::pair<const char*, std::function<void()>> kinds[] = {
+      {"joined", joined}, {"detached", detached}, {"implicit", implicit}};
+  for (const auto& [name, churn_one] : kinds) {
+    for (int i = 0; i < kWarmup; ++i) churn_one();
+    const std::optional<std::size_t> before = heap_in_use();
+    for (int i = 0; i < kThreads; ++i) churn_one();
+    const std::optional<std::size_t> after = heap_in_use();
+    EXPECT_EQ(registry().live_count(), 1u) << name;
+    EXPECT_EQ(registry().slots_in_use(), 2u) << name;
+    if (before && after) {
+      // A few bytes per thread would be allocator noise; a record or a
+      // parked ThreadState per thread is tens of bytes.
+      EXPECT_LT(static_cast<double>(*after) - static_cast<double>(*before),
+                8.0 * kThreads)
+          << name;
+    }
+  }
+  EXPECT_EQ(vft_race_count(), 0u);
+  vft_detach();
+}
+
 TEST(Abi, ExhaustionDegradesToUnmonitoredNotAbort) {
   fresh_session();
   vft_attach();  // main: 1 live slot
@@ -344,6 +416,62 @@ TEST(Abi, FreeHintPreventsStaleStateOnRecycledAddresses) {
   a.join();
   b.join();
   EXPECT_EQ(vft_race_count(), 0u);
+}
+
+/// Arm the calling thread's event context at `pc`, as an interposed
+/// wrapper does, so the next slow-path access captures the stack {pc}.
+void arm_event_ctx(std::uintptr_t pc) {
+  vft_tl_event_ctx.pc = reinterpret_cast<const void*>(pc);
+  vft_tl_event_ctx.fp = nullptr;
+}
+
+TEST(Abi, PriorStackAfterFreeNamesTheRecycledAccess) {
+  // A writes x, the address is freed, and A writes the recycled x again
+  // in a later epoch. B's unordered write then races that second write,
+  // and the report's prior side must carry its stack: the free left A's
+  // older record of x in the access history, but only the exact epoch
+  // the re-bottomed cell now holds can answer the lookup.
+  constexpr std::uintptr_t kFirst = 0x51000;
+  constexpr std::uintptr_t kSecond = 0x52000;
+  constexpr std::uintptr_t kRacer = 0x53000;
+  fresh_session();
+  long x = 0;
+  std::atomic<int> stage{0};
+  std::thread a([&] {
+    vft_attach();
+    arm_event_ctx(kFirst);
+    vft_write8(&x);
+    vft_free_hint(&x, sizeof(x));
+    long mine = 0;  // a lock no other thread touches: a fresh epoch
+    vft_mutex_lock(&mine);
+    vft_mutex_unlock(&mine);
+    arm_event_ctx(kSecond);
+    vft_write8(&x);
+    stage.store(1, std::memory_order_release);
+    while (stage.load(std::memory_order_acquire) < 2) {
+      std::this_thread::yield();
+    }
+    vft_detach();
+  });
+  std::thread b([&] {
+    vft_attach();
+    while (stage.load(std::memory_order_acquire) < 1) {
+      std::this_thread::yield();
+    }
+    arm_event_ctx(kRacer);
+    vft_write8(&x);
+    stage.store(2, std::memory_order_release);
+    vft_detach();
+  });
+  a.join();
+  b.join();
+  const auto ctxs = Session::instance().races().contexts();
+  ASSERT_EQ(ctxs.size(), 1u);
+  EXPECT_EQ(ctxs[0].first.kind, vft::RaceKind::kWriteWrite);
+  ASSERT_FALSE(ctxs[0].prior_frames.empty());
+  EXPECT_EQ(ctxs[0].prior_frames[0].pc, kSecond);
+  ASSERT_FALSE(ctxs[0].frames.empty());
+  EXPECT_EQ(ctxs[0].frames[0].pc, kRacer);
 }
 
 TEST(Abi, FreeHintConcurrentWithFirstAccess) {

@@ -1,10 +1,10 @@
 // Unit tests for the per-thread access history (vft/access_history.h):
 // stack interning and its per-thread front cache, the newest-record-per-
 // (variable, kind) retention contract, tid-slot reuse safety, slot
-// collisions, range reset from another thread, concurrent record / reset
-// / find, the shadow-stack fallback in capture_event_stack (prior-side
-// capture with no armed boundary), the detector-level prior-stack lookup,
-// and rule-counter parity with the history layer on vs off.
+// collisions, concurrent record / find, the shadow-stack fallback in
+// capture_event_stack (prior-side capture with no armed boundary), the
+// detector-level prior-stack lookup through the collector's history, and
+// rule-counter parity with the history layer on vs off.
 
 #include <gtest/gtest.h>
 
@@ -154,59 +154,7 @@ TEST(AccessHistory, SlotReuseDoesNotMasquerade) {
   EXPECT_EQ(cs, stack_of({0xBBBB}));
 }
 
-TEST(AccessHistory, ResetRangeDropsCoveredVarsOnly) {
-  history::AccessHistory h;
-  const std::uint64_t inside = 0x10008;
-  const std::uint64_t outside = 0x20000;
-  h.record(inside, Epoch::make(1, 2), history::AccessKind::kWrite,
-           stack_of({0x1}));
-  h.record(outside, Epoch::make(1, 3), history::AccessKind::kWrite,
-           stack_of({0x2}));
-
-  h.reset_range(0x10000, 0x100);
-
-  history::Entry e;
-  EXPECT_FALSE(
-      h.find(inside, Epoch::make(1, 2), history::AccessKind::kWrite, &e));
-  EXPECT_TRUE(
-      h.find(outside, Epoch::make(1, 3), history::AccessKind::kWrite, &e));
-}
-
-TEST(AccessHistory, ResetRangeClearsEveryThreadsSlots) {
-  // Records under tids 1 and 2, reset from a third thread. Two range
-  // sizes: one the reset probes word by word, one large enough that it
-  // scans each table instead.
-  for (const std::size_t size : {std::size_t{0x100}, std::size_t{0x40000}}) {
-    history::AccessHistory h;
-    const std::uint64_t base = 0x1000000;
-    const std::uint64_t in1 = base + 0x10;
-    const std::uint64_t in2 = base + size - 8;
-    const std::uint64_t below = base - 8;
-    const std::uint64_t above = base + size;
-    const Epoch e1 = Epoch::make(1, 5);
-    const Epoch e2 = Epoch::make(2, 7);
-    h.record(in1, e1, history::AccessKind::kWrite, stack_of({0x11}));
-    h.record(in2, e2, history::AccessKind::kRead, stack_of({0x22}));
-    h.record(below, e1, history::AccessKind::kRead, stack_of({0x33}));
-    h.record(above, e2, history::AccessKind::kWrite, stack_of({0x44}));
-
-    std::thread resetter([&] { h.reset_range(base, size); });
-    resetter.join();
-
-    history::Entry e;
-    EXPECT_FALSE(h.find(in1, e1, history::AccessKind::kWrite, &e)) << size;
-    EXPECT_FALSE(h.find(in2, e2, history::AccessKind::kRead, &e)) << size;
-    ASSERT_TRUE(h.find(below, e1, history::AccessKind::kRead, &e)) << size;
-    CallStack cs;
-    ASSERT_TRUE(h.stack_of(e.stack_id, &cs));
-    EXPECT_EQ(cs, stack_of({0x33}));
-    ASSERT_TRUE(h.find(above, e2, history::AccessKind::kWrite, &e)) << size;
-    ASSERT_TRUE(h.stack_of(e.stack_id, &cs));
-    EXPECT_EQ(cs, stack_of({0x44}));
-  }
-}
-
-/// The stack a ConcurrentRecordResetFind writer records for (tid, var
+/// The stack a ConcurrentRecordFind writer records for (tid, var
 /// index, clock, kind): distinct for neighbouring clocks, so a find that
 /// paired one record's epoch with another's stack shows.
 CallStack stress_stack(Tid t, std::size_t var_index, Clock c,
@@ -215,11 +163,11 @@ CallStack stress_stack(Tid t, std::size_t var_index, Clock c,
                    0x300000 + (c % 64) * 2 + static_cast<unsigned>(k)});
 }
 
-TEST(AccessHistory, ConcurrentRecordResetFind) {
-  // Writers on distinct tids record every variable at every clock, one
-  // thread keeps resetting the lower half of the range, one keeps
-  // finding. Every successful find must return exactly the stack recorded
-  // for that (var, epoch, kind).
+TEST(AccessHistory, ConcurrentRecordFind) {
+  // Writers on distinct tids - each its table's only writer - record
+  // every variable at every clock while one thread keeps finding. Every
+  // successful find must return exactly the stack recorded for that
+  // (var, epoch, kind).
   constexpr int kWriters = 3;
   constexpr std::size_t kVars = 64;
   constexpr Clock kClocks = 400;
@@ -244,12 +192,6 @@ TEST(AccessHistory, ConcurrentRecordResetFind) {
       writers_left.fetch_sub(1, std::memory_order_release);
     });
   }
-  threads.emplace_back([&] {
-    while (writers_left.load(std::memory_order_acquire) > 0) {
-      h.reset_range(base, 8 * kVars / 2);
-    }
-  });
-
   std::uint64_t hits = 0;
   std::uint64_t wrong = 0;
   std::uint64_t probe = 0;
@@ -329,15 +271,10 @@ TEST(CaptureEventStack, ShadowFallbackSkipsNearNullFrames) {
 // ---------------------------------------------------------------------------
 // Detector-level: a race report carries the prior access's recorded stack.
 
-struct HistoryGuard {
-  explicit HistoryGuard(history::AccessHistory* h) { history::install(h); }
-  ~HistoryGuard() { history::install(nullptr); }
-};
-
 TEST(DetectorPrior, WriteWriteRaceCarriesPriorStack) {
   TlsGuard tls;
-  HistoryGuard installed(new history::AccessHistory());
   RaceCollector races;
+  races.set_history(true);
   VftV2 det(&races);
 
   ThreadState t1(1);
@@ -367,8 +304,8 @@ TEST(DetectorPrior, WriteWriteRaceCarriesPriorStack) {
 
 TEST(DetectorPrior, WriteReadRaceLooksUpPriorWrite) {
   TlsGuard tls;
-  HistoryGuard installed(new history::AccessHistory());
   RaceCollector races;
+  races.set_history(true);
   VftV2 det(&races);
 
   ThreadState t1(1);
@@ -396,8 +333,8 @@ TEST(DetectorPrior, CollidingRecordDegradesToBareEpoch) {
   // the first; a race on the first must report an empty prior stack,
   // never the second variable's.
   TlsGuard tls;
-  HistoryGuard installed(new history::AccessHistory());
   RaceCollector races;
+  races.set_history(true);
   VftV2 det(&races);
 
   VftV2::VarState a;
@@ -433,7 +370,8 @@ TEST(DetectorPrior, CollidingRecordDegradesToBareEpoch) {
 
 TEST(DetectorPrior, HistoryOffDegradesToEmptyPriorStack) {
   TlsGuard tls;
-  // No history installed: reports must look exactly like pre-history ones.
+  // A collector without a history: reports must look exactly like
+  // pre-history ones.
   RaceCollector races;
   VftV2 det(&races);
 
@@ -476,8 +414,8 @@ std::unique_ptr<FtCas> make_detector<FtCas>(RaceCollector* races,
 template <class D>
 std::vector<std::uint64_t> rule_counts(bool with_history) {
   TlsGuard tls;
-  history::install(with_history ? new history::AccessHistory() : nullptr);
   RaceCollector races;
+  races.set_history(with_history);
   RuleStats stats;
   auto det = make_detector<D>(&races, &stats);
 
@@ -497,8 +435,6 @@ std::vector<std::uint64_t> rule_counts(bool with_history) {
   t2.join(t1.V);
   det->write(t2, x);  // may race with t1's read depending on ordering above
   det->write(t2, x);  // same epoch
-
-  history::install(nullptr);
 
   std::vector<std::uint64_t> out;
   for (std::size_t i = 0; i < RuleStats::kN; ++i) {
