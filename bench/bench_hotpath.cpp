@@ -501,9 +501,9 @@ void report_ctx_section(JsonReport& json, std::size_t scale) {
 ///           dispatch into the session and run the packed-cell fast path,
 ///           keeping last-access metadata fresh. The inline path is
 ///           disarmed under any gate, so this is the sampled-out floor.
-/// The controller row then runs the same sweep under VFT_BUDGET with the
-/// adaptive table on and reports where the rate and the measured overhead
-/// settled (acceptance: within +-2 points of the budget).
+/// The controller row then runs the same sweep under VFT_BUDGET and
+/// reports where the rate and the measured overhead settled (acceptance:
+/// within +-2 points of the budget).
 void sampling_section(JsonReport& json, std::size_t scale) {
   const std::size_t words = std::size_t{1} << 12;
   const std::size_t sweeps = 2048 * scale;
@@ -530,7 +530,7 @@ void sampling_section(JsonReport& json, std::size_t scale) {
 
   // 1/4096 fixed rate: >99.97% of accesses take the sampled-out path, so
   // the sweep time is the skip cost to within a fraction of a ns.
-  const char* kSkipSpec = "rate=0.000244,adaptive=0,seed=7";
+  const char* kSkipSpec = "rate=0.000244,seed=7";
 
   unsetenv("VFT_SAMPLING");
   unsetenv("VFT_BUDGET");
@@ -541,10 +541,10 @@ void sampling_section(JsonReport& json, std::size_t scale) {
   const double cell_ns = sweep_ns();
   teardown();
 
-  // Controller: adaptive table on, 5% budget. The bench loop is pure
-  // detector traffic, so "overhead" here is the sampled fraction's
-  // self-time against the whole sweep's wall time - exactly the signal
-  // the controller regulates; it must settle near the budget.
+  // Controller: 5% budget. The bench loop is pure detector traffic, so
+  // "overhead" here is the sampled fraction's self-time against the whole
+  // sweep's wall time - exactly the signal the controller regulates; it
+  // must settle near the budget.
   setenv("VFT_SAMPLING", "seed=7", 1);
   setenv("VFT_BUDGET", "5", 1);
   const double budget_ns = sweep_ns();

@@ -330,8 +330,6 @@ int vft_sampling_stats(vft_sampling_stats_s* out) {
   const vft::sampling::Stats s = g->snapshot();
   out->sampled = s.sampled;
   out->skipped = s.skipped;
-  out->cooled_out = s.cooled_out;
-  out->reheats = s.reheats;
   out->overhead_ns = s.overhead_ns;
   out->busy_ns = s.busy_ns;
   out->adjustments = s.adjustments;

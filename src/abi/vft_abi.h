@@ -129,7 +129,7 @@ int vft_abi_in_runtime(void);
  * acquire-class loads join the location's release clock, release-class
  * stores publish the thread clock into it, relaxed accesses contribute no
  * edge. VFT_ATOMICS=sc upgrades every order to seq_cst (the conservative
- * TSan-on-x86 view); VFT_ATOMICS=off ignores atomics entirely. */
+ * TSan-on-x86 view); any other value means "precise". */
 void vft_atomic_load(const void* addr, int mo);
 void vft_atomic_store(const void* addr, int mo);
 void vft_atomic_rmw_pre(const void* addr, int mo);
@@ -162,7 +162,7 @@ void vft_free_hint(const void* addr, size_t size);
  * pointer (`fp`) there immediately before forwarding an access event; if
  * that event detects a race, the runtime walks the frame-pointer chain
  * upward from `fp` to reconstruct the *target's* stack (capped by
- * VFT_STACK_DEPTH, default 16, max 32). Cost on the non-racing path: the
+ * vft/stack.h's kMaxStackDepth, 16). Cost on the non-racing path: the
  * two stores. Left unset, races are recorded without stacks and
  * deduplicate by variable instead. Cleared by the runtime at each
  * *slow-path* exit (inline fast-path hits cannot race, so they neither
@@ -212,19 +212,18 @@ const char* vft_detector_name(void);
 /* --- sampling (always-on production mode) ------------------------------ */
 
 /* The effective sampling configuration as a human-readable line ("off"
- * when sampling is disabled; otherwise e.g. "budget=5% rate0=1
- * adaptive=1 seed=1"). Configuration comes from VFT_SAMPLING /
- * VFT_BUDGET at session creation; see vft/sampling.h for the grammar.
- * The returned storage is valid until the next call from any thread. */
+ * when sampling is disabled; otherwise e.g. "budget=5% rate0=1 seed=1").
+ * Configuration comes from VFT_SAMPLING / VFT_BUDGET at session creation;
+ * see vft/sampling.h for the grammar. The returned storage is valid until
+ * the next call from any thread. */
 const char* vft_sampling_describe(void);
 
 /* Lifetime counters of the active sampling gate. The integer fields are
- * monotone; rate/overhead_pct are the controller's current state. */
+ * monotone, and sampled + skipped counts every access the gate saw;
+ * rate/overhead_pct are the controller's current state. */
 typedef struct vft_sampling_stats_s {
   uint64_t sampled;     /* accesses admitted to the analysis */
   uint64_t skipped;     /* accesses gated out */
-  uint64_t cooled_out;  /* skips due to a cooled adaptive entry */
-  uint64_t reheats;     /* adaptive entries reset by spill/race/free */
   uint64_t overhead_ns; /* extrapolated detector self-time */
   uint64_t busy_ns;     /* process CPU time since gate creation */
   uint64_t adjustments; /* controller windows applied */

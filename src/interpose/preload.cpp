@@ -804,11 +804,11 @@ __attribute__((destructor)) static void vft_preload_fini(void) {
     const double total = (double)(sp.sampled + sp.skipped);
     fprintf(stderr,
             "vft: sampling [%s]: rate=%.4f (now %.4f) overhead=%.2f%% "
-            "sampled=%llu skipped=%llu reheats=%llu\n",
+            "sampled=%llu skipped=%llu\n",
             vft_sampling_describe(),
             total > 0 ? (double)sp.sampled / total : 0.0, sp.rate,
             sp.overhead_pct, (unsigned long long)sp.sampled,
-            (unsigned long long)sp.skipped, (unsigned long long)sp.reheats);
+            (unsigned long long)sp.skipped);
   }
 }
 

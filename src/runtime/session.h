@@ -160,24 +160,16 @@ class SessionImpl final : public SessionBackend {
   /// before the gate's own slow path, so the controller charges gate
   /// bookkeeping plus the shadow access, the true marginal cost of the
   /// rate. A sampled-out access still updates its packed cell but costs
-  /// one cell fast path at most; spills feed the gate's reheat hook.
+  /// one cell fast path at most.
   template <bool IsWrite>
   void access(const void* addr, std::size_t size) {
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
     std::uint64_t probe = 0;
-    const bool sampled =
-        gate_ == nullptr || gate_->should_sample(addr, &probe);
-    bool spilled = false;
-    const bool ok = packed_.template access<IsWrite>(rt_.tool(), *ts, addr,
-                                                     size, sampled, &spilled);
-    if (gate_ != nullptr) {
-      if (sampled) {
-        if (spilled) gate_->on_spill(addr);
-        if (!ok) gate_->on_race(addr);
-      }
-      gate_->time_end(probe);  // 0 token (unprobed / sampled-out): no-op
-    }
+    const bool sampled = gate_ == nullptr || gate_->should_sample(&probe);
+    packed_.template access<IsWrite>(rt_.tool(), *ts, addr, size, sampled);
+    // A 0 token (unprobed or sampled-out) is a no-op.
+    if (gate_ != nullptr) gate_->time_end(probe);
     arm_fastpath(*ts, addr);  // no-op under a gate (fastpath_arm_ is off)
   }
 
@@ -198,15 +190,14 @@ class SessionImpl final : public SessionBackend {
   // operation (publish before the value is visible), load/rmw_post run
   // *after* it (join once the value was observed). `mo` is the target's
   // declared memory order (TSan ABI == __ATOMIC_* values); the
-  // VFT_ATOMICS mode is applied inside.
+  // VFT_ATOMICS mode (precise or sc) is applied inside.
   //
   // Atomic sync events run ungated (like mutex_lock/unlock: sampling
   // thins data accesses, never synchronization - a dropped edge would
   // manufacture false races, the one thing the sampling layer must never
-  // do). VFT_ATOMICS=off restores the PR-5 interposer-only behaviour.
+  // do).
 
   void atomic_load(const void* a, int mo) override {
-    if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
     rt_.tool().atomic_load(*ts, packed_.atomic_of(a),
@@ -215,7 +206,6 @@ class SessionImpl final : public SessionBackend {
   }
 
   void atomic_store(const void* a, int mo) override {
-    if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
     rt_.tool().atomic_store(*ts, packed_.atomic_of(a),
@@ -224,7 +214,6 @@ class SessionImpl final : public SessionBackend {
   }
 
   void atomic_rmw_pre(const void* a, int mo) override {
-    if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
     rt_.tool().atomic_rmw_pre(*ts, packed_.atomic_of(a),
@@ -233,7 +222,6 @@ class SessionImpl final : public SessionBackend {
   }
 
   void atomic_rmw_post(const void* a, int mo) override {
-    if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
     rt_.tool().atomic_rmw_post(*ts, packed_.atomic_of(a),
@@ -242,7 +230,6 @@ class SessionImpl final : public SessionBackend {
   }
 
   void atomic_fence(int mo) override {
-    if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
     rt_.tool().atomic_fence(*ts, atomics::fence_tls(generation_),
@@ -352,9 +339,6 @@ class SessionImpl final : public SessionBackend {
   void free_hint(const void* addr, std::size_t size) override {
     if (size == 0) return;
     packed_.reset_range(addr, size);  // data, lock and atomic state
-    // Recycled addresses are new variables: any cooled sampling state
-    // covering them goes back to full rate.
-    if (gate_ != nullptr) gate_->on_page_reset(addr, size);
     // The access history is left alone: the reset re-bottomed every cell
     // in the range, so a prior a later race names was installed, and
     // recorded, after this free (docs/ALGORITHM.md s17.1).
@@ -587,8 +571,6 @@ class Session {
       sp.rate_ppm = static_cast<std::uint64_t>(s.rate * 1e6 + 0.5);
       sp.sampled = s.sampled;
       sp.skipped = s.skipped;
-      sp.cooled_out = s.cooled_out;
-      sp.reheats = s.reheats;
       sp.overhead_ns = s.overhead_ns;
       sp.busy_ns = s.busy_ns;
       sp.adjustments = s.adjustments;

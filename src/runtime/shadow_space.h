@@ -332,26 +332,24 @@ class PackedShadowSpace {
   ///
   /// `sampled` is the sampling gate's verdict (vft/sampling.h): with
   /// sampled=false only the cell fast path runs - no spill, no detector, no
-  /// VarState. Returns false iff any word reported a race; *spilled reports
-  /// an escalation performed by this access, the gate's reheat signal.
+  /// VarState. Returns false iff any word reported a race.
   template <bool IsWrite, typename Tool>
   bool access(Tool& tool, ThreadState& st, const void* addr, std::size_t size,
-              bool sampled = true, bool* spilled = nullptr) {
+              bool sampled = true) {
     const auto a = reinterpret_cast<std::uintptr_t>(addr);
     if ((a & (Geometry::kGranularity - 1)) + size <= Geometry::kGranularity) {
-      return access_slot<IsWrite>(tool, st, slot_of(addr), sampled, spilled);
+      return access_slot<IsWrite>(tool, st, slot_of(addr), sampled);
     }
-    return range_access<IsWrite>(tool, st, addr, size, sampled, spilled);
+    return range_access<IsWrite>(tool, st, addr, size, sampled);
   }
 
   /// The scalar path on a pre-resolved word (rt::Array caches one Slot per
   /// element).
   template <bool IsWrite, typename Tool>
   bool access_slot(Tool& tool, ThreadState& st, const Slot& s,
-                   bool sampled = true, bool* spilled = nullptr) {
+                   bool sampled = true) {
     return packed_access<IsWrite>(tool, st, *s.cell, spill_make(s),
-                                  spill_get(s), sampled, spilled,
-                                  /*var=*/s.id);
+                                  spill_get(s), sampled, /*var=*/s.id);
   }
 
   /// The spilled VarState of `s`, escalating the cell first if needed.
@@ -584,7 +582,7 @@ class PackedShadowSpace {
   /// access()'s range scan, for accesses wider than one shadow word.
   template <bool IsWrite, typename Tool>
   bool range_access(Tool& tool, ThreadState& st, const void* addr,
-                    std::size_t size, bool sampled, bool* spilled) {
+                    std::size_t size, bool sampled) {
     [[maybe_unused]] const std::uint32_t e = st.epoch().bits();
     const std::uintptr_t lo =
         reinterpret_cast<std::uintptr_t>(addr) &
@@ -641,10 +639,7 @@ class PackedShadowSpace {
 #endif
         const void* wa = reinterpret_cast<const void*>(
             base + (i << Geometry::kGranularityLog2));
-        bool word_spilled = false;
-        ok &= access_slot<IsWrite>(tool, st, slot_of(wa), sampled,
-                                   &word_spilled);
-        if (word_spilled && spilled != nullptr) *spilled = true;
+        ok &= access_slot<IsWrite>(tool, st, slot_of(wa), sampled);
         ++i;
       }
     }

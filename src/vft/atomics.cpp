@@ -7,12 +7,8 @@ namespace vft::atomics {
 
 Mode mode_from_env() {
   const char* e = std::getenv("VFT_ATOMICS");
-  if (e == nullptr || *e == '\0' || std::strcmp(e, "precise") == 0) {
-    return Mode::kPrecise;
-  }
-  if (std::strcmp(e, "sc") == 0) return Mode::kSc;
-  if (std::strcmp(e, "off") == 0) return Mode::kOff;
-  return Mode::kPrecise;
+  return e != nullptr && std::strcmp(e, "sc") == 0 ? Mode::kSc
+                                                   : Mode::kPrecise;
 }
 
 FenceTls& fence_tls(std::uint64_t gen) {

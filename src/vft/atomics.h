@@ -74,9 +74,8 @@ inline constexpr bool mo_is_release(int mo) {
 ///   sc       every order is modeled as seq_cst: the conservative
 ///            "TSan-on-x86 strong execution" view. The A/B half of the
 ///            litmus corpus: races the precise mode flags disappear here.
-///   off      atomic operations are invisible to the analysis (the PR-5
-///            interposer-only behaviour; the real operation still runs).
-enum class Mode : std::uint8_t { kPrecise, kSc, kOff };
+/// Any other value means precise.
+enum class Mode : std::uint8_t { kPrecise, kSc };
 
 Mode mode_from_env();
 

@@ -240,8 +240,7 @@ inline auto& escalate_cell(PackedCell& cell, Make&& make, Get&& get,
 /// detector's verdict (true = no race; fast-path hits are race-free by
 /// construction). Deliberately independent of rt::Runtime so trace-level
 /// differential tests can drive the exact production code with
-/// hand-managed ThreadStates. Sets *spilled when this access escalated the
-/// cell (the sampling layer's reheat signal).
+/// hand-managed ThreadStates.
 ///
 /// `sampled` is the sampling gate's verdict (vft/sampling.h). A
 /// sampled-out access runs *only* the fast path: a same-epoch hit leaves
@@ -257,7 +256,7 @@ inline auto& escalate_cell(PackedCell& cell, Make&& make, Get&& get,
 template <bool IsWrite, typename Tool, typename Make, typename Get>
 inline bool packed_access(Tool& tool, ThreadState& st, PackedCell& cell,
                           Make&& make, Get&& get, bool sampled = true,
-                          bool* spilled = nullptr, std::uint64_t var = 0) {
+                          std::uint64_t var = 0) {
   if (!sampled) [[unlikely]] {
     (void)cell.fast<IsWrite>(st);  // keep last-access metadata fresh
     bump_rule(tool, Rule::kSampledOut);
@@ -295,7 +294,6 @@ inline bool packed_access(Tool& tool, ThreadState& st, PackedCell& cell,
   auto& vs = escalate_cell(cell, std::forward<Make>(make),
                            std::forward<Get>(get), &won);
   if (won) bump_rule(tool, Rule::kFastSpill);
-  if (spilled != nullptr) *spilled = won;
   bump_rule(tool, Rule::kFastMiss);
   return IsWrite ? tool.write(st, vs) : tool.read(st, vs);
 }

@@ -514,8 +514,6 @@ std::string render_json(const ReportDoc& doc) {
     o += ", \"rate_ppm\": " + std::to_string(sp.rate_ppm);
     o += ",\n               \"sampled\": " + std::to_string(sp.sampled);
     o += ", \"skipped\": " + std::to_string(sp.skipped);
-    o += ", \"cooled_out\": " + std::to_string(sp.cooled_out);
-    o += ", \"reheats\": " + std::to_string(sp.reheats);
     o += ",\n               \"overhead_ns\": " + std::to_string(sp.overhead_ns);
     o += ", \"busy_ns\": " + std::to_string(sp.busy_ns);
     o += ", \"adjustments\": " + std::to_string(sp.adjustments);
@@ -740,8 +738,6 @@ bool parse_report(std::string_view text, ReportDoc* doc, std::string* err) {
     if (const Json* t = v->get("rate_ppm")) sp.rate_ppm = t->as_u64(1000000);
     if (const Json* t = v->get("sampled")) sp.sampled = t->as_u64();
     if (const Json* t = v->get("skipped")) sp.skipped = t->as_u64();
-    if (const Json* t = v->get("cooled_out")) sp.cooled_out = t->as_u64();
-    if (const Json* t = v->get("reheats")) sp.reheats = t->as_u64();
     if (const Json* t = v->get("overhead_ns")) sp.overhead_ns = t->as_u64();
     if (const Json* t = v->get("busy_ns")) sp.busy_ns = t->as_u64();
     if (const Json* t = v->get("adjustments")) sp.adjustments = t->as_u64();
@@ -846,8 +842,6 @@ ReportDoc merge_reports(const std::vector<ReportDoc>& docs) {
       }
       o.sampled += sp.sampled;
       o.skipped += sp.skipped;
-      o.cooled_out += sp.cooled_out;
-      o.reheats += sp.reheats;
       o.overhead_ns += sp.overhead_ns;
       o.busy_ns += sp.busy_ns;
       o.adjustments += sp.adjustments;

@@ -160,8 +160,6 @@ struct SamplingInfo {
   std::uint64_t rate_ppm = 1000000;  ///< current global rate * 1e6
   std::uint64_t sampled = 0;
   std::uint64_t skipped = 0;
-  std::uint64_t cooled_out = 0;
-  std::uint64_t reheats = 0;
   std::uint64_t overhead_ns = 0;
   std::uint64_t busy_ns = 0;  ///< process CPU ns while the gate was live
   std::uint64_t adjustments = 0;

@@ -7,8 +7,6 @@
 #include <cstring>
 #include <ctime>
 
-#include "vft/event_ctx.h"  // vft_tl_event_ctx: caller PC for the adaptive key
-
 namespace vft::sampling {
 namespace {
 
@@ -37,10 +35,6 @@ bool parse_u64(const char* s, std::uint64_t* out) {
   *out = v;
   return true;
 }
-
-// Shadow pages are 4 KiB of application address space in the two-level
-// directory; the adaptive table keys on that granule.
-constexpr std::uintptr_t kPageShift = 12;
 
 }  // namespace
 
@@ -87,15 +81,6 @@ bool parse_config(const char* sampling_spec, const char* budget_spec,
             return false;
           }
           cfg.rate = r;
-        } else if (key == "adaptive") {
-          if (val == "0" || val == "off") {
-            cfg.adaptive = false;
-          } else if (val == "1" || val == "on") {
-            cfg.adaptive = true;
-          } else {
-            if (err) *err = "VFT_SAMPLING: adaptive must be 0|1, got '" + val + "'";
-            return false;
-          }
         } else if (key == "seed") {
           std::uint64_t s = 0;
           if (!parse_u64(val.c_str(), &s)) {
@@ -130,12 +115,11 @@ std::string describe(const Config& cfg) {
   if (!cfg.enabled) return "off";
   char buf[160];
   if (cfg.budget_pct > 0.0) {
-    std::snprintf(buf, sizeof(buf), "budget=%g%% rate0=%g adaptive=%d seed=%llu",
-                  cfg.budget_pct, cfg.rate, cfg.adaptive ? 1 : 0,
+    std::snprintf(buf, sizeof(buf), "budget=%g%% rate0=%g seed=%llu",
+                  cfg.budget_pct, cfg.rate,
                   static_cast<unsigned long long>(cfg.seed));
   } else {
-    std::snprintf(buf, sizeof(buf), "rate=%g adaptive=%d seed=%llu", cfg.rate,
-                  cfg.adaptive ? 1 : 0,
+    std::snprintf(buf, sizeof(buf), "rate=%g seed=%llu", cfg.rate,
                   static_cast<unsigned long long>(cfg.seed));
   }
   return buf;
@@ -161,7 +145,6 @@ Gate::Gate(const Config& cfg)
       rate_fp_(static_cast<std::uint32_t>(
           cfg.rate >= 1.0 ? kRateOne
                           : std::max(1.0, cfg.rate * kRateOne))) {
-  for (auto& e : table_) e.store(0, std::memory_order_relaxed);
   start_ns_ = cpu_now_ns();
   window_start_ns_.store(start_ns_, std::memory_order_relaxed);
   if (cfg_.budget_pct > 0.0) calibrate();
@@ -199,7 +182,7 @@ void Gate::draw_gap(Tls& t) {
                             : static_cast<std::uint64_t>(gap);
 }
 
-bool Gate::admit_slow(Tls& t, const void* addr) {
+bool Gate::admit_slow(Tls& t) {
   if (t.gen != gen_) {
     // First access through this gate on this thread (or the gate was
     // replaced by a reset): seed the stream and start a fresh gap.
@@ -216,123 +199,16 @@ bool Gate::admit_slow(Tls& t, const void* addr) {
   }
 
   // Countdown expired: this access is a sample point. Flush the skip
-  // tally, draw the next gap, and give the adaptive table its say.
+  // tally, draw the next gap, pace the controller, count the sample.
   credit_skips(t);
   draw_gap(t);
-
-  // The controller window advances per slow-path entry, cooled-out or
-  // not: both shapes cost admit_slow work, and a hot-page workload whose
-  // sample points mostly cool out must still pace rate adjustments.
   if (cfg_.budget_pct > 0.0 &&
       window_samples_.fetch_add(1, std::memory_order_relaxed) + 1 >=
           kAdjustWindow) {
     maybe_adjust();
   }
-
-  if (cfg_.adaptive && cooled_out(t, addr)) {
-    cooled_out_.fetch_add(1, std::memory_order_relaxed);
-    skipped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-
   sampled_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-// One adaptive entry per (shadow page, caller PC) pair. The packed word
-// is tag(32) | level(8) | clean(24); CAS-free updates are fine because
-// losing an increment only delays a cooldown.
-bool Gate::cooled_out(Tls& t, const void* addr) {
-  std::uintptr_t page = reinterpret_cast<std::uintptr_t>(addr) >> kPageShift;
-  std::uintptr_t pc = reinterpret_cast<std::uintptr_t>(vft_tl_event_ctx.pc);
-  std::uint64_t h = mix64(page ^ (pc << 1));
-  std::size_t idx = static_cast<std::size_t>(h) & (kTableSize - 1);
-  std::uint32_t tag = static_cast<std::uint32_t>(h >> 32);
-  if (tag == 0) tag = 1;  // tag 0 is the empty/hot marker
-
-  std::uint64_t e = table_[idx].load(std::memory_order_relaxed);
-  std::uint32_t etag = static_cast<std::uint32_t>(e >> 32);
-  std::uint32_t level = static_cast<std::uint32_t>(e >> 24) & 0xff;
-  std::uint32_t clean = static_cast<std::uint32_t>(e) & 0xffffff;
-
-  if (etag != tag) {
-    // Collision or first touch: claim the slot hot. Stealing resets the
-    // previous key's cooldown, which only errs toward more sampling.
-    table_[idx].store((static_cast<std::uint64_t>(tag) << 32) | 1,
-                      std::memory_order_relaxed);
-    return false;
-  }
-
-  if (level > 0) {
-    // Pass this sample point with probability 2^-level.
-    t.rng = mix64(t.rng);
-    if ((t.rng & ((1u << level) - 1)) != 0) return true;
-  }
-
-  // The sample goes through; record one more clean observation.
-  if (clean + 1 >= kCleanPerCool && level < kMaxCooldown) {
-    ++level;
-    clean = 0;
-  } else {
-    ++clean;
-  }
-  table_[idx].store((static_cast<std::uint64_t>(tag) << 32) |
-                        (static_cast<std::uint64_t>(level) << 24) | clean,
-                    std::memory_order_relaxed);
-  return false;
-}
-
-void Gate::reheat(const void* addr) {
-  std::uintptr_t page = reinterpret_cast<std::uintptr_t>(addr) >> kPageShift;
-  std::uintptr_t pc = reinterpret_cast<std::uintptr_t>(vft_tl_event_ctx.pc);
-  std::uint64_t h = mix64(page ^ (pc << 1));
-  std::size_t idx = static_cast<std::size_t>(h) & (kTableSize - 1);
-  std::uint64_t e = table_[idx].load(std::memory_order_relaxed);
-  if (e != 0) {
-    table_[idx].store(0, std::memory_order_relaxed);
-    reheats_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // The PC-qualified entry above may differ from the PC-free one other
-  // threads (or non-interposed paths) hash to - cooled_out with pc==0
-  // keys on mix64(page) - so clear that too.
-  if (pc != 0) {
-    std::uint64_t h2 = mix64(page);
-    std::size_t idx2 = static_cast<std::size_t>(h2) & (kTableSize - 1);
-    std::uint64_t e2 = table_[idx2].load(std::memory_order_relaxed);
-    if (e2 != 0) {
-      table_[idx2].store(0, std::memory_order_relaxed);
-      reheats_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-}
-
-void Gate::on_page_reset(const void* addr, std::size_t size) {
-  std::uintptr_t first = reinterpret_cast<std::uintptr_t>(addr) >> kPageShift;
-  std::uintptr_t last =
-      (reinterpret_cast<std::uintptr_t>(addr) + (size ? size - 1 : 0)) >>
-      kPageShift;
-  // Bound the walk: a huge munmap can just flush the whole table.
-  if (last - first >= kTableSize) {
-    std::uint64_t cleared = 0;
-    for (auto& e : table_) {
-      if (e.exchange(0, std::memory_order_relaxed) != 0) ++cleared;
-    }
-    reheats_.fetch_add(cleared, std::memory_order_relaxed);
-    return;
-  }
-  for (std::uintptr_t page = first; page <= last; ++page) {
-    // Only the PC-free entry (cooled_out's key when no caller PC is
-    // armed) is addressable from here - the freeing call site's PC is
-    // unrelated to the accessors'. PC-qualified entries covering a
-    // recycled page self-heal via the tag check.
-    std::uint64_t h = mix64(page);
-    std::size_t idx = static_cast<std::size_t>(h) & (kTableSize - 1);
-    std::uint64_t e = table_[idx].load(std::memory_order_relaxed);
-    if (e != 0) {
-      table_[idx].store(0, std::memory_order_relaxed);
-      reheats_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
 }
 
 void Gate::time_end(std::uint64_t token) {
@@ -397,8 +273,6 @@ Stats Gate::snapshot() const {
   Stats s;
   s.sampled = sampled_.load(std::memory_order_relaxed);
   s.skipped = skipped_.load(std::memory_order_relaxed);
-  s.cooled_out = cooled_out_.load(std::memory_order_relaxed);
-  s.reheats = reheats_.load(std::memory_order_relaxed);
   s.overhead_ns = overhead_ns_.load(std::memory_order_relaxed);
   s.busy_ns = cpu_now_ns() - start_ns_;
   s.adjustments = adjustments_.load(std::memory_order_relaxed);

@@ -3,50 +3,43 @@
 // FastTrack-style analysis pays a detector call (or at least a packed-cell
 // fast path) on *every* access; under production traffic that tax is the
 // difference between a test tool and a mode you can leave on. Following
-// the sampling line of work (LiteRace's cold-region decay, "Efficient
-// Timestamping for Sampling-based Race Detection" - see PAPERS.md), this
-// layer samples only a fraction of memory accesses while keeping every
+// the sampling line of work ("Efficient Timestamping for Sampling-based
+// Race Detection" - see PAPERS.md), this layer samples only a fraction of
+// memory accesses at a uniform random rate while keeping every
 // synchronization event (locks, fork/join, volatiles, barriers) exactly
 // tracked, so vector clocks stay precise for the accesses that *are*
 // analyzed. A sampled-out access updates only its 64-bit packed shadow
 // cell: last-access metadata stays fresh, so a later sampled access still
 // races against it. It never spills, escalates, or touches a VarState.
 //
-// Three cooperating mechanisms (docs/ALGORITHM.md s14):
+// Two cooperating mechanisms (docs/ALGORITHM.md s14):
 //
 //   Gate        a branch-cheap per-thread geometric countdown: skip the
 //               next G accesses, where G is drawn from the geometric
 //               distribution matching the current global rate. The hot
 //               path is one TLS decrement and one predictable branch; the
-//               slow path (once per sampled access) re-draws the gap,
-//               flushes counters, and consults the adaptive table.
-//
-//   Adaptive    a small fixed-size table keyed by shadow-page base XOR the
-//   table       caller PC (when the interposer's event ctx is armed):
-//               regions that stay race-free across many samples cool down
-//               (each cooldown level halves their effective rate), and
-//               re-heat to full rate on first spill, first race report, or
-//               page reset (free/munmap) - LiteRace-style burst decay.
+//               slow path (once per sample point) flushes the skip tally,
+//               re-draws the gap, paces the controller, and counts the
+//               sample.
 //
 //   Controller  VFT_BUDGET=5 (percent): times every 64th sampled access,
 //               subtracts the calibrated timer floor, extrapolates the
-//               detector's self-time against wall time, and multiplies the
-//               global rate toward the budget every adjustment window.
+//               detector's self-time against process CPU time, and
+//               multiplies the global rate toward the budget every
+//               adjustment window.
 //
-// Exactness anchor: with rate=1.0, no budget, and the adaptive table off,
-// the gate admits every access and the analysis is bit-identical to the
-// ungated packed-cell path (tests/sampling_test.cpp holds this as a
-// differential invariant).
+// Exactness anchor: with rate=1.0 and no budget the gate admits every
+// access and the analysis is bit-identical to the ungated packed-cell
+// path (tests/sampling_test.cpp holds this as a differential invariant).
 //
 // Configuration (read once at session-backend creation):
 //   VFT_SAMPLING  "on" | "off" | comma list of key=value:
-//                 rate=0.02,adaptive=0|1,seed=7 (any key implies "on")
+//                 rate=0.02,seed=7 (any key implies "on")
 //   VFT_BUDGET    target overhead percent, e.g. "5" or "5%"; implies
 //                 sampling on with the controller driving the rate.
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -56,7 +49,6 @@ struct Config {
   bool enabled = false;
   double rate = 1.0;        ///< initial global sampling rate (0, 1]
   double budget_pct = 0.0;  ///< target overhead percent; 0: controller off
-  bool adaptive = true;     ///< per-page/PC cooldown table armed
   std::uint64_t seed = 1;   ///< per-process RNG seed (threads decorrelate)
 };
 
@@ -72,8 +64,8 @@ bool parse_config(const char* sampling_spec, const char* budget_spec,
 /// tracking).
 Config config_from_env();
 
-/// "rate=0.0213 adaptive=1 seed=1" - the effective-config line for run
-/// banners and logs.
+/// "rate=0.0213 seed=1" - the effective-config line for run banners and
+/// logs.
 std::string describe(const Config& cfg);
 
 /// Monotone counter snapshot of one gate's lifetime (relaxed reads; the
@@ -81,8 +73,6 @@ std::string describe(const Config& cfg);
 struct Stats {
   std::uint64_t sampled = 0;       ///< accesses admitted to the analysis
   std::uint64_t skipped = 0;       ///< accesses gated out
-  std::uint64_t cooled_out = 0;    ///< skips due to a cooled page entry
-  std::uint64_t reheats = 0;       ///< table resets from spill/race/free
   std::uint64_t overhead_ns = 0;   ///< extrapolated detector self-time
   std::uint64_t busy_ns = 0;       ///< process CPU time since gate creation
   std::uint64_t adjustments = 0;   ///< controller windows applied
@@ -99,17 +89,17 @@ class Gate {
 
   const Config& config() const { return cfg_; }
 
-  /// The admission decision for one access (or one range event) at
-  /// `addr`, with a controller probe token. Hot path (mid-gap skip): one
-  /// thread-local decrement plus one branch, never probed - the cheap
-  /// skip is the always-on floor the controller does not regulate. Every
-  /// kProbeEvery-th *slow-path entry* (sample point, whether it ends up
-  /// sampled or cooled out) opens a probe BEFORE admit_slow runs, so the
-  /// measured cost covers the gate's own bookkeeping (gap draw, adaptive
-  /// table) plus whatever detector work the caller brackets - the real
-  /// marginal cost of raising the rate. The caller must pass the token to
-  /// time_end() after the access completes (0 token: no-op).
-  bool should_sample(const void* addr, std::uint64_t* probe) {
+  /// The admission decision for one access (or one range event), with a
+  /// controller probe token. Hot path (mid-gap skip): one thread-local
+  /// decrement plus one branch, never probed - the cheap skip is the
+  /// always-on floor the controller does not regulate. Every
+  /// kProbeEvery-th *slow-path entry* (sample point) opens a probe BEFORE
+  /// admit_slow runs, so the measured cost covers the gate's own
+  /// bookkeeping (gap draw, counters) plus whatever detector work the
+  /// caller brackets - the real marginal cost of raising the rate. The
+  /// caller must pass the token to time_end() after the access completes
+  /// (0 token: no-op).
+  bool should_sample(std::uint64_t* probe) {
     Tls& t = tls();
     if (t.gen == gen_ && t.countdown > 0) {
       --t.countdown;
@@ -120,19 +110,10 @@ class Gate {
         (++t.sampled_since_probe & (kProbeEvery - 1)) == 0) {
       *probe = now_ns() | 1;  // |1: a 0 reading must not read as "no probe"
     }
-    return admit_slow(t, addr);
+    return admit_slow(t);
   }
 
   void time_end(std::uint64_t token);
-
-  // --- reheat hooks (the adaptive table's feedback edges) --------------
-  /// A sampled access at `addr` escalated its cell into a VarState.
-  void on_spill(const void* addr) { reheat(addr); }
-  /// A sampled access at `addr` reported a race.
-  void on_race(const void* addr) { reheat(addr); }
-  /// The target freed [addr, addr+size): cooled entries covering it go
-  /// back to full rate (recycled addresses are new variables).
-  void on_page_reset(const void* addr, std::size_t size);
 
   /// Credit the calling thread's pending skip tally to the shared
   /// counter. A tally otherwise flushes only at the thread's next sample
@@ -149,9 +130,6 @@ class Gate {
   static constexpr std::uint64_t kProbeEvery = 64;     ///< controller probe period
   static constexpr std::uint64_t kAdjustWindow = 4096; ///< samples per rate step
   static constexpr std::uint64_t kProbeOutlierNs = 32'000;  ///< discard preempted probes
-  static constexpr std::size_t kTableSize = 1024;      ///< adaptive entries (pow2)
-  static constexpr std::uint32_t kCleanPerCool = 256;  ///< samples to cool a level
-  static constexpr std::uint32_t kMaxCooldown = 6;     ///< min effective rate 1/64
   static constexpr double kMinRate = 1.0 / 4096.0;     ///< controller floor
 
   struct Tls {
@@ -174,7 +152,7 @@ class Gate {
   /// budget. Syscall-priced, so only touched at window/snapshot edges.
   static std::uint64_t cpu_now_ns();
 
-  bool admit_slow(Tls& t, const void* addr);
+  bool admit_slow(Tls& t);
   void credit_skips(Tls& t) {
     if (t.skipped > 0) {
       skipped_.fetch_add(t.skipped, std::memory_order_relaxed);
@@ -182,8 +160,6 @@ class Gate {
     }
   }
   void draw_gap(Tls& t);
-  void reheat(const void* addr);
-  bool cooled_out(Tls& t, const void* addr);
   void maybe_adjust();
   void calibrate();
 
@@ -191,15 +167,8 @@ class Gate {
   const std::uint64_t gen_;  ///< unique per gate; stale TLS re-syncs
   std::atomic<std::uint32_t> rate_fp_;  ///< current rate * kRateOne
 
-  /// Adaptive table: one packed word per entry -
-  /// tag(32) | cooldown level(8) | clean-sample count(24). Entry 0 with
-  /// tag 0 means "hot" (level 0), so a clean table starts at full rate.
-  std::atomic<std::uint64_t> table_[kTableSize];
-
   std::atomic<std::uint64_t> sampled_{0};
   std::atomic<std::uint64_t> skipped_{0};
-  std::atomic<std::uint64_t> cooled_out_{0};
-  std::atomic<std::uint64_t> reheats_{0};
   std::atomic<std::uint64_t> overhead_ns_{0};
   std::atomic<std::uint64_t> window_overhead_ns_{0};
   std::atomic<std::uint64_t> window_samples_{0};

@@ -7,8 +7,6 @@
 #include <dlfcn.h>
 #include <pthread.h>
 
-#include <cstdlib>
-
 #include "vft/fastpath_ctx.h"
 
 extern "C" {
@@ -52,20 +50,6 @@ StackBounds thread_stack_bounds() {
 
 }  // namespace
 
-int stack_depth_limit() {
-  static const int limit = [] {
-    int d = 16;
-    if (const char* env = std::getenv("VFT_STACK_DEPTH");
-        env != nullptr && env[0] != '\0') {
-      d = std::atoi(env);
-    }
-    if (d < 1) d = 1;
-    if (d > kMaxStackDepth) d = kMaxStackDepth;
-    return d;
-  }();
-  return limit;
-}
-
 std::uint64_t hash_stack(const CallStack& s) {
   // Word steps rather than FNV-1a's byte steps: every history record
   // hashes its stack, and one multiply per frame keeps that cheap.
@@ -84,11 +68,11 @@ namespace {
 /// found no caller - a target compiled without frame pointers leaves the
 /// fp chain dead, but its instrumented prologues still recorded every
 /// live call site.
-void append_shadow_frames(CallStack& cs, int limit) {
+void append_shadow_frames(CallStack& cs) {
   const vft_shadow_stack_s& ss = vft_tl_shadow_stack;
   uint32_t top = ss.depth;
   if (top > VFT_SHADOW_STACK_MAX) top = VFT_SHADOW_STACK_MAX;
-  for (uint32_t i = top; i != 0 && cs.depth < limit; --i) {
+  for (uint32_t i = top; i != 0 && cs.depth < kMaxStackDepth; --i) {
     const auto pc = reinterpret_cast<std::uintptr_t>(ss.pc[i - 1]);
     if (pc < 4096) continue;
     // The innermost shadow entry is the call into the function holding
@@ -103,19 +87,18 @@ void append_shadow_frames(CallStack& cs, int limit) {
 CallStack capture_event_stack() {
   CallStack cs;
   const vft_event_ctx_s ctx = vft_tl_event_ctx;
-  const int limit = stack_depth_limit();
   if (ctx.pc == nullptr) {
     // No interposition boundary armed the event context (wrapper-path
     // callers, or a prior-side capture after the boundary already
     // cleared it). The __tsan_func_entry/exit shadow stack still knows
     // the live call chain, so prior-side history entries degrade to the
     // instrumented callers instead of to an empty stack.
-    append_shadow_frames(cs, limit);
+    append_shadow_frames(cs);
     return cs;
   }
   cs.push(reinterpret_cast<std::uintptr_t>(ctx.pc));
   if (ctx.fp == nullptr) {
-    append_shadow_frames(cs, limit);
+    append_shadow_frames(cs);
     return cs;
   }
 
@@ -135,14 +118,14 @@ CallStack capture_event_stack() {
            (p & (sizeof(std::uintptr_t) - 1)) == 0;
   };
   if (!valid(fp)) {
-    append_shadow_frames(cs, limit);
+    append_shadow_frames(cs);
     return cs;
   }
   // [fp+8] here is the return into the target - ctx.pc again - so only
   // the *next* frame up contributes a new caller PC.
   fp = reinterpret_cast<const std::uintptr_t*>(fp)[0];
   std::uintptr_t prev = reinterpret_cast<std::uintptr_t>(ctx.fp);
-  while (cs.depth < limit && valid(fp) && fp > prev) {
+  while (cs.depth < kMaxStackDepth && valid(fp) && fp > prev) {
     const auto* frame = reinterpret_cast<const std::uintptr_t*>(fp);
     const std::uintptr_t ret = frame[1];
     if (ret < 4096) break;  // null page: end of chain / garbage
@@ -152,7 +135,7 @@ CallStack capture_event_stack() {
   }
   // An fp walk that never left the boundary frame means the target has no
   // frame-pointer chain; the shadow stack still knows the callers.
-  if (cs.depth < 2) append_shadow_frames(cs, limit);
+  if (cs.depth < 2) append_shadow_frames(cs);
   return cs;
 }
 

@@ -19,7 +19,7 @@
 // (the boundary return address); the native corpus compiles with
 // -fno-omit-frame-pointer so its reports carry full chains.
 //
-// Depth is capped by VFT_STACK_DEPTH (default 16, max kMaxStackDepth).
+// Depth is capped at kMaxStackDepth (16) frames.
 // Frames resolve to module+offset via dladdr() only when a *new* error
 // context is created (report.h) or a report is written - never per
 // occurrence of an already-known race, and never on the access fast path.
@@ -32,8 +32,8 @@
 
 namespace vft {
 
-/// Hard upper bound on recorded frames; VFT_STACK_DEPTH can only lower it.
-inline constexpr int kMaxStackDepth = 32;
+/// Upper bound on recorded frames.
+inline constexpr int kMaxStackDepth = 16;
 
 /// A bounded, fixed-size call stack: raw return addresses, innermost
 /// (the racing access site) first.
@@ -56,10 +56,6 @@ struct CallStack {
     return true;
   }
 };
-
-/// The effective depth cap: VFT_STACK_DEPTH clamped to [1, kMaxStackDepth]
-/// (default 16). Read once per process.
-int stack_depth_limit();
 
 /// FNV-1a over the raw program counters, one 64-bit word per step
 /// (process-local identity; the ASLR-stable cross-run key is computed from

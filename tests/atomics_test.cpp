@@ -13,7 +13,7 @@
 //   abi           the vft_atomic_* entries produce bit-identical rule
 //                 counters with the inline fast path armed and retracted,
 //                 atomic events are never sampled out, and the
-//                 VFT_ATOMICS mode knob (precise / sc / off) gates the
+//                 VFT_ATOMICS mode knob (precise / sc) gates the
 //                 sync edge end to end through the session dispatch, a
 //                 free hint drops a freed location's release clock, and
 //                 two atomics sharing a shadow word keep separate clocks.
@@ -385,7 +385,7 @@ TEST(AtomicsAbi, SamplingNeverGatesAtomicEvents) {
   configure("v2", /*inline_on=*/true, nullptr);
   atomic_workload();
   const auto unsampled = snapshot();
-  configure("v2", /*inline_on=*/true, "rate=0.01,adaptive=0");
+  configure("v2", /*inline_on=*/true, "rate=0.01");
   // A spec that fails to parse silently falls back to sampling off.
   vft_sampling_stats_s st;
   ASSERT_EQ(vft_sampling_stats(&st), 1);
@@ -508,9 +508,6 @@ TEST(AtomicsAbi, ModeKnobGatesTheSyncEdge) {
   // sc: every order upgraded to seq_cst - the TSan-on-x86 view that
   // hides relaxed races.
   EXPECT_EQ(mp_races("sc", atomics::kMoRelaxed, atomics::kMoRelaxed), 0u);
-  // off: atomics invisible - even a correct release/acquire pair
-  // contributes nothing (the PR-5 interposer-only behavior).
-  EXPECT_EQ(mp_races("off", atomics::kMoRelease, atomics::kMoAcquire), 1u);
 }
 
 }  // namespace

@@ -139,7 +139,7 @@ std::array<std::uint64_t, RuleStats::kN> snapshot() {
 TEST(FastpathDifferential, BitIdenticalRuleCountersAcrossDetectors) {
   // nullptr: sampling off (the inline cell path is live for spillable
   // detectors). rate=1: gate active, so the descriptor never arms.
-  const char* kSampling[] = {nullptr, "rate=1,adaptive=0"};
+  const char* kSampling[] = {nullptr, "rate=1"};
   for (const char* det : kDetectors) {
     for (const char* sampling : kSampling) {
       SCOPED_TRACE(std::string(det) + " / " +

@@ -217,9 +217,11 @@ TEST(ParseReport, RejectsGarbageAndWrongSchema) {
   EXPECT_NE(err.find("schema"), std::string::npos);
 }
 
-TEST(ParseReport, OlderSamplingBlockWithPolicyKeyStillParses) {
+TEST(ParseReport, OlderSamplingBlockWithRetiredKeysStillParses) {
   // Reports written while the sampling layer had two sampled-out policies
-  // carry a "policy" key; it is ignored on parse and not re-rendered.
+  // carry a "policy" key, and reports written while it had an adaptive
+  // cooldown table carry "cooled_out" and "reheats"; all three are ignored
+  // on parse and not re-rendered.
   const std::string text =
       "{\"schema\": \"vft-report-v2\", \"detector\": \"VerifiedFT-v2\","
       " \"runs\": 1, \"clean_exit\": true,"
@@ -238,6 +240,8 @@ TEST(ParseReport, OlderSamplingBlockWithPolicyKeyStillParses) {
   const std::string merged =
       reportio::render_json(reportio::merge_reports({doc, doc}));
   EXPECT_EQ(merged.find("\"policy\""), std::string::npos) << merged;
+  EXPECT_EQ(merged.find("\"cooled_out\""), std::string::npos) << merged;
+  EXPECT_EQ(merged.find("\"reheats\""), std::string::npos) << merged;
   EXPECT_NE(merged.find("\"skipped\": 980"), std::string::npos) << merged;
 }
 

@@ -15,9 +15,8 @@
 //               converges into +-2 points of VFT_BUDGET on a sustained
 //               workload, with the rate throttled below 1.
 //
-// Plus the config grammar, the adaptive cooldown/reheat state machine,
-// the skip accounting of threads that end mid-gap, and the report/stats
-// plumbing the `vft run` banner scrapes.
+// Plus the config grammar, the skip accounting of threads that end
+// mid-gap, and the report/stats plumbing the `vft run` banner scrapes.
 //
 // Tests share the process-global Session; each reconfigures sampling via
 // the environment and reset() (the gate is re-read from VFT_SAMPLING /
@@ -153,12 +152,11 @@ std::vector<std::uint64_t> detector_rule_counts() {
 TEST(SamplingConfig, ParsesKeysAndImpliesEnabled) {
   vft::sampling::Config c;
   std::string err;
-  ASSERT_TRUE(vft::sampling::parse_config("rate=0.25,adaptive=0,seed=9",
+  ASSERT_TRUE(vft::sampling::parse_config("rate=0.25,seed=9",
                                           nullptr, &c, &err))
       << err;
   EXPECT_TRUE(c.enabled);
   EXPECT_DOUBLE_EQ(c.rate, 0.25);
-  EXPECT_FALSE(c.adaptive);
   EXPECT_EQ(c.seed, 9u);
 }
 
@@ -184,9 +182,10 @@ TEST(SamplingConfig, MalformedSpecIsAnError) {
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(
       vft::sampling::parse_config("rate=nope", nullptr, &c, &err));
-  // Retired keys: one sampled-out policy, and the budget has one spelling
-  // (VFT_BUDGET).
-  for (const char* spec : {"policy=cell", "policy=drop", "budget=5"}) {
+  // Retired keys: one sampled-out policy, the budget has one spelling
+  // (VFT_BUDGET), and the rate is uniform (no adaptive cooldown table).
+  for (const char* spec : {"policy=cell", "policy=drop", "budget=5",
+                           "adaptive=0", "adaptive=1"}) {
     err.clear();
     EXPECT_FALSE(vft::sampling::parse_config(spec, nullptr, &c, &err))
         << spec;
@@ -211,7 +210,7 @@ TEST(Sampling, RateOneIsBitIdenticalToNoGateOnDetectorRules) {
   const auto baseline_races = vft_race_count();
   EXPECT_GE(baseline_races, 1u);
 
-  configure_sampling("rate=1,adaptive=0");
+  configure_sampling("rate=1");
   {
     Workload w;
     w.run();
@@ -272,7 +271,7 @@ TEST(Sampling, RacyDetectedWithinSeededRunsAtPartialRate) {
   int detected_at = -1;
   for (int seed = 0; seed < 10; ++seed) {
     configure_sampling(
-        ("rate=0.25,adaptive=0,seed=" + std::to_string(seed)).c_str());
+        ("rate=0.25,seed=" + std::to_string(seed)).c_str());
     if (run_race_batch() > 0) {
       detected_at = seed;
       break;
@@ -288,7 +287,7 @@ TEST(Sampling, RacyDetectedWithinSeededRunsAtPartialRate) {
 TEST(Sampling, NoRaceWorkloadSilentUnderSampling) {
   EnvGuard guard;
   for (const char* spec :
-       {"rate=0.5,seed=1", "rate=0.5,seed=2", "rate=0.01,adaptive=1,seed=3"}) {
+       {"rate=0.5,seed=1", "rate=0.5,seed=2", "rate=0.01,seed=3"}) {
     configure_sampling(spec);
     // Disjoint per-thread sweeps plus a lock-ordered shared counter. The
     // ABI lock hooks fire inside a *held* real mutex (the contract: the
@@ -321,7 +320,6 @@ TEST(Sampling, NoRaceWorkloadSilentUnderSampling) {
 TEST(Sampling, ControllerConvergesToBudget) {
   EnvGuard guard;
   configure_sampling("seed=3", "5");
-  ASSERT_STREQ("", "");  // document: budget 5%, default policy, adaptive on
 
   std::vector<std::uint64_t> buf(4096, 1);
   for (const std::uint64_t& w : buf) vft_write8(&w);
@@ -340,55 +338,6 @@ TEST(Sampling, ControllerConvergesToBudget) {
       << "sampled=" << st.sampled << " skipped=" << st.skipped
       << " rate=" << st.rate;
   EXPECT_GT(st.skipped, st.sampled) << "throttled run should skip most";
-}
-
-// ---------------------------------------------------------------------
-// Adaptive cooldown / reheat state machine.
-// ---------------------------------------------------------------------
-
-TEST(Sampling, AdaptiveCoolsHotCleanRegionAndFreeHintReheats) {
-  EnvGuard guard;
-  configure_sampling("rate=1,adaptive=1,seed=5");
-
-  // Hammer one page cleanly: every access is a sample point at rate 1,
-  // so the per-page entry must climb its cooldown levels and start
-  // discarding sample points.
-  static long hot = 0;
-  for (int i = 0; i < 20000; ++i) vft_read8(&hot);
-  vft::sampling::Stats s1 = Session::instance().gate()->snapshot();
-  EXPECT_GT(s1.cooled_out, 0u) << "clean hot page never cooled";
-
-  // Freeing the page recycles its addresses: the cooled entry must go
-  // back to full rate.
-  vft_free_hint(&hot, sizeof(hot));
-  vft::sampling::Stats s2 = Session::instance().gate()->snapshot();
-  EXPECT_GT(s2.reheats, s1.reheats) << "free hint did not reheat the page";
-}
-
-TEST(Sampling, SpillReheatsThePage) {
-  EnvGuard guard;
-  configure_sampling("rate=1,adaptive=1,seed=6");
-  vft::sampling::Gate* g = Session::instance().gate();
-  ASSERT_NE(g, nullptr);
-  const std::uint64_t before = g->snapshot().reheats;
-
-  // A write-write conflict escalates the packed cell (a spill), which
-  // must reheat the page even though no cooldown built up yet.
-  static long contested = 0;
-  std::atomic<bool> first_done{false};
-  run_concurrent_pair([&](int who) {
-    if (who == 0) {
-      vft_write8(&contested);
-      first_done.store(true, std::memory_order_release);
-    } else {
-      while (!first_done.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      vft_write8(&contested);
-    }
-  });
-  EXPECT_GT(vft_race_count(), 0u);
-  EXPECT_GT(g->snapshot().reheats, before);
 }
 
 // ---------------------------------------------------------------------
@@ -418,7 +367,7 @@ TEST(Sampling, ThreadsEndingMidGapKeepTheirSkips) {
   // Each thread counts its skips in a thread-local tally that otherwise
   // reaches the shared counter only at its next sample point; at rate
   // 0.01 every thread ends mid-gap, so detach must flush the remainder.
-  configure_sampling("rate=0.01,adaptive=0,seed=3");
+  configure_sampling("rate=0.01,seed=3");
   constexpr int kThreads = 4;
   constexpr int kReads = 1000;
   static long lanes[kThreads];

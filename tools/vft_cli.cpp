@@ -507,7 +507,7 @@ int cmd_run(int argc, char** argv) {
     const double total = static_cast<double>(sp.sampled + sp.skipped);
     std::printf(
         "vft run: sampling achieved: rate=%.4f (now %.4f) overhead=%.2f%% "
-        "sampled=%llu skipped=%llu reheats=%llu adjustments=%llu\n",
+        "sampled=%llu skipped=%llu adjustments=%llu\n",
         total > 0 ? static_cast<double>(sp.sampled) / total : 0.0,
         static_cast<double>(sp.rate_ppm) / 1e6,
         sp.busy_ns > 0 ? 100.0 * static_cast<double>(sp.overhead_ns) /
@@ -515,7 +515,6 @@ int cmd_run(int argc, char** argv) {
                        : 0.0,
         static_cast<unsigned long long>(sp.sampled),
         static_cast<unsigned long long>(sp.skipped),
-        static_cast<unsigned long long>(sp.reheats),
         static_cast<unsigned long long>(sp.adjustments));
   }
   if (rr.partial) {
