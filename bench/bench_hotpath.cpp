@@ -46,11 +46,14 @@
 //                     (the mem* wrappers' SIMD packed-cell prefix kernel)
 //                     plus the real memcpy, vs the raw copy alone, on warm
 //                     race-free pages. Acceptance: within 3x of raw.
-//   volatile_load     rt::Volatile load with the same-epoch fast path on
-//                     vs off (always-locked join), 1..max threads hammering
-//                     one volatile after a single publication.
-//   barrier_phase     arrive_and_wait cost per phase (trajectory metric;
-//                     pre-sized clocks keep the phase flip allocation-free).
+//   volatile_load     rt::Volatile load, 1..max threads hammering one
+//                     volatile after a single publication: every load
+//                     takes DetectorBase::atomic_join's fast-epoch skip
+//                     (the guarded atomic_dispatch load acquire_ns row
+//                     pins the same skip on the interposed route).
+//   barrier_phase     arrive_and_wait cost per phase (trajectory metric,
+//                     not a floor: each arrival publishes into its round's
+//                     AtomicState, whose clock grows under its own lock).
 //
 // Environment: VFT_HOTPATH_MAXTHREADS (default 8), VFT_HOTPATH_SCALE
 // (default 1; multiplies every rep count), VFT_BENCH_JSON (output path,
@@ -804,45 +807,39 @@ void range_section(JsonReport& json, std::size_t scale) {
 }
 
 // ---------------------------------------------------------------------------
-// Section 3: Volatile load fast path on vs off.
+// Section 3: Volatile load on the fast-epoch skip.
 // ---------------------------------------------------------------------------
 
 void volatile_section(JsonReport& json, std::uint32_t max_threads,
                       std::size_t scale) {
   const std::size_t loads = 200'000 * scale;
 
-  std::printf("rt::Volatile load under VerifiedFT-v2: same-epoch fast path\n");
-  std::printf("%8s %12s %12s %9s\n", "threads", "fast ns/op", "slow ns/op",
-              "speedup");
+  std::printf("rt::Volatile load under VerifiedFT-v2 (fast-epoch skip)\n");
+  std::printf("%8s %12s\n", "threads", "fast ns/op");
   for (std::uint32_t t = 1; t <= max_threads; t *= 2) {
-    auto run = [&](bool fast) {
-      RaceCollector races;
-      rt::Runtime<VftV2> R{VftV2(&races)};
-      rt::Runtime<VftV2>::MainScope scope(R);
-      rt::Volatile<int, VftV2> v(R, 0, fast);
-      v.store(42);  // one publication; loads then hit the fast/slow path
-      const auto t0 = std::chrono::steady_clock::now();
-      rt::parallel_for_threads(R, t, [&](std::uint32_t) {
-        std::uint64_t sink = 0;
-        for (std::size_t i = 0; i < loads; ++i) {
-          sink += static_cast<std::uint64_t>(v.load());
-        }
-        g_sink.fetch_add(sink, std::memory_order_relaxed);
-      });
-      const double secs = now_minus(t0);
-      if (!races.empty()) {
-        std::fprintf(stderr, "FATAL: volatile workload reported races\n");
-        std::exit(1);
+    RaceCollector races;
+    rt::Runtime<VftV2> R{VftV2(&races)};
+    rt::Runtime<VftV2>::MainScope scope(R);
+    rt::Volatile<int, VftV2> v(R, 0);
+    v.store(42);  // one publication; every load then skips the join
+    const auto t0 = std::chrono::steady_clock::now();
+    rt::parallel_for_threads(R, t, [&](std::uint32_t) {
+      std::uint64_t sink = 0;
+      for (std::size_t i = 0; i < loads; ++i) {
+        sink += static_cast<std::uint64_t>(v.load());
       }
-      return 1e9 * secs / (static_cast<double>(t) * loads);
-    };
-    const double slow = run(false);
-    const double fast = run(true);
-    std::printf("%8u %12.2f %12.2f %8.2fx\n", t, fast, slow, slow / fast);
+      g_sink.fetch_add(sink, std::memory_order_relaxed);
+    });
+    const double secs = now_minus(t0);
+    if (!races.empty()) {
+      std::fprintf(stderr, "FATAL: volatile workload reported races\n");
+      std::exit(1);
+    }
+    const double fast = 1e9 * secs / (static_cast<double>(t) * loads);
+    std::printf("%8u %12.2f\n", t, fast);
     char name[32];
     std::snprintf(name, sizeof(name), "t%u", t);
-    json.add("volatile_load", name,
-             {{"fast_ns", fast}, {"slow_ns", slow}, {"speedup", slow / fast}});
+    json.add("volatile_load", name, {{"fast_ns", fast}});
   }
   std::printf("\n");
 }
@@ -855,8 +852,7 @@ void barrier_section(JsonReport& json, std::uint32_t max_threads,
                      std::size_t scale) {
   const std::size_t phases = 2'000 * scale;
 
-  std::printf("rt::Barrier arrive_and_wait under VerifiedFT-v2 "
-              "(pre-sized clocks)\n");
+  std::printf("rt::Barrier arrive_and_wait under VerifiedFT-v2\n");
   std::printf("%8s %14s\n", "threads", "ns/phase");
   for (std::uint32_t t = 2; t <= max_threads; t *= 2) {
     RaceCollector races;

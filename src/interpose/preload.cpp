@@ -4,9 +4,10 @@
 //
 //   Synchronization - this library defines the pthread entry points the
 //   target calls (pthread_create/join/detach, mutex lock/trylock/unlock,
-//   condvar waits) and forwards to the real libc implementation resolved
-//   with dlsym(RTLD_NEXT). Works both via LD_PRELOAD (the `vft run`
-//   launcher) and by linking the target against this library directly.
+//   condvar waits, spin locks, semaphore post and waits) and forwards
+//   to the real libc implementation resolved with dlsym(RTLD_NEXT).
+//   Works both via LD_PRELOAD (the `vft run` launcher) and by linking the
+//   target against this library directly.
 //
 //   Memory accesses - an OS-level wrapper cannot see plain loads and
 //   stores, so the target is compiled with GCC/Clang's
@@ -38,6 +39,7 @@
 #include <dlfcn.h>
 #include <malloc.h>
 #include <pthread.h>
+#include <semaphore.h>
 #include <signal.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -69,6 +71,9 @@ using MutexFn = int (*)(pthread_mutex_t*);
 using CondWaitFn = int (*)(pthread_cond_t*, pthread_mutex_t*);
 using CondTimedWaitFn = int (*)(pthread_cond_t*, pthread_mutex_t*,
                                 const struct timespec*);
+using SemFn = int (*)(sem_t*);
+using SemTimedWaitFn = int (*)(sem_t*, const struct timespec*);
+using SpinFn = int (*)(pthread_spinlock_t*);
 using FreeFn = void (*)(void*);
 using MunmapFn = int (*)(void*, size_t);
 using MemcpyFn = void* (*)(void*, const void*, size_t);
@@ -88,6 +93,13 @@ MutexFn real_mutex_trylock;
 MutexFn real_mutex_unlock;
 CondWaitFn real_cond_wait;
 CondTimedWaitFn real_cond_timedwait;
+SemFn real_sem_post;
+SemFn real_sem_wait;
+SemFn real_sem_trywait;
+SemTimedWaitFn real_sem_timedwait;
+SpinFn real_spin_lock;
+SpinFn real_spin_trylock;
+SpinFn real_spin_unlock;
 FreeFn real_free;
 MunmapFn real_munmap;
 MemcpyFn real_memcpy;
@@ -114,6 +126,13 @@ void resolve_all() {
   real_mutex_unlock = resolve<MutexFn>("pthread_mutex_unlock");
   real_cond_wait = resolve<CondWaitFn>("pthread_cond_wait");
   real_cond_timedwait = resolve<CondTimedWaitFn>("pthread_cond_timedwait");
+  real_sem_post = resolve<SemFn>("sem_post");
+  real_sem_wait = resolve<SemFn>("sem_wait");
+  real_sem_trywait = resolve<SemFn>("sem_trywait");
+  real_sem_timedwait = resolve<SemTimedWaitFn>("sem_timedwait");
+  real_spin_lock = resolve<SpinFn>("pthread_spin_lock");
+  real_spin_trylock = resolve<SpinFn>("pthread_spin_trylock");
+  real_spin_unlock = resolve<SpinFn>("pthread_spin_unlock");
   real_free = resolve<FreeFn>("free");
   real_munmap = resolve<MunmapFn>("munmap");
   real_memcpy = resolve<MemcpyFn>("memcpy");
@@ -302,6 +321,58 @@ int pthread_cond_timedwait(pthread_cond_t* c, pthread_mutex_t* m,
   const int rc = real_cond_timedwait(c, m, abstime);
   vft_mutex_lock(m);
   return rc;
+}
+
+// A semaphore is the atomic release/acquire pair on its address: posters
+// are unordered, so a post must *join* into the semaphore's clock (the
+// atomic store's publication, not [Release]'s copy), and only a wait that
+// took a count (returned 0) acquires it.
+static int sem_acquired(sem_t* s, int rc) {
+  if (rc == 0) vft_atomic_rmw_post(s, __ATOMIC_ACQUIRE);
+  return rc;
+}
+
+int sem_post(sem_t* s) {
+  if (real_sem_post == nullptr) resolve_all();
+  vft_atomic_rmw_pre(s, __ATOMIC_RELEASE);  // release: before the post
+  return real_sem_post(s);
+}
+
+int sem_wait(sem_t* s) {
+  if (real_sem_wait == nullptr) resolve_all();
+  return sem_acquired(s, real_sem_wait(s));
+}
+
+int sem_trywait(sem_t* s) {
+  if (real_sem_trywait == nullptr) resolve_all();
+  return sem_acquired(s, real_sem_trywait(s));
+}
+
+int sem_timedwait(sem_t* s, const struct timespec* abstime) {
+  if (real_sem_timedwait == nullptr) resolve_all();
+  return sem_acquired(s, real_sem_timedwait(s, abstime));
+}
+
+// A spin lock is a mutex on the lock state of its address
+// (pthread_spinlock_t is a volatile int; only the address is used).
+int pthread_spin_lock(pthread_spinlock_t* l) {
+  if (real_spin_lock == nullptr) resolve_all();
+  const int rc = real_spin_lock(l);
+  if (rc == 0) vft_mutex_lock(const_cast<const int*>(l));
+  return rc;
+}
+
+int pthread_spin_trylock(pthread_spinlock_t* l) {
+  if (real_spin_trylock == nullptr) resolve_all();
+  const int rc = real_spin_trylock(l);
+  if (rc == 0) vft_mutex_lock(const_cast<const int*>(l));
+  return rc;
+}
+
+int pthread_spin_unlock(pthread_spinlock_t* l) {
+  if (real_spin_unlock == nullptr) resolve_all();
+  vft_mutex_unlock(const_cast<const int*>(l));
+  return real_spin_unlock(l);
 }
 
 // ---------------------------------------------------------------------

@@ -27,13 +27,13 @@
 
 #include "runtime/tool.h"
 #include "sched/sched_point.h"
-#include "vft/vector_clock.h"
+#include "vft/atomics.h"
 
 namespace vft::rt {
 
 /// True when D performs analysis; NullTool configurations skip even the
-/// inline vector-clock work of Volatile/Barrier so that base-time runs
-/// measure the uninstrumented target.
+/// joining edges of the sync wrappers so that base-time runs measure the
+/// uninstrumented target.
 template <typename D>
 inline constexpr bool kInstrumented = !std::is_same_v<D, NullTool>;
 
@@ -237,65 +237,28 @@ class Guard {
   Mutex<D>* m_;
 };
 
-/// Tid headroom the sync wrappers pre-size their clocks for beyond the
-/// registry's current high-water mark, so clocks of wrappers constructed
-/// before the workers fork still cover the usual worker counts without
-/// ever reallocating under the wrapper's lock.
-inline constexpr std::uint32_t kPresizeTids = 64;
-
-/// Instrumented Java-style volatile variable. Reads and writes are
-/// synchronization operations: a write publishes the writer's clock
-/// (release-like: Sv.V := Sv.V join St.V; inc_t), a read acquires it
-/// (St.V := St.V join Sv.V) - the standard FastTrack treatment mentioned
-/// in Section 7 ("Additional Synchronization Primitives").
+/// Instrumented Java-style volatile variable (Section 7, "Additional
+/// Synchronization Primitives"): a store is the detector's release edge
+/// (Sv.V := Sv.V join St.V; inc_t) and a load its acquire edge
+/// (St.V := St.V join Sv.V) over one AtomicState, with the fast-epoch
+/// skip of DetectorBase::atomic_join.
 ///
-/// Fast path (the FastTrack volatile-epoch optimization): a store whose
-/// thread's clock dominates vc_ leaves vc_ == that thread's clock, and
-/// publishes the storing epoch t@c in fast_epoch_. A reader that already
-/// knows t@c (its V[t] >= c) is ordered after that store - each epoch
-/// contains at most one clock publication, so knowing t@c implies having
-/// absorbed the publication's full clock - hence vc_ <= its own clock
-/// already and the locked join would be a no-op: skip it entirely. When
-/// the storing clock does not dominate vc_ (several unordered writers),
-/// fast_epoch_ is set to SHARED and every reader takes the locked join.
-///
-/// Ordering: fast_epoch_ is updated under the lock *before* the value's
-/// release-store, and readers load it *after* the value's acquire-load,
-/// so the epoch a reader checks is at least as recent as the store whose
-/// value it observed. A reader may still see an epoch staler than the
-/// globally latest store - that linearizes the read before the store
-/// whose value has not yet landed, a valid serialization of the two
-/// overlapping volatile operations (same §5-style argument the detector
-/// handlers rely on).
+/// Ordering: store publishes before the value's release-store and load
+/// joins after the value's acquire-load, so a reader joins a clock at
+/// least as recent as the store whose value it saw. An armed epoch staler
+/// than the latest store linearizes the read before the store whose value
+/// has not landed yet (the §5-style argument of the detector handlers).
 template <typename T, Detector D>
 class Volatile {
  public:
-  explicit Volatile(Runtime<D>& rt, T initial = T{}, bool fast_path = true)
-      : rt_(&rt), fast_path_(fast_path), data_(initial) {
-    if constexpr (kInstrumented<D>) {
-      vc_.reserve(std::max(rt.registry().capacity(), kPresizeTids));
-    }
-  }
+  explicit Volatile(Runtime<D>& rt, T initial = T{})
+      : rt_(&rt), data_(initial) {}
 
   T load() {
-    // Read the value first, then acquire the clock: a writer joins vc_
-    // *before* its release-store, so any stored value we observe has its
-    // writer's clock already merged into vc_ by the time we lock. The
-    // reverse order has a window (join, writer publishes, we load the new
-    // value without its clock) that manifests as false positives on reads
-    // the volatile was supposed to order.
     VFT_SCHED_POINT(kLoad, &data_);
     const T v = data_.load(std::memory_order_acquire);
     if constexpr (kInstrumented<D>) {
-      VFT_SCHED_POINT(kLoad, &fast_epoch_);
-      const Epoch fe = fast_epoch_.load(std::memory_order_acquire);
-      ThreadState& st = rt_->self();
-      if (fe.is_shared() || !vft::leq(fe, st.V.get(fe.tid()))) {
-        // Slow path: the locked join, publish-before-release order as
-        // above.
-        std::scoped_lock lk(mu_);
-        st.join(vc_);
-      }  // else [Volatile Same Epoch]: vc_ <= st.V already, join skipped
+      rt_->tool().atomic_join(rt_->self(), sync_);
       bump_rule(rt_->tool(), Rule::kVolRead);
     }
     return v;
@@ -304,34 +267,19 @@ class Volatile {
   void store(T v) {
     bool value_published = false;
     if constexpr (kInstrumented<D>) {
-      {
-        std::scoped_lock lk(mu_);
-        ThreadState& st = rt_->self();
-        const bool dominated = vc_.leq(st.V);
-        vc_.join(st.V);
-        const Epoch e = st.epoch();
-        st.inc();
-        const Epoch armed =
-            dominated && fast_path_ ? e : Epoch::shared();
 #ifdef VFT_SCHED
-        // Seeded-bug hook (sched mutation smoke test): publish the value
-        // *before* arming, the interleaving that dropping the arm->value
-        // ordering below would allow. A reader can then pair a fresh
-        // value with a stale armed epoch it already covers, skip the
-        // join, and report a false race on a location this volatile was
-        // supposed to order.
-        if (sched::Mutations::volatile_value_before_arm.load(
-                std::memory_order_relaxed)) {
-          VFT_SCHED_POINT(kStore, &data_);
-          data_.store(v, std::memory_order_release);
-          value_published = true;
-        }
-#endif
-        // Enable the read fast path only when vc_ collapsed to exactly
-        // this thread's clock; must precede the value store below.
-        VFT_SCHED_POINT(kStore, &fast_epoch_);
-        fast_epoch_.store(armed, std::memory_order_release);
+      // Seeded-bug hook (sched mutation smoke test): the value lands
+      // before the publication arms, so a reader can pair it with a stale
+      // armed epoch it already covers, skip the join and report a false
+      // race on a location this volatile was supposed to order.
+      if (sched::Mutations::volatile_value_before_arm.load(
+              std::memory_order_relaxed)) {
+        VFT_SCHED_POINT(kStore, &data_);
+        data_.store(v, std::memory_order_release);
+        value_published = true;
       }
+#endif
+      rt_->tool().atomic_publish(rt_->self(), sync_);
       bump_rule(rt_->tool(), Rule::kVolWrite);
     }
     if (!value_published) {
@@ -342,53 +290,42 @@ class Volatile {
 
  private:
   Runtime<D>* rt_;
-  const bool fast_path_;  // false: always take the locked join (benching)
-  SchedMutex mu_;  // protects vc_ (multiple readers/writers synchronize)
-  VectorClock vc_;
-  // SHARED disables the fast path; otherwise the epoch of the last store,
-  // valid only because that store's clock dominated vc_.
-  std::atomic<Epoch> fast_epoch_{Epoch::shared()};
+  atomics::AtomicState sync_;
   std::atomic<T> data_;
 };
 
-/// Instrumented cyclic barrier for a fixed party count. Happens-before:
-/// every operation before any arrival happens-before every operation after
-/// the corresponding departure (all-to-all), modeled by joining all
-/// arrivals' clocks and re-acquiring the merged clock on departure, then
-/// starting a fresh epoch (as in the barrier support of the standard
-/// FastTrack implementations, Section 7).
+/// Instrumented cyclic barrier for a fixed party count: every operation
+/// before any arrival happens-before every operation after the matching
+/// departure (Section 7). An arrival publishes into its round's
+/// AtomicState (joining: arrivals are unordered; the publication starts
+/// the thread's next epoch) and the departure joins it. Two states
+/// alternate by phase parity and are never reset: a round-p+2 arrival
+/// cannot publish before every leaver of round p has arrived at round
+/// p+1, after its departure join, so a slow leaver never joins a fast
+/// thread's next-round work (docs/ALGORITHM.md §6).
 template <Detector D>
 class Barrier {
  public:
   Barrier(Runtime<D>& rt, std::uint32_t parties)
-      : rt_(&rt), parties_(parties) {
-    if constexpr (kInstrumented<D>) {
-      // Pre-size both clocks: a phase flip under mu_ must never touch the
-      // allocator (it runs with every party blocked on it).
-      const std::uint32_t n =
-          std::max(rt.registry().capacity(), kPresizeTids);
-      gather_.reserve(n);
-      released_.reserve(n);
-    }
-  }
+      : rt_(&rt), parties_(parties) {}
 
   void arrive_and_wait() {
     std::unique_lock lk(mu_);
-    if constexpr (kInstrumented<D>) gather_.join(rt_->self().V);
     const std::uint64_t my_phase = phase_;
+    atomics::AtomicState& round = round_[my_phase & 1];
+    if constexpr (kInstrumented<D>) {
+      rt_->tool().atomic_publish(rt_->self(), round);
+    }
     if (++arrived_ == parties_) {
-      released_ = gather_;
-      gather_.reset();  // keeps the reserved capacity
       arrived_ = 0;
       ++phase_;
       cv_.notify_all();
     } else {
       cv_.wait(lk, [&] { return phase_ != my_phase; });
     }
+    lk.unlock();
     if constexpr (kInstrumented<D>) {
-      ThreadState& st = rt_->self();
-      st.join(released_);
-      st.inc();  // departures start a new epoch, like a release
+      rt_->tool().atomic_join(rt_->self(), round);
       bump_rule(rt_->tool(), Rule::kBarrier);
     }
   }
@@ -398,8 +335,7 @@ class Barrier {
   const std::uint32_t parties_;
   std::mutex mu_;
   std::condition_variable cv_;
-  VectorClock gather_;    // accumulating arrivals for the current phase
-  VectorClock released_;  // merged clock of the last completed phase
+  atomics::AtomicState round_[2];  // indexed by phase parity
   std::uint32_t arrived_ = 0;
   std::uint64_t phase_ = 0;
 };

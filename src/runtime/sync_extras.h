@@ -2,7 +2,11 @@
 // Synchronization Primitives"): reader-writer locks, reentrant mutexes
 // (Java monitors are reentrant; only the outermost enter/exit is an
 // analysis event), and once-initialization capturing the happens-before
-// edge between a static initializer and every later use.
+// edge between a static initializer and every later use. The reentrant
+// mutex runs on the [Acquire]/[Release] handlers; the other two, like
+// rt::Volatile and rt::Barrier, keep no clock of their own and run on the
+// detector's two joining edges (DetectorBase::atomic_publish/atomic_join)
+// over one AtomicState per sync object.
 #pragma once
 
 #include <shared_mutex>
@@ -12,14 +16,16 @@
 namespace vft::rt {
 
 /// Instrumented reader-writer lock with the standard FastTrack-style
-/// happens-before treatment:
-///   write-unlock publishes the writer's clock (w_vc) and resets the
-///   accumulated reader clock (the writer joined it on entry, so w_vc
-///   dominates it);
-///   write-lock joins w_vc and r_vc;
-///   read-unlock folds the reader's clock into r_vc (readers don't order
-///   each other - they only order against later writers);
-///   read-lock joins w_vc only.
+/// happens-before treatment, on the detector's two joining edges over two
+/// AtomicStates:
+///   write-unlock publishes the writer's clock into w_;
+///   write-lock joins w_ and r_;
+///   read-unlock publishes the reader's clock into r_ (readers don't order
+///   each other - they only order against later writers, and the join
+///   keeps every unordered reader's clock);
+///   read-lock joins w_ only.
+/// r_ is never reset: a writer that joined it published a dominating clock
+/// into w_, so the older readers it holds add nothing to a later join.
 template <Detector D>
 class SharedMutex {
  public:
@@ -28,38 +34,27 @@ class SharedMutex {
   void lock() {  // writer
     mu_.lock();
     if constexpr (kInstrumented<D>) {
-      std::scoped_lock lk(vc_mu_);
       ThreadState& st = rt_->self();
-      st.join(w_vc_);
-      st.join(r_vc_);
+      rt_->tool().atomic_join(st, w_);
+      rt_->tool().atomic_join(st, r_);
     }
   }
 
   void unlock() {
     if constexpr (kInstrumented<D>) {
-      std::scoped_lock lk(vc_mu_);
-      ThreadState& st = rt_->self();
-      w_vc_.copy(st.V);
-      r_vc_ = VectorClock();  // dominated by w_vc_ (joined at lock())
-      st.inc();
+      rt_->tool().atomic_publish(rt_->self(), w_);
     }
     mu_.unlock();
   }
 
   void lock_shared() {  // reader
     mu_.lock_shared();
-    if constexpr (kInstrumented<D>) {
-      std::scoped_lock lk(vc_mu_);
-      rt_->self().join(w_vc_);
-    }
+    if constexpr (kInstrumented<D>) rt_->tool().atomic_join(rt_->self(), w_);
   }
 
   void unlock_shared() {
     if constexpr (kInstrumented<D>) {
-      std::scoped_lock lk(vc_mu_);
-      ThreadState& st = rt_->self();
-      r_vc_.join(st.V);
-      st.inc();
+      rt_->tool().atomic_publish(rt_->self(), r_);
     }
     mu_.unlock_shared();
   }
@@ -67,9 +62,8 @@ class SharedMutex {
  private:
   Runtime<D>* rt_;
   std::shared_mutex mu_;
-  std::mutex vc_mu_;  // concurrent readers need their VC updates ordered
-  VectorClock w_vc_;
-  VectorClock r_vc_;
+  atomics::AtomicState w_;  // writers' release clock
+  atomics::AtomicState r_;  // joined readers' release clocks
 };
 
 template <Detector D>
@@ -120,9 +114,10 @@ class RecursiveMutex {
 };
 
 /// Once-initialization with the Section 7 static-initializer ordering: the
-/// initializer's effects happen-before every get(). After initialization
-/// the captured clock is immutable, so get() reads it with one acquire
-/// load and a lock-free join.
+/// initializer's effects happen-before every get(). The initializer
+/// publishes into an AtomicState and every get() joins it; once a caller
+/// knows the initializer's epoch, the fast-epoch skip makes get() one
+/// acquire load of the ready flag and one of the armed epoch.
 template <typename T, Detector D>
 class Once {
  public:
@@ -137,16 +132,12 @@ class Once {
       if (!ready_.load(std::memory_order_relaxed)) {
         value_ = init();
         if constexpr (kInstrumented<D>) {
-          init_vc_.copy(rt_->self().V);
-          rt_->self().inc();  // initializer epoch closes, like a release
+          rt_->tool().atomic_publish(rt_->self(), init_);
         }
         ready_.store(true, std::memory_order_release);
       }
     }
-    if constexpr (kInstrumented<D>) {
-      // init_vc_ is immutable once ready_: lock-free join is safe.
-      rt_->self().join(init_vc_);
-    }
+    if constexpr (kInstrumented<D>) rt_->tool().atomic_join(rt_->self(), init_);
     return value_;
   }
 
@@ -155,8 +146,8 @@ class Once {
  private:
   Runtime<D>* rt_;
   std::atomic<bool> ready_{false};
-  std::mutex mu_;
-  VectorClock init_vc_;
+  std::mutex mu_;  // serializes the initializer, not a clock
+  atomics::AtomicState init_;
   T value_{};
 };
 

@@ -393,11 +393,12 @@ inline Instance make_packed(PackedShape shape) {
 }
 
 // ---------------------------------------------------------------------------
-// Volatile fast-path scenarios (PR 2's same-epoch arm/disarm), through
-// the full rt::Runtime plumbing. The reader records the values it
-// observed; the check linearizes its volatile reads after exactly the
-// writer operations those values prove happened, runs the Spec over that
-// serialization, and demands the detector agree.
+// Volatile scenarios: rt::Volatile on the detector's two joining edges
+// (the AtomicState's fast-epoch arm and skip), through the full
+// rt::Runtime plumbing. The reader records the values it observed; the
+// check linearizes its volatile reads after exactly the writer operations
+// those values prove happened, runs the Spec over that serialization,
+// and demands the detector agree.
 // ---------------------------------------------------------------------------
 
 struct VolatileState {

@@ -2,8 +2,9 @@
 // exploration (loom/CHESS style) of the detectors' own atomics.
 //
 // The detectors' lock-free hot paths (sync_var_state.h, ft_cas.h,
-// packed_cell.h, sync_vector_clock.h, the Volatile fast path in
-// runtime/instrument.h) announce every shared atomic load/store/CAS
+// packed_cell.h, sync_vector_clock.h, the fast-epoch skip of
+// DetectorBase::atomic_join and atomic_publish's arm, which every atomic
+// and rt:: sync wrapper runs on) announce every shared atomic load/store/CAS
 // through VFT_SCHED_POINT before performing it; the shadow space
 // (runtime/shadow_space.h) announces the CASes that publish its pages,
 // sync tables and sync objects. Under a VFT_SCHED build
@@ -108,7 +109,7 @@ inline void spin_yield(const void* obj) {
   }
 }
 
-/// Drop-in mutex for the detectors' VarState/Volatile locks. With a hook
+/// Drop-in mutex for the detectors' VarState/AtomicState locks. With a hook
 /// installed, lock/unlock become scheduler decisions (the scheduler keeps
 /// a thread with a pending acquire on a held lock disabled); without one
 /// it is a plain std::mutex. Lockable, so std::scoped_lock works.
@@ -140,11 +141,12 @@ class Mutex {
 /// weakened memory order it names would permit, so the SC-only explorer
 /// can observe the bug as a statement interleaving.
 struct Mutations {
-  /// Volatile::store publishes the data value *before* arming fast_epoch_
-  /// (models dropping the release/ordering between the arm and the value
-  /// publication): a reader can observe a fresh value with a stale armed
-  /// epoch it already knows, skip the clock join, and later report a
-  /// false race on a location the volatile was supposed to order.
+  /// rt::Volatile::store publishes the data value *before* its
+  /// atomic_publish joins the clock and arms the AtomicState's fast epoch
+  /// (models dropping the ordering between the publication and the value
+  /// store): a reader can observe a fresh value with a stale armed epoch
+  /// it already knows, skip the clock join, and later report a false race
+  /// on a location the volatile was supposed to order.
   static inline std::atomic<bool> volatile_value_before_arm{false};
   /// escalate_cell publishes ESCALATED *before* injecting the {R, W}
   /// snapshot into the spilled VarState (models dropping the release on

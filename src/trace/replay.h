@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "trace/trace.h"
+#include "vft/atomics.h"
 #include "vft/shadow_state.h"
 #include "vft/spec.h"
 #include "vft/stats.h"
@@ -51,18 +52,14 @@ class ShadowStore {
     return *it->second;
   }
 
-  /// Shadow state for a volatile variable: the accumulated writer clock
-  /// (Section 7 semantics; common to every detector). The mutex matters
-  /// only for concurrent replay, where it orders the VC manipulation.
-  struct VolState {
-    std::mutex mu;
-    VectorClock V;
-  };
-
-  VolState& vol(std::uint64_t v) {
+  /// Shadow state for a volatile variable: the same AtomicState the
+  /// runtime's rt::Volatile and the __tsan_atomic* path keep (Section 7
+  /// semantics; common to every detector), driven only through the
+  /// detector's two joining edges.
+  atomics::AtomicState& vol(std::uint64_t v) {
     auto it = vols_.find(v);
     if (it == vols_.end()) {
-      it = vols_.emplace(v, std::make_unique<VolState>()).first;
+      it = vols_.emplace(v, std::make_unique<atomics::AtomicState>()).first;
     }
     return *it->second;
   }
@@ -79,7 +76,8 @@ class ShadowStore {
   std::unordered_map<Tid, std::unique_ptr<ThreadState>> threads_;
   std::unordered_map<VarId, std::unique_ptr<typename D::VarState>> vars_;
   std::unordered_map<LockId, std::unique_ptr<LockState>> locks_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<VolState>> vols_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<atomics::AtomicState>>
+      vols_;
 };
 
 struct ReplayResult {
@@ -112,20 +110,12 @@ bool apply(D& d, ShadowStore<D>& store, const Op& op) {
     case OpKind::kJoin:
       d.join(store.thread(op.t), store.thread(static_cast<Tid>(op.target)));
       return true;
-    case OpKind::kVolRead: {
-      auto& vs = store.vol(op.target);
-      std::scoped_lock lk(vs.mu);
-      store.thread(op.t).join(vs.V);
+    case OpKind::kVolRead:
+      d.atomic_join(store.thread(op.t), store.vol(op.target));
       return true;
-    }
-    case OpKind::kVolWrite: {
-      auto& vs = store.vol(op.target);
-      ThreadState& st = store.thread(op.t);
-      std::scoped_lock lk(vs.mu);
-      vs.V.join(st.V);
-      st.inc();
+    case OpKind::kVolWrite:
+      d.atomic_publish(store.thread(op.t), store.vol(op.target));
       return true;
-    }
   }
   return true;
 }

@@ -84,7 +84,8 @@ inline int effective_mo(Mode mode, int mo) {
   return mode == Mode::kSc ? kMoSeqCst : mo;
 }
 
-/// One atomic location's synchronization shadow.
+/// One atomic location's synchronization shadow; also the only sync state
+/// of each rt::Volatile, Once, SharedMutex and Barrier object.
 struct AtomicState {
   /// SHARED sentinel for fast_epoch: unordered publishers, fast path off.
   static constexpr std::uint32_t kSharedBits = ~std::uint32_t{0};

@@ -85,6 +85,21 @@ class Checked {
     VFT_CHECK(su.V.leq(st.V));  // joiner absorbed the child's clock
   }
 
+  void atomic_join(ThreadState& st, atomics::AtomicState& sa) {
+    const VectorClock before = st.V;
+    inner_.atomic_join(st, sa);
+    VFT_CHECK(before.leq(st.V));
+    VFT_CHECK(sa.sync_V.leq(st.V));  // skipped or not, Sa.V is absorbed
+  }
+
+  void atomic_publish(ThreadState& st, atomics::AtomicState& sa) {
+    const VectorClock before = st.V;
+    inner_.atomic_publish(st, sa);
+    VFT_CHECK(before.leq(st.V));
+    VFT_CHECK(st.epoch() == before.get(st.t).inc());  // new epoch exactly
+    VFT_CHECK(before.leq(sa.sync_V));  // publisher's clock is in Sa.V
+  }
+
   D& inner() { return inner_; }
   RaceCollector* races() const { return inner_.races(); }
 

@@ -144,16 +144,9 @@ class DetectorBase {
     if (!acq && !rel) count(Rule::kAtomicRelaxed);
   }
 
-  RaceCollector* races() const { return races_; }
-  RuleStats* stats() const { return stats_; }
-
- protected:
-  /// Forced inline: with the sharded bump behind it the inliner would
-  /// otherwise call count() out of line, and a detector with no RuleStats
-  /// would pay a call per handler instead of one branch.
-  [[gnu::always_inline]] void count(Rule r) {
-    if (stats_ != nullptr) stats_->bump(r);
-  }
+  // --- The two joining edges: the atomic handlers above, rt::Volatile,
+  // Once, SharedMutex and Barrier, and the trace replayer's volatiles all
+  // run on these, over one AtomicState per sync object.
 
   /// Acquire edge: St.V := St.V join Sa.V, behind the fast-epoch skip.
   /// Knowing the armed epoch t@c means St.V already holds t's clock at c,
@@ -199,6 +192,17 @@ class DetectorBase {
       next = atomics::AtomicState::kSharedBits;
     }
     st.inc();
+  }
+
+  RaceCollector* races() const { return races_; }
+  RuleStats* stats() const { return stats_; }
+
+ protected:
+  /// Forced inline: with the sharded bump behind it the inliner would
+  /// otherwise call count() out of line, and a detector with no RuleStats
+  /// would pay a call per handler instead of one branch.
+  [[gnu::always_inline]] void count(Rule r) {
+    if (stats_ != nullptr) stats_->bump(r);
   }
 
   /// Fence-backed publication: a relaxed store after a release fence

@@ -134,24 +134,8 @@ class VectorClock {
     return true;
   }
 
-  /// Grow the backing allocation to hold n components without changing
-  /// the logical size. After reserve(n), every ensure_capacity(m) with
-  /// m <= n is allocation-free - the sync wrappers (Volatile, Barrier)
-  /// pre-size their clocks this way so growth never happens while they
-  /// hold their locks.
-  void reserve(std::uint32_t n) {
-    if (n <= cap_) return;
-    auto fresh = std::make_unique<Epoch[]>(n);
-    simd::copy_words(epoch_bits(fresh.get()), epoch_bits(data()), size_);
-    heap_ = std::move(fresh);
-    cap_ = n;
-  }
-
-  /// Allocated capacity in components (>= size()).
-  std::uint32_t capacity() const { return cap_; }
-
-  /// Forget all components but keep the allocation: the phase-reset path
-  /// of Barrier (and SharedMutex) without touching the heap.
+  /// Forget all components but keep the allocation (a fence state
+  /// dropped by a session reset) without touching the heap.
   void reset() { size_ = 0; }
 
   /// Grow the backing array so that indices [0, n) are materialized.

@@ -1,5 +1,7 @@
-// The rt::Volatile same-epoch read fast path ([Volatile Same Epoch]),
-// checked over the whole detector family:
+// The rt::Volatile same-epoch read fast path ([Volatile Same Epoch]):
+// rt::Volatile is one AtomicState driven by the detector's two joining
+// edges, so this is DetectorBase::atomic_join's fast-epoch skip reached
+// through the runtime, checked over the whole detector family:
 //
 //   - deterministic multi-threaded schedules, driven by the schedule
 //     explorer's replay format (sched::ScriptedOrder - real
@@ -12,7 +14,7 @@
 //     path must not manufacture happens-before).
 //
 // Each scripted step spans the writer's entire Volatile::store() (or the
-// reader's whole load sequence), so a reader's fast_epoch_ check always
+// reader's whole load sequence), so a reader's fast-epoch check always
 // sees the matching publication - that makes the schedules exactly
 // replayable in the sequential oracle, and printable/replayable with the
 // same "0,1,0,1" notation `vft sched --schedule` speaks.

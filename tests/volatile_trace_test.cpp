@@ -2,10 +2,14 @@
 // (acquire/release-like edges), oracle agreement, and detector replay.
 #include <gtest/gtest.h>
 
+#include <iostream>
+#include <set>
+
 #include "trace/feasibility.h"
 #include "trace/generator.h"
 #include "trace/hb_oracle.h"
 #include "trace/replay.h"
+#include "vft/checked.h"
 #include "vft/detector.h"
 
 namespace vft::trace {
@@ -74,7 +78,41 @@ TEST(VolatileTrace, SpecVolWriteStartsNewEpoch) {
   EXPECT_EQ(spec.vol_vc(1).get(0), before);
 }
 
+/// Replay a race-free `prefix` through `d` on an explicit store and
+/// require every volatile's Sa.V and every thread's clock to equal the
+/// Spec's after the same prefix: the fast-epoch skip in atomic_join may
+/// only ever skip a join that would have been a no-op.
+template <typename D>
+void expect_sync_state_matches_spec(D& d, const Trace& prefix, Spec& spec,
+                                    std::uint64_t seed) {
+  ShadowStore<D> store;
+  const ReplayResult run = replay(prefix, d, store);
+  EXPECT_FALSE(run.first_race.has_value()) << D::kName << " seed " << seed;
+  std::set<Tid> threads;
+  std::set<std::uint64_t> vols;
+  for (const Op& op : prefix) {
+    threads.insert(op.t);
+    if (op.kind == OpKind::kFork || op.kind == OpKind::kJoin) {
+      threads.insert(static_cast<Tid>(op.target));
+    }
+    if (op.kind == OpKind::kVolRead || op.kind == OpKind::kVolWrite) {
+      vols.insert(op.target);
+    }
+  }
+  for (const std::uint64_t v : vols) {
+    EXPECT_EQ(store.vol(v).sync_V, spec.vol_vc(v))
+        << D::kName << " seed " << seed << " v" << v << ": "
+        << store.vol(v).sync_V.str() << " vs " << spec.vol_vc(v).str();
+  }
+  for (const Tid t : threads) {
+    EXPECT_EQ(store.thread(t).V, spec.thread_vc(t))
+        << D::kName << " seed " << seed << " t" << t << ": "
+        << store.thread(t).V.str() << " vs " << spec.thread_vc(t).str();
+  }
+}
+
 TEST(VolatileTrace, DetectorsAgreeOnVolatileTraces) {
+  std::size_t prefix_ops = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     GeneratorConfig cfg;
     cfg.initial_threads = 3;
@@ -103,7 +141,24 @@ TEST(VolatileTrace, DetectorsAgreeOnVolatileTraces) {
       EXPECT_EQ(run.first_race, sr.error_index)
           << D::kName << " seed " << seed;
     });
+
+    // Sync state, not just verdicts: the prefix before the Spec's first
+    // error (the whole trace when race-free), through fresh detectors.
+    const Trace prefix(t.begin(),
+                       t.begin() + static_cast<std::ptrdiff_t>(
+                                       sr.error_index.value_or(t.size())));
+    prefix_ops += prefix.size();
+    Spec prefix_spec;
+    ASSERT_FALSE(replay_spec(prefix, prefix_spec).error_index.has_value());
+    for_each_detector(nullptr, nullptr, [&](auto& d) {
+      expect_sync_state_matches_spec(d, prefix, prefix_spec, seed);
+    });
+    Checked<VftV2> checked{VftV2(nullptr, nullptr)};
+    expect_sync_state_matches_spec(checked, prefix, prefix_spec, seed);
   }
+  EXPECT_GT(prefix_ops, 0u);
+  std::cout << "[volatile-trace] sync state compared over " << prefix_ops
+            << " prefix operations\n";
 }
 
 TEST(VolatileTrace, GeneratorEmitsVolatiles) {
