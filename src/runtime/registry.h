@@ -133,6 +133,15 @@ class Registry {
     return slots_.size() - free_.size();
   }
 
+  /// High-water mark of allocated tids: a vector clock whose capacity
+  /// covers [0, capacity()) never reallocates while the current thread
+  /// population lives (VectorClock::reserve pre-sizes a clock to it, plus
+  /// headroom for threads forked later).
+  std::uint32_t capacity() const {
+    std::scoped_lock lk(mu_);
+    return static_cast<std::uint32_t>(slots_.size());
+  }
+
   /// RAII: marks the calling OS thread as running target thread `ts` for
   /// the duration of the scope. Nestable (restores the previous binding),
   /// which lets a bench harness run several runtimes from one main thread.

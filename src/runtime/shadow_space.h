@@ -429,10 +429,8 @@ class PackedShadowSpace {
         } else {
           // Racing an in-flight escalation loses benignly: the loser's
           // snapshot was the pre-free history the caller promised is quiet.
-          // An already-bottom cell is left alone: no locked write to a
-          // word the freed object never touched.
           std::uint64_t cur = p->cells[i].bits();
-          while (cur != 0 && !PackedCell::is_sentinel(cur) &&
+          while (!PackedCell::is_sentinel(cur) &&
                  !p->cells[i].cas_bits(cur, 0)) {
           }
         }

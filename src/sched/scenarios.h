@@ -526,9 +526,10 @@ inline Instance make_volatile(bool stale_epoch_shape) {
 
 // ---------------------------------------------------------------------------
 // Atomic sync-state scenarios (the __tsan_atomic* clock layer of
-// vft/atomics.h): the fast-epoch arm CAS in atomic_publish racing an
-// acquire load's fast-skip read, and two unordered CAS-loop publishers
-// contending for the arm. Driven through the DetectorBase handlers with a
+// vft/atomics.h): the fast-epoch arm store in atomic_publish racing an
+// acquire load's fast-skip read, two unordered CAS-loop publishers
+// contending for the arm, and two publishers on an already-SHARED arm.
+// Driven through the DetectorBase handlers with a
 // bare AtomicState, like the duo scenarios. Checks are differential
 // against Spec::on_atomic_*; the data-read gates mirror make_volatile:
 // within the cooperative scheduler a thread runs atomically between sched
@@ -567,7 +568,7 @@ struct AtomicHandoffState {
 /// observation proves nothing (no edge), so every schedule where the
 /// gated read ran must report exactly the write-read race the Spec halts
 /// on — the relaxed-no-edge property, checked under every interleaving of
-/// the arm CAS, the fast-skip load, and the sync mutex.
+/// the arm store, the fast-skip load, and the sync mutex.
 template <typename S>
 std::optional<std::string> atomic_handoff_check(S& s, bool relaxed) {
   Spec spec;
@@ -744,6 +745,66 @@ Instance make_atomic_cas_publish() {
   return inst;
 }
 
+/// Two publishers on an AtomicState that is already SHARED, the shape of
+/// two rt::SharedMutex readers unlocking r_ after both joined every
+/// earlier reader: t1, whose clock covers Sa.V, publishes, then joins the
+/// state again (a read-unlock followed by the upgrade's lock()) and writes
+/// x if it saw t2's publication complete; t2 reads x and publishes. Arms
+/// must land in join order, so the terminal arm is SHARED in every
+/// schedule and t1's last join absorbs t2's read; re-arming t1's epoch
+/// over t2's join would let that join skip and report a false race.
+template <typename D>
+Instance make_atomic_shared_rearm() {
+  auto s = std::make_shared<AtomicCasState<D>>();
+  s->det.atomic_publish(s->t1, s->a);  // arms t1's epoch
+  s->det.atomic_publish(s->t2, s->a);  // unordered with t1: SHARED
+  s->det.atomic_join(s->t1, s->a);
+  s->det.atomic_join(s->t2, s->a);
+  Instance inst;
+  inst.state = s;
+  inst.bodies = {
+      [s] {
+        s->det.atomic_publish(s->t1, s->a);
+        s->saw_by1 = s->pub2;
+        s->det.atomic_join(s->t1, s->a);
+        if (s->saw_by1) s->det.write(s->t1, s->x);
+      },
+      [s] {
+        s->det.read(s->t2, s->x);
+        s->det.atomic_publish(s->t2, s->a);
+        s->pub2 = true;
+      },
+  };
+  inst.check = [s]() -> std::optional<std::string> {
+    Spec spec;
+    const auto publish = [&spec](Tid t) {
+      return !spec.on_atomic_store(t, kV, atomics::kMoRelease).error;
+    };
+    const auto join = [&spec](Tid t) {
+      return !spec.on_atomic_load(t, kV, atomics::kMoAcquire).error;
+    };
+    bool okc = !spec.on_write(0, kX).error && !spec.on_write(0, kY).error &&
+               !spec.on_fork(0, 1).error && !spec.on_fork(0, 2).error &&
+               publish(1) && publish(2) && join(1) && join(2);
+    okc = okc && !spec.on_read(2, kX).error && publish(2) && publish(1) &&
+          join(1);
+    if (s->saw_by1) okc = okc && !spec.on_write(1, kX).error;
+    if (!okc) return "spec raced on the gated SHARED re-arm program";
+    if (!s->races.empty()) return "false race: " + s->races.first()->str();
+    if (!vc_eq(s->a.sync_V, spec.atomic_vc(kV))) {
+      return "release clock is not the join of every publisher";
+    }
+    if (s->a.fast_epoch.load(std::memory_order_relaxed) !=
+        atomics::AtomicState::kSharedBits) {
+      return "unordered publishers left an armed epoch";
+    }
+    const std::string d = diff_var_state(s->x, spec, 2);
+    if (!d.empty()) return "terminal x state diverges from Spec: " + d;
+    return std::nullopt;
+  };
+  return inst;
+}
+
 // ---------------------------------------------------------------------------
 // Sync-state creation on a fresh shadow page (rt::PackedShadowSpace's
 // per-page sync side table, ALGORITHM.md §12.3): one thread's first lock
@@ -888,6 +949,9 @@ inline const std::vector<Scenario>& scenarios() {
       {"atomic-cas-publish",
        "unordered CAS publishers: joined clock, SHARED arm", false,
        [] { return make_atomic_cas_publish<VftV2>(); }},
+      {"atomic-shared-rearm",
+       "publishers on a SHARED arm: the dominating one's join sees both",
+       false, [] { return make_atomic_shared_rearm<VftV2>(); }},
       {"sync-create",
        "first lock and atomic of one address race a first write: one page",
        false, make_sync_create},

@@ -34,10 +34,11 @@
 // fast path: a release publication whose thread clock dominated Sa.V arms
 // `fast_epoch` with the publishing epoch t@c, and an acquirer that already
 // knows t@c skips the locked join entirely (knowing t@c implies having
-// absorbed the publisher's full clock at c, hence Sa.V). The arm is a CAS
-// so concurrent publishers collapse it to SHARED instead of clobbering
-// each other; the CAS and the loads around it are VFT_SCHED_POINT-probed
-// for the src/sched/ explorer.
+// absorbed the publisher's full clock at c, hence Sa.V). The arm is
+// stored under the state's mutex with the join it summarizes, so
+// concurrent publishers arm in join order and an unordered one collapses
+// it to SHARED; the store and the acquirer's load are
+// VFT_SCHED_POINT-probed for the src/sched/ explorer.
 #pragma once
 
 #include <atomic>

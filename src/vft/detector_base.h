@@ -167,29 +167,19 @@ class DetectorBase {
   /// Release edge: Sa.V := Sa.V join St.V; St.V := inc_t(St.V). The join
   /// (not the [Release] copy) because unordered publishers must not lose
   /// each other's clocks - this matches the specification's volatile
-  /// handler. The fast-epoch arm runs as a CAS *outside* the lock: a
-  /// publisher that raced in since the snapshot fails the exchange and
-  /// collapses the arm to SHARED instead of clobbering a concurrent arm.
+  /// handler. The arm is stored under sa.mu with the join it summarizes,
+  /// so publishers arm in the order they join: a dominating publisher
+  /// re-arms (even over SHARED) only while Sa.V is exactly its clock, and
+  /// every later non-dominating one collapses that arm to SHARED.
   void atomic_publish(ThreadState& st, atomics::AtomicState& sa) {
-    bool dominated;
-    std::uint32_t prev;
     {
       std::scoped_lock lk(sa.mu);
-      dominated = sa.sync_V.leq(st.V);
+      const bool dominated = sa.sync_V.leq(st.V);
       sa.sync_V.join(st.V);
-      prev = sa.fast_epoch.load(std::memory_order_relaxed);
-    }
-    std::uint32_t next =
-        dominated ? st.epoch().bits() : atomics::AtomicState::kSharedBits;
-    std::uint32_t cur = prev;
-    for (;;) {
-      VFT_SCHED_POINT(kCas, &sa.fast_epoch);
-      if (sa.fast_epoch.compare_exchange_weak(cur, next,
-                                              std::memory_order_release,
-                                              std::memory_order_relaxed)) {
-        break;
-      }
-      next = atomics::AtomicState::kSharedBits;
+      VFT_SCHED_POINT(kStore, &sa.fast_epoch);
+      sa.fast_epoch.store(
+          dominated ? st.epoch().bits() : atomics::AtomicState::kSharedBits,
+          std::memory_order_release);
     }
     st.inc();
   }
@@ -207,24 +197,15 @@ class DetectorBase {
 
   /// Fence-backed publication: a relaxed store after a release fence
   /// publishes the fence's snapshot. No single epoch summarizes a
-  /// snapshot, so the arm collapses to SHARED (CAS loop: an armer racing
-  /// in concurrently loses either here or in its own exchange).
+  /// snapshot, so the arm collapses to SHARED, under sa.mu like every arm.
   void atomic_publish_snapshot(atomics::AtomicState& sa,
                                const VectorClock& snap) {
-    {
-      std::scoped_lock lk(sa.mu);
-      if (snap.leq(sa.sync_V)) return;  // already published: keep the arm
-      sa.sync_V.join(snap);
-    }
-    std::uint32_t cur = sa.fast_epoch.load(std::memory_order_relaxed);
-    for (;;) {
-      VFT_SCHED_POINT(kCas, &sa.fast_epoch);
-      if (sa.fast_epoch.compare_exchange_weak(
-              cur, atomics::AtomicState::kSharedBits,
-              std::memory_order_release, std::memory_order_relaxed)) {
-        break;
-      }
-    }
+    std::scoped_lock lk(sa.mu);
+    if (snap.leq(sa.sync_V)) return;  // already published: keep the arm
+    sa.sync_V.join(snap);
+    VFT_SCHED_POINT(kStore, &sa.fast_epoch);
+    sa.fast_epoch.store(atomics::AtomicState::kSharedBits,
+                        std::memory_order_release);
   }
 
   /// Relaxed load: fold Sa.V into the pending-acquire accumulator (the

@@ -134,6 +134,21 @@ class VectorClock {
     return true;
   }
 
+  /// Grow the backing allocation to hold n components without changing
+  /// the logical size. After reserve(n), every ensure_capacity(m) with
+  /// m <= n is allocation-free, so a clock pre-sized this way never grows
+  /// while its owner holds a lock.
+  void reserve(std::uint32_t n) {
+    if (n <= cap_) return;
+    auto fresh = std::make_unique<Epoch[]>(n);
+    simd::copy_words(epoch_bits(fresh.get()), epoch_bits(data()), size_);
+    heap_ = std::move(fresh);
+    cap_ = n;
+  }
+
+  /// Allocated capacity in components (>= size()).
+  std::uint32_t capacity() const { return cap_; }
+
   /// Forget all components but keep the allocation (a fence state
   /// dropped by a session reset) without touching the heap.
   void reset() { size_ = 0; }

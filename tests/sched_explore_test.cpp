@@ -227,14 +227,15 @@ TEST(SchedExplore, VolatileStaleEpochBounded) {
 }
 
 // Atomic sync-state scenarios (vft/atomics.h): every interleaving of the
-// fast-epoch arm CAS, the acquire load's fast-skip read, and the sync
+// fast-epoch arm store, the acquire load's fast-skip read, and the sync
 // mutex sections is Spec-checked, including that the relaxed variant
-// reports the race in every schedule its gate makes reachable.
+// reports the race in every schedule its gate makes reachable and that
+// publishers on a SHARED arm never leave a stale armed epoch.
 
 TEST(SchedExplore, AtomicHandoffExhaustive) {
   const ExploreResult r = run_dfs("atomic-handoff");
   expect_clean(r);
-  EXPECT_EQ(r.schedules, 22u);
+  EXPECT_EQ(r.schedules, 21u);
 }
 
 TEST(SchedExplore, AtomicHandoffRelaxedExhaustive) {
@@ -246,7 +247,13 @@ TEST(SchedExplore, AtomicHandoffRelaxedExhaustive) {
 TEST(SchedExplore, AtomicCasPublishExhaustive) {
   const ExploreResult r = run_dfs("atomic-cas-publish");
   expect_clean(r);
-  EXPECT_EQ(r.schedules, 312u);
+  EXPECT_EQ(r.schedules, 104u);
+}
+
+TEST(SchedExplore, AtomicSharedRearmExhaustive) {
+  const ExploreResult r = run_dfs("atomic-shared-rearm");
+  expect_clean(r);
+  EXPECT_EQ(r.schedules, 34u);
 }
 
 // Sync-state creation on a fresh shadow page: every interleaving of the
@@ -287,7 +294,7 @@ TEST(SchedMutation, VolatileValueBeforeArmIsCaught) {
   // after the second store's early value, slow-joins the first arm's
   // clock on its first load, then skips on that arm (which it now knows)
   // on its second and reads y unordered. Measured failures: 1/20
-  // schedules at bound 1, 3/47 at bound 2, 16/104 at bound 3; bound 3
+  // schedules at bound 1, 3/46 at bound 2, 16/99 at bound 3; bound 3
   // also covers the deeper interleavings where the reader's slow join
   // precedes the writer's second store.
   cfg.preemption_bound = 3;

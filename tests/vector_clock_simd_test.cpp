@@ -201,6 +201,21 @@ TEST(VectorClockSimd, LeqJoinCopyMatchScalarModel) {
   }
 }
 
+TEST(VectorClockSimd, ReserveKeepsContentsAndPreventsReallocation) {
+  std::mt19937 rng(3);
+  VectorClock v = random_clock(rng, 6);
+  const VectorClock before = v;
+  v.reserve(200);
+  EXPECT_GE(v.capacity(), 200u);
+  EXPECT_TRUE(v == before);
+  // Growth within the reservation must not move the data.
+  const Epoch* p = v.raw_slots();
+  v.ensure_capacity(200);
+  EXPECT_EQ(v.raw_slots(), p);
+  for (Tid t = 0; t < 6; ++t) EXPECT_EQ(v.get(t), before.get(t));
+  for (Tid t = 6; t < 200; ++t) EXPECT_EQ(v.get(t), Epoch::bottom(t));
+}
+
 // --- Packed-cell prefix kernels --------------------------------------------
 //
 // Every ISA variant must return exactly the scalar reference's prefix
