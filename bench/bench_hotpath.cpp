@@ -50,10 +50,14 @@
 //                     volatile after a single publication: every load
 //                     takes DetectorBase::atomic_join's fast-epoch skip
 //                     (the guarded atomic_dispatch load acquire_ns row
-//                     pins the same skip on the interposed route).
+//                     pins the same skip on the interposed route). ns per
+//                     load per thread: each worker times its own loop.
 //   barrier_phase     arrive_and_wait cost per phase (trajectory metric,
 //                     not a floor: each arrival publishes into its round's
-//                     AtomicState, whose clock grows under its own lock).
+//                     AtomicState, whose clock grows under its own lock),
+//                     each worker timing its own loop.
+//   Both multi-thread sections start their workers' clocks after a start
+//   barrier, so thread creation and joins stay outside every row.
 //
 // Environment: VFT_HOTPATH_MAXTHREADS (default 8), VFT_HOTPATH_SCALE
 // (default 1; multiplies every rep count), VFT_BENCH_JSON (output path,
@@ -67,6 +71,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "abi/vft_abi.h"
@@ -810,6 +815,28 @@ void range_section(JsonReport& json, std::size_t scale) {
 // Section 3: Volatile load on the fast-epoch skip.
 // ---------------------------------------------------------------------------
 
+/// Forks `n` workers that meet at a start barrier and then each time its
+/// own run of `body`; returns the workers' mean time in ns. Thread
+/// creation, start-up and the joins fall outside every timed loop. The
+/// barrier is a plain atomic the detector never sees.
+template <class Body>
+double time_workers(rt::Runtime<VftV2>& R, std::uint32_t n, Body body) {
+  std::atomic<std::uint32_t> arrived{0};
+  std::vector<double> ns(n, 0.0);
+  rt::parallel_for_threads(R, n, [&](std::uint32_t i) {
+    arrived.fetch_add(1, std::memory_order_acq_rel);
+    while (arrived.load(std::memory_order_acquire) < n) {
+      std::this_thread::yield();
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    ns[i] = 1e9 * now_minus(t0);
+  });
+  double sum = 0.0;
+  for (const double x : ns) sum += x;
+  return sum / static_cast<double>(n);
+}
+
 void volatile_section(JsonReport& json, std::uint32_t max_threads,
                       std::size_t scale) {
   const std::size_t loads = 200'000 * scale;
@@ -822,20 +849,18 @@ void volatile_section(JsonReport& json, std::uint32_t max_threads,
     rt::Runtime<VftV2>::MainScope scope(R);
     rt::Volatile<int, VftV2> v(R, 0);
     v.store(42);  // one publication; every load then skips the join
-    const auto t0 = std::chrono::steady_clock::now();
-    rt::parallel_for_threads(R, t, [&](std::uint32_t) {
+    const double worker_ns = time_workers(R, t, [&] {
       std::uint64_t sink = 0;
       for (std::size_t i = 0; i < loads; ++i) {
         sink += static_cast<std::uint64_t>(v.load());
       }
       g_sink.fetch_add(sink, std::memory_order_relaxed);
     });
-    const double secs = now_minus(t0);
     if (!races.empty()) {
       std::fprintf(stderr, "FATAL: volatile workload reported races\n");
       std::exit(1);
     }
-    const double fast = 1e9 * secs / (static_cast<double>(t) * loads);
+    const double fast = worker_ns / static_cast<double>(loads);
     std::printf("%8u %12.2f\n", t, fast);
     char name[32];
     std::snprintf(name, sizeof(name), "t%u", t);
@@ -859,11 +884,9 @@ void barrier_section(JsonReport& json, std::uint32_t max_threads,
     rt::Runtime<VftV2> R{VftV2(&races)};
     rt::Runtime<VftV2>::MainScope scope(R);
     rt::Barrier<VftV2> bar(R, t);
-    const auto t0 = std::chrono::steady_clock::now();
-    rt::parallel_for_threads(R, t, [&](std::uint32_t) {
+    const double ns = time_workers(R, t, [&] {
       for (std::size_t p = 0; p < phases; ++p) bar.arrive_and_wait();
-    });
-    const double ns = 1e9 * now_minus(t0) / static_cast<double>(phases);
+    }) / static_cast<double>(phases);
     std::printf("%8u %14.2f\n", t, ns);
     char name[32];
     std::snprintf(name, sizeof(name), "t%u", t);

@@ -8,6 +8,11 @@
 # analysis library's inline functions and vtables, not surface, and are
 # left out.
 #
+# Also checks the library's TLS model: it must import no __tls_get_addr
+# and carry the STATIC_TLS dynamic flag, i.e. every thread-local is
+# initial-exec (-ftls-model=initial-exec in the top-level CMakeLists.txt),
+# reached with one %fs-relative load instead of a call.
+#
 # Usage: bash scripts/check_abi_exports.sh LIBVFT_PRELOAD_SO [GOLDEN]
 #   GOLDEN defaults to tests/golden/preload_exports.txt.
 # After an intended surface change, regenerate the golden with
@@ -32,3 +37,17 @@ if ! diff -u "$golden" <(printf '%s\n' "$actual"); then
   exit 1
 fi
 echo "ok    $(wc -l < "$golden") exported names match $golden"
+
+imports=$(nm -D --undefined-only "$lib" | awk '{print $NF}')
+if grep -q '^__tls_get_addr' <<<"$imports"; then
+  echo "FAIL  $lib imports __tls_get_addr: its thread-locals must be" >&2
+  echo "      initial-exec (one %fs-relative load, no call per access)" >&2
+  exit 1
+fi
+dynamic=$(readelf -d "$lib")
+if ! grep -q 'STATIC_TLS' <<<"$dynamic"; then
+  echo "FAIL  $lib carries no STATIC_TLS flag: its thread-locals must be" >&2
+  echo "      initial-exec (the library is loaded at process start only)" >&2
+  exit 1
+fi
+echo "ok    initial-exec TLS: no __tls_get_addr import, STATIC_TLS set"

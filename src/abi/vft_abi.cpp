@@ -83,6 +83,22 @@ void slow_access(const void* addr, size_t size, bool is_write) {
   vft_tl_event_ctx.pc = nullptr;
 }
 
+/// A range event: the sized slow path for every non-empty range. A zero
+/// size is an empty event, but still a slow-path exit: it consumes the
+/// event context its wrapper armed, like every other exit. Either way the
+/// exit bumps the call serial (vft/event_ctx.h): a range event may come
+/// from uninstrumented libc or libstdc++ code, whose callers change with
+/// no entry or exit, so the record memo may reuse a capture only within
+/// the one event that made it (ALGORITHM.md §17.4).
+void range_access(const void* addr, size_t size, bool is_write) {
+  if (size != 0) {
+    slow_access(addr, size, is_write);
+  } else {
+    vft_tl_event_ctx.pc = nullptr;
+  }
+  vft_tl_shadow_stack.serial++;
+}
+
 /// Clamp an untrusted morder from the target to the ABI range; anything
 /// out of range degrades to seq_cst (the conservative reading). Atomics
 /// never route through the inline descriptor, so their entries dispatch
@@ -200,28 +216,18 @@ void vft_abi_slow_write(const void* addr, size_t size) {
   slow_access(addr, size, /*is_write=*/true);
 }
 
-/// A zero-size range is an empty event, but still a slow-path exit: it
-/// consumes the event context its wrapper armed, like every other exit.
-/// The nested-guard exit leaves the context alone - it belongs to the
-/// outer event still in flight.
+/// The nested-guard exit leaves the event context alone - it belongs to
+/// the outer event still in flight.
 void vft_range_read(const void* addr, size_t size) {
   AbiScope guard;
   if (!guard.entered()) return;
-  if (size == 0) {
-    vft_tl_event_ctx.pc = nullptr;
-    return;
-  }
-  slow_access(addr, size, /*is_write=*/false);
+  range_access(addr, size, /*is_write=*/false);
 }
 
 void vft_range_write(const void* addr, size_t size) {
   AbiScope guard;
   if (!guard.entered()) return;
-  if (size == 0) {
-    vft_tl_event_ctx.pc = nullptr;
-    return;
-  }
-  slow_access(addr, size, /*is_write=*/true);
+  range_access(addr, size, /*is_write=*/true);
 }
 
 void vft_atomic_load(const void* addr, int mo) {

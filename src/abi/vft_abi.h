@@ -168,7 +168,12 @@ void vft_free_hint(const void* addr, size_t size);
  * *slow-path* exit (inline fast-path hits cannot race, so they neither
  * read nor clear the context); an interposition layer should arm it only
  * when it is about to take the slow path, so a stale boundary can never
- * describe the wrong access. */
+ * describe the wrong access. The access history reuses the stack an
+ * earlier record captured at the same `pc` and `fp` until the call
+ * serial in `vft_tl_shadow_stack` moves; __tsan_func_entry/exit and
+ * every range event's exit bump it, so a layer arming the context for a
+ * sized event from code without those hooks bumps it itself when the
+ * event ends. */
 
 /* --- reporting --------------------------------------------------------- */
 

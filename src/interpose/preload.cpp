@@ -419,20 +419,14 @@ void __tsan_init(void) {}
 
 // Shadow call stack (vft/event_ctx.h): the compiler instruments every
 // function prologue with the call site's return address and every
-// epilogue with an exit. Two TLS stores per call on the hot path; the
+// epilogue with an exit. A few TLS stores per call on the hot path; the
 // payoff is that __tsan_*-sourced race reports carry caller stacks even
 // for targets built without frame pointers (capture_event_stack falls
 // back to this stack when the fp walk dies). depth counts past the cap
-// so deep recursion unwinds balanced.
-void __tsan_func_entry(void* call_pc) {
-  vft_shadow_stack_s& ss = vft_tl_shadow_stack;
-  if (ss.depth < VFT_SHADOW_STACK_MAX) ss.pc[ss.depth] = call_pc;
-  ss.depth++;
-}
-void __tsan_func_exit(void) {
-  vft_shadow_stack_s& ss = vft_tl_shadow_stack;
-  if (ss.depth != 0) ss.depth--;
-}
+// so deep recursion unwinds balanced. Both also bump the call serial
+// that keys the access history's record memo.
+void __tsan_func_entry(void* call_pc) { vft_shadow_stack_enter(call_pc); }
+void __tsan_func_exit(void) { vft_shadow_stack_exit(); }
 
 // Sized wrappers compile the header-inlined fast path directly into the
 // interposition boundary: a same-epoch hit returns before any call, any

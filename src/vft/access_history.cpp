@@ -20,6 +20,29 @@ constexpr int kFrontBits = 6;
 /// space's page cache).
 constinit thread_local FrontSlot tl_front[std::size_t{1} << kFrontBits] = {};
 
+/// Per-thread record memo (docs/ALGORITHM.md s17.4): one entry per hash
+/// of the armed event_ctx pc, remembering the id that pc's last capture
+/// interned. Its key is everything capture_event_stack() depends on while
+/// a boundary is armed: the table (uid, never reused), pc, fp and the
+/// call serial, which every instrumented entry and exit and every range
+/// event's exit bump. 16 entries, because neighbouring access sites
+/// alternate (a stencil sweep records at A[i+1] and B[i] in turn).
+struct MemoSlot {
+  std::uint64_t table = 0;  ///< 0 never matches a table
+  const void* pc = nullptr;
+  const void* fp = nullptr;
+  std::uint64_t serial = 0;
+  std::uint32_t id = 0;
+};
+constexpr int kMemoBits = 4;
+constinit thread_local MemoSlot tl_memo[std::size_t{1} << kMemoBits] = {};
+
+std::size_t memo_index(const void* pc) {
+  const auto p = reinterpret_cast<std::uintptr_t>(pc);
+  return static_cast<std::size_t>((p * 0x9e3779b97f4a7c15ull) >>
+                                  (64 - kMemoBits));
+}
+
 std::atomic<std::uint64_t> g_next_table_uid{1};
 
 }  // namespace
@@ -46,6 +69,26 @@ std::uint32_t StackTable::intern(const CallStack& cs) {
   if (f.table == uid_ && f.hash == h && at(f.id) == cs) return f.id;
   const std::uint32_t id = intern_locked(cs, h);
   if (id != 0) f = FrontSlot{uid_, h, id};
+  return id;
+}
+
+std::uint32_t StackTable::intern_current() {
+  // The serial is read before the boundary and before the capture. A
+  // signal handler that lands in between and records, or clears the
+  // boundary, bumps it on the way out, so an entry stored below from a
+  // capture it disturbed - or torn by its own store to the same entry -
+  // carries a serial that never becomes current again.
+  const std::uint64_t serial = vft_tl_shadow_stack.serial;
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  const vft_event_ctx_s ctx = vft_tl_event_ctx;
+  if (ctx.pc == nullptr) return intern(capture_event_stack());
+  MemoSlot& m = tl_memo[memo_index(ctx.pc)];
+  if (m.table == uid_ && m.pc == ctx.pc && m.fp == ctx.fp &&
+      m.serial == serial) {
+    return m.id;
+  }
+  const std::uint32_t id = intern(capture_event_stack());
+  if (id != 0) m = MemoSlot{uid_, ctx.pc, ctx.fp, serial, id};
   return id;
 }
 
@@ -92,9 +135,8 @@ AccessHistory::Table& AccessHistory::publish_table(Tid t) {
   return *fresh;
 }
 
-void AccessHistory::record(std::uint64_t var, Epoch epoch, AccessKind kind,
-                           const CallStack& stack) {
-  const std::uint32_t sid = stacks_.intern(stack);
+void AccessHistory::store(std::uint64_t var, Epoch epoch, AccessKind kind,
+                          std::uint32_t sid) {
   Slot& s = table_of(epoch.tid()).slots[slot_index(var, kind)];
   // The single-writer seqlock: this thread is the slot's only writer, so
   // a plain load/store pair takes the version odd. The field stores are

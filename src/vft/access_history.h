@@ -38,7 +38,10 @@
 //     readers retry instead of blocking;
 //   - stacks are hash-consed into a bounded intern table; a stack the
 //     thread interned before resolves through a per-thread front cache
-//     without the table's mutex, and lookup() never locks.
+//     without the table's mutex, and lookup() never locks;
+//   - a record at an armed boundary first tries a per-thread memo keyed
+//     by (table, pc, fp, call serial): a hit reuses the stack id with no
+//     walk, hash or intern (docs/ALGORITHM.md s17.4).
 //
 // Lookup correctness under tid-slot reuse (PR 5): a reused thread slot
 // *continues* its predecessor's clock (ThreadState(tid, predecessor)
@@ -96,6 +99,13 @@ class StackTable {
 
   /// Intern `cs`, returning its id (0 for an empty stack or a full table).
   std::uint32_t intern(const CallStack& cs);
+
+  /// intern(capture_event_stack()), through the calling thread's record
+  /// memo when a boundary is armed: the id an earlier call interned at
+  /// the same event_ctx pc and fp, under the same call serial
+  /// (vft/event_ctx.h), is returned with no capture. Only non-zero ids
+  /// are memoized, so every record against a full table counts a drop.
+  std::uint32_t intern_current();
 
   /// Copy the stack for `id` into *out. False for id 0 / unknown ids.
   bool lookup(std::uint32_t id, CallStack* out) const;
@@ -156,12 +166,14 @@ class AccessHistory {
   /// epoch.tid() is that table's only writer (a reused tid slot's
   /// successor starts after its predecessor retired).
   void record(std::uint64_t var, Epoch epoch, AccessKind kind,
-              const CallStack& stack);
+              const CallStack& stack) {
+    store(var, epoch, kind, stacks_.intern(stack));
+  }
 
   /// Record the in-flight access with the armed event-ctx stack
-  /// (capture_event_stack).
+  /// (capture_event_stack, through StackTable::intern_current's memo).
   void record_current(std::uint64_t var, Epoch epoch, AccessKind kind) {
-    record(var, epoch, kind, capture_event_stack());
+    store(var, epoch, kind, stacks_.intern_current());
   }
 
   /// Look up the prior side of a race: epoch.tid()'s record of exactly
@@ -202,6 +214,8 @@ class AccessHistory {
     return cur != nullptr ? *cur : publish_table(t);
   }
   Table& publish_table(Tid t);
+  void store(std::uint64_t var, Epoch epoch, AccessKind kind,
+             std::uint32_t stack_id);
 
   std::atomic<Table*> tables_[kTables] = {};
   StackTable stacks_;

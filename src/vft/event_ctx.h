@@ -36,15 +36,37 @@ extern VFT_EVENT_CTX_TLS vft_event_ctx_s vft_tl_event_ctx;
  * when the frame-pointer walk comes up empty - targets compiled with
  * -fomit-frame-pointer still get race stacks this way. depth keeps
  * counting past the cap so deep recursion stays balanced; only the
- * outermost VFT_SHADOW_STACK_MAX call sites are recorded. */
+ * outermost VFT_SHADOW_STACK_MAX call sites are recorded.
+ *
+ * serial counts every instrumented entry and exit, plus the exit of
+ * every range event (abi/vft_abi.cpp), and only grows. The access
+ * history's record memo (vft/access_history.h) keys on it: while it
+ * stands still, no frame below an armed boundary can change. A boundary
+ * that arms the event context from code that does not keep this stack
+ * must bump serial itself when its event ends. */
 #define VFT_SHADOW_STACK_MAX 64
 
 typedef struct vft_shadow_stack_s {
   uint32_t depth; /* live frames; may exceed VFT_SHADOW_STACK_MAX */
+  uint64_t serial;
   const void* pc[VFT_SHADOW_STACK_MAX];
 } vft_shadow_stack_s;
 
 extern VFT_EVENT_CTX_TLS vft_shadow_stack_s vft_tl_shadow_stack;
+
+/* The bodies of __tsan_func_entry/exit (src/interpose/preload.cpp). */
+static inline void vft_shadow_stack_enter(const void* call_pc) {
+  vft_shadow_stack_s* ss = &vft_tl_shadow_stack;
+  if (ss->depth < VFT_SHADOW_STACK_MAX) ss->pc[ss->depth] = call_pc;
+  ss->depth++;
+  ss->serial++;
+}
+
+static inline void vft_shadow_stack_exit(void) {
+  vft_shadow_stack_s* ss = &vft_tl_shadow_stack;
+  if (ss->depth != 0) ss->depth--;
+  ss->serial++;
+}
 
 #ifdef __cplusplus
 } /* extern "C" */

@@ -373,6 +373,9 @@ ReportDoc build_report_doc(const RaceCollector& rc, const char* detector,
   doc.summary.threads = threads;
   doc.summary.locks = locks;
   doc.summary.shadow_words = shadow_words;
+  if (const history::AccessHistory* h = rc.history()) {
+    doc.summary.stack_drops = h->stack_drops();
+  }
 
   for (const RaceContext& c : rc.contexts()) {
     Context out;
@@ -573,8 +576,11 @@ std::string render_json(const ReportDoc& doc) {
        ", \"suppressed_contexts\": " + std::to_string(s.suppressed_contexts) +
        ",\n              \"threads\": " + std::to_string(s.threads) +
        ", \"locks\": " + std::to_string(s.locks) +
-       ", \"shadow_words\": " + std::to_string(s.shadow_words) + "}\n";
-  o += "}\n";
+       ", \"shadow_words\": " + std::to_string(s.shadow_words);
+  if (s.stack_drops != 0) {
+    o += ",\n              \"stack_drops\": " + std::to_string(s.stack_drops);
+  }
+  o += "}\n}\n";
   return o;
 }
 
@@ -645,7 +651,9 @@ std::string render_plain(const ReportDoc& doc) {
        " suppressed=" + std::to_string(s.suppressed) +
        " threads=" + std::to_string(s.threads) +
        " locks=" + std::to_string(s.locks) +
-       " shadow-words=" + std::to_string(s.shadow_words) + "\n";
+       " shadow-words=" + std::to_string(s.shadow_words);
+  if (s.stack_drops != 0) o += " stack-drops=" + std::to_string(s.stack_drops);
+  o += "\n";
   return o;
 }
 
@@ -775,6 +783,9 @@ bool parse_report(std::string_view text, ReportDoc* doc, std::string* err) {
     if (const Json* t = v->get("shadow_words")) {
       doc->summary.shadow_words = t->as_u64();
     }
+    if (const Json* t = v->get("stack_drops")) {
+      doc->summary.stack_drops = t->as_u64();
+    }
   }
   return true;
 }
@@ -855,6 +866,7 @@ ReportDoc merge_reports(const std::vector<ReportDoc>& docs) {
     out.summary.threads += d.summary.threads;
     out.summary.locks += d.summary.locks;
     out.summary.shadow_words += d.summary.shadow_words;
+    out.summary.stack_drops += d.summary.stack_drops;
     for (const auto& [name, matched] : d.suppression_stats) {
       supp[name] += matched;
     }

@@ -35,7 +35,8 @@
 //     "suppressions": [ { "name": "rule", "matched": 12 } ],
 //     "summary": { "races": .., "contexts": .., "suppressed": ..,
 //                  "suppressed_contexts": .., "threads": .., "locks": ..,
-//                  "shadow_words": .. }
+//                  "shadow_words": ..,
+//                  "stack_drops": .. }   // only when non-zero
 //   }
 //
 // Frames carry module+offset so symbolization can happen *offline*
@@ -143,6 +144,10 @@ struct Summary {
   std::uint64_t threads = 0;
   std::uint64_t locks = 0;
   std::uint64_t shadow_words = 0;
+  /// Records whose stack the full intern table dropped: their prior
+  /// sides render with no stack (AccessHistory::stack_drops). Rendered
+  /// only when non-zero.
+  std::uint64_t stack_drops = 0;
 };
 
 /// Sampling-mode block ("sampling" object, emitted only when the run had
@@ -177,8 +182,8 @@ struct ReportDoc {
 };
 
 /// Snapshot the live collector into a document. Backend stats (threads,
-/// locks, shadow words) come from the caller; recomputes the summary
-/// from the contexts.
+/// locks, shadow words) come from the caller and stack drops from the
+/// collector's history; recomputes the summary from the contexts.
 ReportDoc build_report_doc(const RaceCollector& rc, const char* detector,
                            std::size_t threads, std::size_t locks,
                            std::size_t shadow_words, bool clean_exit);

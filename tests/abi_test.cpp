@@ -3,8 +3,10 @@
 // protocol, a flat heap under thread churn, graceful tid-space
 // exhaustion, free-hint shadow/lock resetting (also concurrent with the
 // session's first access and with a page's first lock and atomic events),
-// the prior stack of a race on a recycled address, the event-context
-// clear on every slow-path exit, launch-time detector selection,
+// the prior stack of a race on a recycled address, the record memo's
+// key (one site reached from two callers, two range events at one pc and
+// fp), the event-context clear on every slow-path exit, launch-time
+// detector selection,
 // repeat-race counting, and report dumping.
 //
 // Thread-lifecycle invariants under test (ALGORITHM.md s12): a thread's
@@ -472,6 +474,110 @@ TEST(Abi, PriorStackAfterFreeNamesTheRecycledAccess) {
   EXPECT_EQ(ctxs[0].prior_frames[0].pc, kSecond);
   ASSERT_FALSE(ctxs[0].frames.empty());
   EXPECT_EQ(ctxs[0].frames[0].pc, kRacer);
+}
+
+/// The prior-side frame pcs of the context whose current stack starts at
+/// `racer` (each racing access below arms its own pc, so each race is its
+/// own context).
+std::vector<std::uintptr_t> prior_pcs_of(std::uintptr_t racer) {
+  std::vector<std::uintptr_t> pcs;
+  for (const auto& c : Session::instance().races().contexts()) {
+    if (c.frames.empty() || c.frames[0].pc != racer) continue;
+    for (const auto& f : c.prior_frames) pcs.push_back(f.pc);
+  }
+  return pcs;
+}
+
+/// A races `first` and `second` through `record_both`, then B races each
+/// with its own armed pc; both slots stay live until B is done.
+template <typename Fn>
+void race_two_records(long* first, long* second, std::uintptr_t racer_first,
+                      std::uintptr_t racer_second, Fn record_both) {
+  std::atomic<int> stage{0};
+  std::thread a([&] {
+    vft_attach();
+    record_both();
+    stage.store(1, std::memory_order_release);
+    while (stage.load(std::memory_order_acquire) < 2) {
+      std::this_thread::yield();
+    }
+    vft_detach();
+  });
+  std::thread b([&] {
+    vft_attach();
+    while (stage.load(std::memory_order_acquire) < 1) {
+      std::this_thread::yield();
+    }
+    arm_event_ctx(racer_first);
+    vft_write8(first);
+    arm_event_ctx(racer_second);
+    vft_write8(second);
+    stage.store(2, std::memory_order_release);
+    vft_detach();
+  });
+  a.join();
+  b.join();
+}
+
+TEST(Abi, RecordMemoSeparatesTwoCallersOfOneSite) {
+  // One access site at one stack depth, reached from two callers, with
+  // the entry/exit hooks -fsanitize=thread code calls around every
+  // function (__tsan_func_entry/exit's bodies). The boundary is armed
+  // at the same pc and fp both times; only the call serial the hooks
+  // bump tells the two records apart, so each names its own caller.
+  constexpr std::uintptr_t kSite = 0x61000;   // the access, in site()
+  constexpr std::uintptr_t kOuter = 0x62000;  // the call of caller_*()
+  constexpr std::uintptr_t kCallerA = 0x63000;
+  constexpr std::uintptr_t kCallerB = 0x64000;
+  fresh_session();
+  long x = 0;
+  long y = 0;
+  auto caller = [](std::uintptr_t call_site, long* p) {
+    vft_shadow_stack_enter(reinterpret_cast<const void*>(kOuter));
+    vft_shadow_stack_enter(reinterpret_cast<const void*>(call_site));
+    arm_event_ctx(kSite);  // __tsan_write8 in site()
+    vft_write8(p);
+    vft_shadow_stack_exit();  // site() returns
+    vft_shadow_stack_exit();  // caller_*() returns
+  };
+  race_two_records(&x, &y, 0x65000, 0x66000, [&] {
+    caller(kCallerA, &x);
+    caller(kCallerB, &y);
+  });
+  EXPECT_EQ(prior_pcs_of(0x65000),
+            (std::vector<std::uintptr_t>{kSite, kCallerA, kOuter}));
+  EXPECT_EQ(prior_pcs_of(0x66000),
+            (std::vector<std::uintptr_t>{kSite, kCallerB, kOuter}));
+}
+
+TEST(Abi, RecordMemoKeepsRangeEventsApart) {
+  // Two range events at one pc and fp whose caller frames differ, with
+  // no entry or exit between them: a memset from one uninstrumented
+  // libc routine, itself called from two sites. The frame chain is laid
+  // out on this thread's stack by hand (boundary frame -> caller frame
+  // -> end). Each range event bumps the call serial at its exit, so the
+  // second one walks again and each record names its own caller.
+  constexpr std::uintptr_t kSite = 0x71000;
+  constexpr std::uintptr_t kCallerA = 0x72000;
+  constexpr std::uintptr_t kCallerB = 0x73000;
+  fresh_session();
+  long x[4] = {0, 0, 0, 0};
+  long y[4] = {0, 0, 0, 0};
+  race_two_records(&x[0], &y[0], 0x74000, 0x75000, [&] {
+    std::uintptr_t chain[4] = {0, 0, 0, 0};
+    chain[0] = reinterpret_cast<std::uintptr_t>(&chain[2]);
+    for (const auto& [caller, range] :
+         {std::pair{kCallerA, &x}, std::pair{kCallerB, &y}}) {
+      chain[3] = caller;
+      vft_tl_event_ctx.pc = reinterpret_cast<const void*>(kSite);
+      vft_tl_event_ctx.fp = chain;
+      vft_range_write(*range, sizeof(*range));
+    }
+  });
+  EXPECT_EQ(prior_pcs_of(0x74000),
+            (std::vector<std::uintptr_t>{kSite, kCallerA}));
+  EXPECT_EQ(prior_pcs_of(0x75000),
+            (std::vector<std::uintptr_t>{kSite, kCallerB}));
 }
 
 TEST(Abi, FreeHintConcurrentWithFirstAccess) {

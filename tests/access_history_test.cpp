@@ -3,8 +3,9 @@
 // (variable, kind) retention contract, tid-slot reuse safety, slot
 // collisions, concurrent record / find, the shadow-stack fallback in
 // capture_event_stack (prior-side capture with no armed boundary), the
-// detector-level prior-stack lookup through the collector's history, and
-// rule-counter parity with the history layer on vs off.
+// detector-level prior-stack lookup through the collector's history, the
+// record memo against a full intern table, and rule-counter parity with
+// the history layer on vs off.
 
 #include <gtest/gtest.h>
 
@@ -266,6 +267,30 @@ TEST(CaptureEventStack, ShadowFallbackSkipsNearNullFrames) {
 
   const CallStack cs = capture_event_stack();
   EXPECT_EQ(cs, stack_of({0x11000}));
+}
+
+// ---------------------------------------------------------------------------
+// The record memo (StackTable::intern_current) stores only non-zero ids:
+// against a full intern table every record still counts one drop.
+
+TEST(RecordMemo, FullTableCountsOneDropPerRecord) {
+  TlsGuard tls;
+  history::AccessHistory h;
+  for (std::uintptr_t i = 0; i < history::StackTable::kMaxStacks; ++i) {
+    h.record(0x9000, Epoch::make(1, 1), history::AccessKind::kWrite,
+             stack_of({0x100000 + i}));
+  }
+  ASSERT_EQ(h.interned_stacks(), history::StackTable::kMaxStacks);
+  ASSERT_EQ(h.stack_drops(), 0u);
+  // One boundary, one call serial: every record after the first would be
+  // a memo hit if the memo kept the first record's id 0.
+  vft_tl_event_ctx.pc = reinterpret_cast<const void*>(0xD000);
+  vft_tl_event_ctx.fp = nullptr;
+  for (Clock c = 2; c < 5; ++c) {
+    h.record_current(0x9008, Epoch::make(1, c), history::AccessKind::kWrite);
+  }
+  EXPECT_EQ(h.stack_drops(), 3u);
+  EXPECT_EQ(h.interned_stacks(), history::StackTable::kMaxStacks);
 }
 
 // ---------------------------------------------------------------------------

@@ -287,6 +287,46 @@ TEST(ParseReport, RenderParseRoundTripPreservesEverything) {
   EXPECT_EQ(reportio::render_json(doc), text);
 }
 
+TEST(ParseReport, StackDropsRenderParseAndMergeWhenNonZero) {
+  // A history whose intern table is full drops the stack of every later
+  // record; the report counts those drops, and only once there are any.
+  RaceCollector c;
+  c.set_history(true);
+  history::AccessHistory& h = *c.history();
+  EXPECT_EQ(reportio::render_json(doc_from_collector(c)).find("stack_drops"),
+            std::string::npos);
+  EXPECT_EQ(reportio::render_plain(doc_from_collector(c)).find("stack-drops"),
+            std::string::npos);
+  for (std::uintptr_t i = 0; i < history::StackTable::kMaxStacks; ++i) {
+    CallStack cs;
+    cs.push(0x100000 + i);
+    h.record(0x8000, Epoch::make(1, 1), history::AccessKind::kWrite, cs);
+  }
+  ASSERT_EQ(h.stack_drops(), 0u);
+  CallStack one_more;
+  one_more.push(0x1);
+  h.record(0x8000, Epoch::make(1, 2), history::AccessKind::kWrite, one_more);
+  ASSERT_EQ(h.stack_drops(), 1u);
+
+  const ReportDoc built = doc_from_collector(c);
+  EXPECT_EQ(built.summary.stack_drops, 1u);
+  const std::string text = reportio::render_json(built);
+  EXPECT_NE(text.find("\"stack_drops\": 1}"), std::string::npos) << text;
+  EXPECT_NE(reportio::render_plain(built).find(" stack-drops=1\n"),
+            std::string::npos);
+
+  ReportDoc parsed;
+  std::string err;
+  ASSERT_TRUE(reportio::parse_report(text, &parsed, &err)) << err;
+  EXPECT_EQ(parsed.summary.stack_drops, 1u);
+  EXPECT_EQ(reportio::render_json(parsed), text);
+
+  const ReportDoc merged = reportio::merge_reports({parsed, built});
+  EXPECT_EQ(merged.summary.stack_drops, 2u);
+  EXPECT_NE(reportio::render_json(merged).find("\"stack_drops\": 2}"),
+            std::string::npos);
+}
+
 // ---------------------------------------------------------------------
 // Fleet merge: counts sum, output independent of input order.
 // ---------------------------------------------------------------------
