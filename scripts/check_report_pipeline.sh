@@ -10,7 +10,10 @@
 #      frames of the racing access to module+symbol (file:line when
 #      debug info is present);
 #   5. crash salvage: a target that SIGSEGVs mid-run still yields a
-#      partial report and a RACE verdict.
+#      partial report and a RACE verdict;
+#   6. one report format: with a text --report the verdict still comes
+#      from the target's JSON document (the partial flag included), and
+#      the text is that document's `vft report show` rendering.
 #
 # Usage: check_report_pipeline.sh <vft> <hot_loop> <plain_ww> <crash> \
 #                                 <norace> <supp_file> <workdir>
@@ -110,6 +113,26 @@ fi
   || fail "crashing racy target did not yield a RACE verdict"
 grep -q '"clean_exit": false' rcrash.json \
   || fail "salvaged crash report not marked clean_exit: false"
+
+# --- 6. one report format -------------------------------------------------
+"$VFT" run --expect race --report "$WORK/crash.txt" -- "$CRASH" > crash_txt.out \
+  || fail "crashing racy target did not yield a RACE verdict with a text report"
+grep -q "(partial)" crash_txt.out \
+  || fail "text-report crash run not flagged (partial)"
+grep -q "^summary: races=[1-9]" crash.txt \
+  || fail "text report has no summary: line with the salvaged races"
+# The same run's JSON: a wrapper copies what the target left at
+# $VFT_REPORT before vft run reads it. The wrapper shell is preloaded
+# too, so it ends by exec instead of exit - a preloaded exit would write
+# the shell's own report over the target's.
+"$VFT" run --expect race --report same.txt -- sh -c \
+  '"$1"; LD_PRELOAD= cp "$VFT_REPORT" same.json; LD_PRELOAD= exec true' \
+  sh "$CRASH" > same.out 2>&1 \
+  || fail "wrapped crash run did not yield a RACE verdict"
+"$VFT" report show same.json > same_show.txt \
+  || fail "vft report show could not read the run's JSON"
+cmp -s same.txt same_show.txt \
+  || fail "text report differs from vft report show of the same run's JSON"
 
 echo "report_pipeline: OK (merged races=$m over 3 runs)"
 exit 0

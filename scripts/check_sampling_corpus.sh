@@ -9,7 +9,10 @@
 #      the achieved rate/overhead, and the JSON report carries the
 #      "sampling" block with matching counters;
 #   4. stats artifact: each run's sampling block is collected into
-#      sampling_stats.json for the CI artifact upload.
+#      sampling_stats.json for the CI artifact upload;
+#   5. repeatability: three fixed-rate runs with one seed sample the same
+#      accesses (each thread's stream is seeded from the seed and the
+#      thread's epoch, not from an address ASLR moves).
 #
 # Usage: check_sampling_corpus.sh <vft> <workdir> <norace_bin> \
 #                                 <racy_bin>...
@@ -99,5 +102,20 @@ assert rows, "no reports carried a sampling block"
 with open("sampling_stats.json", "w") as f:
     json.dump(rows, f, indent=2, sort_keys=True)
 EOF
+
+# --- 5. repeatability ----------------------------------------------------
+# The norace program: every thread's access count is fixed (race_hot_loop's
+# spin is not - how often it polls depends on scheduling). No --report: the
+# temp report keeps these runs out of the stats artifact.
+for i in 1 2 3; do
+  "$VFT" run --sampling rate=0.05,seed=3 -- "$NORACE" > "repeat$i.out" 2>&1
+  grep -o "vft run: sampling achieved: .*" "repeat$i.out" \
+    | grep -o "sampled=[0-9]* skipped=[0-9]*" > "repeat$i.counts"
+  [ -s "repeat$i.counts" ] || fail "run $i printed no sampled=/skipped= counts"
+done
+if ! cmp -s repeat1.counts repeat2.counts || ! cmp -s repeat1.counts repeat3.counts; then
+  fail "seeded rate=0.05 runs sampled differently: $(cat repeat*.counts | tr '\n' ' ')"
+fi
+echo "sampling_corpus: seeded runs repeat ($(cat repeat1.counts))"
 
 echo "sampling_corpus: OK (stats in $PWD/sampling_stats.json)"

@@ -18,17 +18,8 @@
 
 #include "abi/vft_abi_inline.h"
 #include "runtime/session.h"
-#include "runtime/shadow_space.h"
 #include "vft/report.h"
 #include "vft/report_io.h"
-
-// The inline header's pointer math must agree with the shadow geometry it
-// caches pointers into.
-static_assert(VFT_FASTPATH_GRANULARITY_LOG2 ==
-              vft::rt::ShadowGeometry::kGranularityLog2);
-static_assert(VFT_FASTPATH_PAGE_SPAN == vft::rt::ShadowGeometry::kPageSpan);
-static_assert(VFT_FASTPATH_SLOT_MASK ==
-              vft::rt::ShadowGeometry::kSlotsPerPage - 1);
 
 namespace {
 
@@ -55,25 +46,14 @@ class AbiScope {
 
 SessionBackend& backend() { return Session::instance().backend(); }
 
-/// The shared slow-path body; callers hold the AbiScope. Protocol:
-///  1. Re-sync the calling thread's fast-path descriptor against the
-///     global generation (a Session::reset() since the last arm makes
-///     every cached pointer in it untrustworthy).
-///  2. Dispatch through the session backend (created on the first event),
-///     the route every other event takes. One entry per direction covers
-///     every size: the shadow space picks the scalar or range path itself.
-///  3. Consume the event context exactly once, on the way out - the
-///     single clear the whole access path performs (inline hits neither
-///     read nor clear it).
+/// The shared slow-path body; callers hold the AbiScope. Dispatches
+/// through the session backend (created on the first event), the route
+/// every other event takes - one entry per direction covers every size,
+/// and the session's access entry owns the fast-path descriptor (flush at
+/// entry, re-arm after). Then consumes the event context exactly once, on
+/// the way out: the single clear the whole access path performs (inline
+/// hits neither read nor clear it).
 void slow_access(const void* addr, size_t size, bool is_write) {
-  vft_fastpath_s& fp = vft_tl_fastpath;
-  const uint64_t gen =
-      __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
-  if (fp.gen != 0 && fp.gen != gen) fp = vft_fastpath_s{};
-  // Credit the inline path's pending hit tallies before dispatching: every
-  // slow-path entry is a quiescent point at which the rule counters must
-  // equal what the out-of-line path would have produced.
-  if (fp.gen == gen) vft_fastpath_flush_hits(&fp);
   SessionBackend& b = backend();
   if (is_write) {
     b.write(addr, size);
@@ -100,9 +80,7 @@ void range_access(const void* addr, size_t size, bool is_write) {
 }
 
 /// Clamp an untrusted morder from the target to the ABI range; anything
-/// out of range degrades to seq_cst (the conservative reading). Atomics
-/// never route through the inline descriptor, so their entries dispatch
-/// straight to the backend with no descriptor re-sync.
+/// out of range degrades to seq_cst (the conservative reading).
 int clamp_mo(int mo) { return mo >= 0 && mo <= 5 ? mo : 5; }
 
 int write_report(const char* path, int json, int clean) {

@@ -49,6 +49,7 @@
 
 #include "abi/vft_abi.h"
 #include "abi/vft_abi_inline.h"
+#include "vft/epoch.h"
 
 namespace {
 
@@ -176,7 +177,13 @@ struct TokenEntry {
   int used;
 };
 
-constexpr size_t kTokenSlots = 1024;  // concurrent unjoined threads
+// A token is put only for a monitored joinable child, which holds its tid
+// slot until the join or detach that takes the token, so no more tokens
+// are live than tid slots and token_put always finds a free entry. A full
+// table would lose the child's join edge: false races on everything the
+// child wrote, and a tid slot that is never retired.
+constexpr size_t kTokenSlots = 256;
+static_assert(kTokenSlots > vft::Epoch::kMaxTid, "an entry per tid slot");
 TokenEntry g_tokens[kTokenSlots];
 pthread_mutex_t g_tokens_mu = PTHREAD_MUTEX_INITIALIZER;
 
@@ -185,14 +192,10 @@ void token_put(pthread_t tid, uint64_t token) {
   for (size_t i = 0; i < kTokenSlots; ++i) {
     if (!g_tokens[i].used) {
       g_tokens[i] = TokenEntry{tid, token, 1};
-      real_mutex_unlock(&g_tokens_mu);
-      return;
+      break;
     }
   }
   real_mutex_unlock(&g_tokens_mu);
-  // Table full: the thread stays monitored but its join edge is lost
-  // (conservative for false negatives only on > kTokenSlots unjoined
-  // threads, which a reasonable target never accumulates).
 }
 
 uint64_t token_take(pthread_t tid) {

@@ -161,12 +161,17 @@ class SessionImpl final : public SessionBackend {
   /// bookkeeping plus the shadow access, the true marginal cost of the
   /// rate. A sampled-out access still updates its packed cell but costs
   /// one cell fast path at most.
+  ///
+  /// It is also where the header-inlined descriptor is kept: its pending
+  /// hit tallies are flushed on entry and it is re-armed after.
   template <bool IsWrite>
   void access(const void* addr, std::size_t size) {
+    flush_fastpath();
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
     std::uint64_t probe = 0;
-    const bool sampled = gate_ == nullptr || gate_->should_sample(&probe);
+    const bool sampled = gate_ == nullptr ||
+                         gate_->should_sample(&probe, ts->epoch_bits_addr());
     packed_.template access<IsWrite>(rt_.tool(), *ts, addr, size, sampled);
     // A 0 token (unprobed or sampled-out) is a no-op.
     if (gate_ != nullptr) gate_->time_end(probe);
@@ -248,9 +253,7 @@ class SessionImpl final : public SessionBackend {
     // are credited first - detach is a quiescent observation point - and
     // so are the gate's pending skips, which a thread that ends mid-gap
     // would otherwise take with it.
-    if (vft_tl_fastpath.gen == generation_) {
-      vft_fastpath_flush_hits(&vft_tl_fastpath);
-    }
+    flush_fastpath();
     vft_tl_fastpath = vft_fastpath_s{};
     if (gate_ != nullptr) gate_->flush_skips();
     SessionTls& tls = tl_session;
@@ -292,9 +295,7 @@ class SessionImpl final : public SessionBackend {
     // same-OS-thread binding left behind are still credited (the rule
     // pointers outlive bindings - they target this OS thread's shard of
     // the Session's RuleStats).
-    if (vft_tl_fastpath.gen == generation_) {
-      vft_fastpath_flush_hits(&vft_tl_fastpath);
-    }
+    flush_fastpath();
     vft_tl_fastpath = vft_fastpath_s{};
     if (token == 0) {
       tl_session = SessionTls{nullptr, generation_, /*unmonitored=*/true};
@@ -386,13 +387,36 @@ class SessionImpl final : public SessionBackend {
 #endif
   }
 
+  /// Credit the calling thread's pending inline hits to the counters its
+  /// descriptor names (the same relaxed adds the out-of-line path
+  /// performs, in bulk) and zero them - if the descriptor is this
+  /// backend's: a stale one names counters that have since been reset.
+  /// The inline hit only bumps the descriptor's plain tallies (even an
+  /// uncontended locked add per access would cost more than the dispatch
+  /// it saves), so every out-of-line access, thread_begin and detach
+  /// flushes here, and at any quiescent point the counters are
+  /// bit-identical to the out-of-line path's.
+  void flush_fastpath() {
+    vft_fastpath_s& fp = vft_tl_fastpath;
+    if (fp.gen != generation_) return;
+    credit(fp.rule_read, fp.hit_reads);
+    credit(fp.rule_write, fp.hit_writes);
+  }
+  static void credit(std::uint64_t* const (&rule)[2], std::uint64_t& hits) {
+    if (hits == 0) return;
+    __atomic_fetch_add(rule[0], hits, __ATOMIC_RELAXED);
+    __atomic_fetch_add(rule[1], hits, __ATOMIC_RELAXED);
+    hits = 0;
+  }
+
   /// Arm the calling thread's header-inlined descriptor
   /// (vft/fastpath_ctx.h) for the page just accessed: cache the epoch
   /// pointer and the page's cell array, then generation-stamp the
   /// descriptor live. Called after the access, so a same-address
   /// follow-up resolves inline against the {R, W} this access just
   /// recorded. Cheap re-arm check first: same page, same thread binding,
-  /// still-live generation.
+  /// still-live generation. A live descriptor's tallies are already
+  /// zero here: access() flushed them on entry.
   void arm_fastpath(ThreadState& ts, const void* addr) {
     if (!fastpath_arm_) return;
     vft_fastpath_s& fp = vft_tl_fastpath;
@@ -402,16 +426,12 @@ class SessionImpl final : public SessionBackend {
         fp.epoch_addr == ts.epoch_bits_addr()) {
       return;
     }
-    if (fp.gen == generation_) {
-      // Page-switch re-arm: credit pending tallies before the rewrite.
-      vft_fastpath_flush_hits(&fp);
-    } else {
+    if (fp.gen != generation_) {
       // Stale or cleared descriptor. Stale tallies were accrued against
       // counters that have since been reset - drop them. The flush targets
       // are this thread's own counter shard, which never changes for an
       // OS thread, so only this stamp has to fill them in.
-      fp.hit_reads = 0;
-      fp.hit_writes = 0;
+      fp = vft_fastpath_s{};
       RuleStats& stats = *rt_.tool().stats();
       fp.rule_read[0] = counter(stats, Rule::kReadSameEpoch);
       fp.rule_read[1] = counter(stats, Rule::kFastReadHit);

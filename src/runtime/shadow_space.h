@@ -58,6 +58,7 @@
 #include "vft/atomics.h"
 #include "vft/detector.h"
 #include "vft/packed_cell.h"
+#include "vft/packed_cell_bits.h"
 #include "vft/shadow_state.h"
 #include "vft/stats.h"
 #include "vft/vc_simd.h"
@@ -65,13 +66,15 @@
 namespace vft::rt {
 
 /// Geometry shared by every PackedShadowSpace instantiation (non-template
-/// so the formatting helpers can live in shadow_space.cpp).
+/// so the formatting helpers can live in shadow_space.cpp). The cell
+/// geometry is the cell contract's (vft/packed_cell_bits.h), which the
+/// header-inlined ABI path computes its cell pointers with too.
 struct ShadowGeometry {
   /// log2 bytes per shadow slot: 8-byte words, one cell each.
-  static constexpr std::size_t kGranularityLog2 = 3;
+  static constexpr std::size_t kGranularityLog2 = VFT_CELL_GRANULARITY_LOG2;
   static constexpr std::size_t kGranularity = 1u << kGranularityLog2;
   /// log2 slots per page: 512 slots -> a page spans 4 KiB of target memory.
-  static constexpr std::size_t kSlotsPerPageLog2 = 9;
+  static constexpr std::size_t kSlotsPerPageLog2 = VFT_CELL_SLOTS_PER_PAGE_LOG2;
   static constexpr std::size_t kSlotsPerPage = 1u << kSlotsPerPageLog2;
   static constexpr std::size_t kPageSpanLog2 = kGranularityLog2 + kSlotsPerPageLog2;
   static constexpr std::size_t kPageSpan = 1u << kPageSpanLog2;
@@ -81,13 +84,11 @@ struct ShadowGeometry {
 
   /// The page base covering `a`.
   static std::uintptr_t base_of(std::uintptr_t a) {
-    return a & ~static_cast<std::uintptr_t>(kPageSpan - 1);
+    return vft_cell_page_base(a);
   }
 
   /// Slot index of `a` within its page.
-  static std::size_t slot_index(std::uintptr_t a) {
-    return (a >> kGranularityLog2) & (kSlotsPerPage - 1);
-  }
+  static std::size_t slot_index(std::uintptr_t a) { return vft_cell_slot(a); }
 
   /// Top-level index for a page base: multiply-shift mix of the page
   /// number, so the handful of live 48-bit address-space regions (stack,
@@ -336,8 +337,7 @@ class PackedShadowSpace {
   template <bool IsWrite, typename Tool>
   bool access(Tool& tool, ThreadState& st, const void* addr, std::size_t size,
               bool sampled = true) {
-    const auto a = reinterpret_cast<std::uintptr_t>(addr);
-    if ((a & (Geometry::kGranularity - 1)) + size <= Geometry::kGranularity) {
+    if (vft_cell_one_word(reinterpret_cast<std::uintptr_t>(addr), size)) {
       return access_slot<IsWrite>(tool, st, slot_of(addr), sampled);
     }
     return range_access<IsWrite>(tool, st, addr, size, sampled);

@@ -3,7 +3,9 @@
  * Armed by the runtime (SessionImpl) after a slow-path access establishes
  * the thread's shadow page and epoch; consumed by the inline try-functions
  * in abi/vft_abi_inline.h, which resolve the same-epoch hit with no
- * call, no AbiScope, and no virtual dispatch.
+ * call, no AbiScope, and no virtual dispatch. The session layer is its
+ * only writer: SessionImpl arms it, flushes its hit tallies into the rule
+ * counters, and clears it; Session::reset retracts it.
  *
  * Validity protocol: the descriptor is live iff `gen` equals the process
  * global vft_g_fastpath_gen (which starts at 1 and is bumped on every
@@ -43,28 +45,6 @@ typedef struct vft_fastpath_s {
   uint64_t* rule_read[2];     /* counters credited with flushed read hits */
   uint64_t* rule_write[2];    /* counters credited with flushed write hits */
 } vft_fastpath_s;
-
-/* Credit the descriptor's pending inline hits to the owning thread's
- * counter shard (the same relaxed adds the out-of-line path performs, in
- * bulk) and zero them. The inline hit itself only increments the plain
- * thread-local tallies - even an uncontended locked add per access would
- * cost more than the dispatch it saves - so the runtime flushes here at
- * every slow-path entry, re-arm, and thread detach. At any point where the
- * descriptor is quiescent the counters are bit-identical to the
- * out-of-line path's. Callers must have validated `gen` (stale pointers
- * are never dereferenced; a cleared descriptor has zero tallies). */
-static inline void vft_fastpath_flush_hits(vft_fastpath_s* fp) {
-  if (fp->hit_reads != 0) {
-    __atomic_fetch_add(fp->rule_read[0], fp->hit_reads, __ATOMIC_RELAXED);
-    __atomic_fetch_add(fp->rule_read[1], fp->hit_reads, __ATOMIC_RELAXED);
-    fp->hit_reads = 0;
-  }
-  if (fp->hit_writes != 0) {
-    __atomic_fetch_add(fp->rule_write[0], fp->hit_writes, __ATOMIC_RELAXED);
-    __atomic_fetch_add(fp->rule_write[1], fp->hit_writes, __ATOMIC_RELAXED);
-    fp->hit_writes = 0;
-  }
-}
 
 extern VFT_FASTPATH_TLS vft_fastpath_s vft_tl_fastpath;
 

@@ -14,7 +14,11 @@
 //           otherwise                      -> escalate
 //
 // i.e. a load, a compare, and (for the exclusive advance) one CAS - no
-// detector call, no VarState, no lock. Everything else - read sharing,
+// detector call, no VarState, no lock. The encoding, the sentinels and the
+// same-epoch step are the cell contract's (vft/packed_cell_bits.h), which
+// the header-inlined ABI path and the range scan's prefix kernels call
+// too: the schedule explorer, which drives this class, checks the verdict
+// every layer runs. Everything else - read sharing,
 // lock-protected handoffs, races - spills the cell's exact {R, W} snapshot
 // into a full VarState and runs the unmodified production detector on it
 // from then on. Both directions share one entry per layer: the decision
@@ -56,6 +60,7 @@
 #include "sched/sched_point.h"
 #include "vft/access_history.h"
 #include "vft/detector_base.h"
+#include "vft/packed_cell_bits.h"
 #include "vft/probe.h"
 
 namespace vft {
@@ -93,27 +98,26 @@ inline void bump_rule(Tool& tool, Rule r, std::uint64_t n) {
 
 class PackedCell {
  public:
-  /// Sentinels: an epoch-mode cell never stores SHARED in its R field
-  /// (read sharing escalates first), so R == all-ones marks the cell as
-  /// out of epoch mode. The W field disambiguates the two phases.
-  static constexpr std::uint64_t kEscalating = 0xFFFFFFFF00000000ull;
-  static constexpr std::uint64_t kEscalated = 0xFFFFFFFF00000001ull;
+  /// The sentinels and the packing are the cell contract's
+  /// (vft/packed_cell_bits.h): R high, W low, an all-ones R half marks the
+  /// cell as out of epoch mode. The default cell (all zeroes) is
+  /// {bottom, bottom}: clock-0 epochs are ordered before everything
+  /// (thread clocks start at 1), so first touches take the exclusive fast
+  /// path instead of escalating.
+  static constexpr std::uint64_t kEscalating = VFT_CELL_ESCALATING;
+  static constexpr std::uint64_t kEscalated = VFT_CELL_ESCALATED;
 
-  /// Same packing as FtCas::VarState: R high, W low. The default cell
-  /// (all zeroes) is {bottom, bottom}: clock-0 epochs are ordered before
-  /// everything (thread clocks start at 1), so first touches take the
-  /// exclusive fast path instead of escalating.
   static constexpr std::uint64_t pack(Epoch r, Epoch w) {
-    return (static_cast<std::uint64_t>(r.bits()) << 32) | w.bits();
+    return vft_cell_pack(r.bits(), w.bits());
   }
   static constexpr Epoch unpack_r(std::uint64_t v) {
-    return Epoch::from_bits(static_cast<std::uint32_t>(v >> 32));
+    return Epoch::from_bits(vft_cell_r(v));
   }
   static constexpr Epoch unpack_w(std::uint64_t v) {
-    return Epoch::from_bits(static_cast<std::uint32_t>(v));
+    return Epoch::from_bits(vft_cell_w(v));
   }
   static constexpr bool is_sentinel(std::uint64_t v) {
-    return (v >> 32) == 0xFFFFFFFFull;
+    return vft_cell_is_sentinel(v);
   }
 
   /// Shared access to the cell word funnels through these, so the sched
@@ -144,10 +148,10 @@ class PackedCell {
     const Epoch e = st.epoch();
     std::uint64_t cur = load_bits();
     for (;;) {
+      if (vft_cell_same_epoch(cur, e.bits(), IsWrite)) return Fast::kSameEpoch;
       if (is_sentinel(cur)) return Fast::kSlow;
       const Epoch r = unpack_r(cur);
       const Epoch w = unpack_w(cur);
-      if ((IsWrite ? w : r) == e) return Fast::kSameEpoch;
       if (!ordered_before(r, st) || !ordered_before(w, st)) return Fast::kSlow;
       if (cas_bits(cur, IsWrite ? pack(r, e) : pack(e, w))) {
         return Fast::kAdvanced;

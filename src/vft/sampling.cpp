@@ -182,12 +182,16 @@ void Gate::draw_gap(Tls& t) {
                             : static_cast<std::uint64_t>(gap);
 }
 
-bool Gate::admit_slow(Tls& t) {
+bool Gate::admit_slow(Tls& t, const std::uint32_t* epoch_bits) {
   if (t.gen != gen_) {
     // First access through this gate on this thread (or the gate was
-    // replaced by a reset): seed the stream and start a fresh gap.
+    // replaced by a reset): seed the stream and start a fresh gap. The
+    // thread's epoch at this access repeats across runs of a
+    // deterministic program, and no two threads of a run share it - a
+    // successor on a reused tid slot continues its predecessor's clock -
+    // so streams repeat per seed and stay distinct per thread.
     t.gen = gen_;
-    t.rng = mix64(cfg_.seed ^ reinterpret_cast<std::uintptr_t>(&t));
+    t.rng = mix64(cfg_.seed ^ *epoch_bits);
     t.skipped = 0;
     t.sampled_since_probe = 0;
     draw_gap(t);

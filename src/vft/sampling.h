@@ -49,7 +49,7 @@ struct Config {
   bool enabled = false;
   double rate = 1.0;        ///< initial global sampling rate (0, 1]
   double budget_pct = 0.0;  ///< target overhead percent; 0: controller off
-  std::uint64_t seed = 1;   ///< per-process RNG seed (threads decorrelate)
+  std::uint64_t seed = 1;   ///< RNG seed; each thread mixes in its epoch
 };
 
 /// Parse the VFT_SAMPLING/VFT_BUDGET pair (either may be null/empty).
@@ -99,7 +99,11 @@ class Gate {
   /// caller brackets - the real marginal cost of raising the rate. The
   /// caller must pass the token to time_end() after the access completes
   /// (0 token: no-op).
-  bool should_sample(std::uint64_t* probe) {
+  ///
+  /// `epoch_bits` points at the calling thread's current epoch; only the
+  /// thread's first access through this gate reads it, to seed the
+  /// thread's stream (see admit_slow).
+  bool should_sample(std::uint64_t* probe, const std::uint32_t* epoch_bits) {
     Tls& t = tls();
     if (t.gen == gen_ && t.countdown > 0) {
       --t.countdown;
@@ -110,7 +114,7 @@ class Gate {
         (++t.sampled_since_probe & (kProbeEvery - 1)) == 0) {
       *probe = now_ns() | 1;  // |1: a 0 reading must not read as "no probe"
     }
-    return admit_slow(t);
+    return admit_slow(t, epoch_bits);
   }
 
   void time_end(std::uint64_t token);
@@ -152,7 +156,7 @@ class Gate {
   /// budget. Syscall-priced, so only touched at window/snapshot edges.
   static std::uint64_t cpu_now_ns();
 
-  bool admit_slow(Tls& t);
+  bool admit_slow(Tls& t, const std::uint32_t* epoch_bits);
   void credit_skips(Tls& t) {
     if (t.skipped > 0) {
       skipped_.fetch_add(t.skipped, std::memory_order_relaxed);

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "vft/packed_cell_bits.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #define VFT_SIMD_X86 1
 #include <immintrin.h>
@@ -37,14 +39,15 @@ bool all_masked_zero_scalar(const std::uint32_t* a, std::size_t n,
 }
 
 // The scalar cell kernels use the same acquire loads PackedCell::load_bits
-// performs, so they are the exactness reference (and the TSan-safe
-// dispatch target) for the vector bodies below.
+// performs and the same verdict (vft_cell_same_epoch), so they are the
+// exactness reference (and the TSan-safe dispatch target) for the vector
+// bodies below.
 std::size_t cells_match_read_prefix_scalar(const std::uint64_t* cells,
                                            std::size_t n,
                                            std::uint32_t epoch_bits) {
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t c = __atomic_load_n(&cells[i], __ATOMIC_ACQUIRE);
-    if (static_cast<std::uint32_t>(c >> 32) != epoch_bits) return i;
+    if (!vft_cell_same_epoch(c, epoch_bits, /*is_write=*/0)) return i;
   }
   return n;
 }
@@ -54,10 +57,7 @@ std::size_t cells_match_write_prefix_scalar(const std::uint64_t* cells,
                                             std::uint32_t epoch_bits) {
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t c = __atomic_load_n(&cells[i], __ATOMIC_ACQUIRE);
-    if (static_cast<std::uint32_t>(c) != epoch_bits ||
-        static_cast<std::uint32_t>(c >> 32) == 0xFFFFFFFFu) {
-      return i;
-    }
+    if (!vft_cell_same_epoch(c, epoch_bits, /*is_write=*/1)) return i;
   }
   return n;
 }
@@ -126,6 +126,14 @@ bool all_masked_zero_sse2(const std::uint32_t* a, std::size_t n,
 // (non-atomic) on purpose - a failed block is re-resolved with the scalar
 // kernel's acquire loads, so tearing can only shorten the returned prefix
 // (see vc_simd.h).
+//
+// The write kernels find the sentinels by an all-ones R lane, and hoist
+// that compare out of the loop for epoch_bits > 1: a W-lane match then
+// excludes both sentinels on its own, which holds while neither sentinel's
+// W half exceeds 1 (checked below on the two halves OR-ed).
+static_assert(VFT_CELL_SENTINEL_R == ~0u &&
+                  vft_cell_w(VFT_CELL_ESCALATING | VFT_CELL_ESCALATED) <= 1,
+              "the write kernels' sentinel compare and its hoist");
 
 std::size_t cells_match_read_prefix_sse2(const std::uint64_t* cells,
                                          std::size_t n,

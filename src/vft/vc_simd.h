@@ -64,15 +64,12 @@ bool all_masked_zero(const std::uint32_t* a, std::size_t n, std::uint32_t mask);
 //
 // Range interposition (memcpy/memset/str* wrappers) resolves whole runs of
 // packed shadow cells at once: count the leading cells of `cells[0, n)`
-// that the inline same-epoch fast path would accept for this thread's
-// epoch. A read matches when the cell's R half (high 32 bits) equals
-// `epoch_bits`; a write matches when the W half (low 32 bits) equals it
-// AND the R half is not all-ones (the ESCALATING/ESCALATED sentinels park
-// there, and the ESCALATED W half is 1 = tid 0 @ clock 1 - the same
-// collision the scalar fast path guards against). The SIMD bodies check
-// 2 (SSE2) or 4 (AVX2) cells per iteration with plain vector loads; a
-// failed block is re-resolved with the scalar kernel's atomic acquire
-// loads, so the returned prefix is always exact. A torn racy read can
+// for which the cell contract's same-epoch verdict (vft_cell_same_epoch in
+// vft/packed_cell_bits.h, the one the inline fast path runs) holds for
+// this thread's epoch. The SIMD bodies check 2 (SSE2) or 8 (AVX2) cells
+// per iteration with plain vector loads; a failed block is re-resolved
+// with the scalar kernel's atomic acquire loads, so the returned prefix
+// is always exact. A torn racy read can
 // only shorten the prefix (the word then takes the scalar spill-out),
 // never extend it past a non-matching cell.
 //

@@ -19,7 +19,10 @@
 //   one entry    ranges and the sized accesses covering the same words
 //                produce identical rule counters: both land in the same
 //                session entry, and the SIMD range prefix bumps exactly
-//                the rules the scalar same-epoch hit does.
+//                the rules the scalar same-epoch hit does;
+//   one verdict  the inline try, PackedCell::fast and the range scan's
+//                prefix kernels all accept exactly the same-epoch cells,
+//                sentinels and the ESCALATED/0@1 collision included.
 //
 // Tests share the process-global Session; each begins by reconfiguring
 // the environment and resetting.
@@ -32,9 +35,13 @@
 #include <thread>
 
 #include "abi/vft_abi.h"
+#include "abi/vft_abi_inline.h"
 #include "runtime/session.h"
 #include "vft/fastpath_ctx.h"
+#include "vft/packed_cell.h"
+#include "vft/shadow_state.h"
 #include "vft/stats.h"
+#include "vft/vc_simd.h"
 
 namespace {
 
@@ -298,6 +305,79 @@ TEST(Fastpath, RangeMatchesSizedAccesses) {
     }
   }
   Session::instance().reset();
+}
+
+TEST(CellVerdict, EveryLayerAgreesAtTheCellEdges) {
+  // R high, W low, spelled out here rather than taken from the contract.
+  auto pack = [](std::uint32_t r, std::uint32_t w) {
+    return (std::uint64_t{r} << 32) | w;
+  };
+  // 0@1 is ESCALATED's W half; 0@2 and 5@3 stay clear of both sentinels.
+  vft::ThreadState t0_1(0), t0_2(0), t5_3(5);
+  t0_2.inc();
+  t5_3.inc();
+  t5_3.inc();
+  ASSERT_EQ(t0_1.epoch().bits(), 1u);
+  ASSERT_EQ(vft::PackedCell::kEscalated, pack(0xFFFFFFFFu, 1));
+  ASSERT_EQ(vft::PackedCell::kEscalating, pack(0xFFFFFFFFu, 0));
+  const std::uint32_t o = vft::Epoch::make(7, 3).bits();  // another thread
+
+  // A hand-armed descriptor over a private cell page. The try computes the
+  // cell pointer from the target address and never dereferences it, so any
+  // page-aligned address serves as the page's base.
+  alignas(64) static std::uint64_t page[512];
+  const std::uintptr_t base = std::uintptr_t{1} << 20;
+  const void* addr = reinterpret_cast<const void*>(base + 3 * 8);
+
+  for (vft::ThreadState* st : {&t0_1, &t0_2, &t5_3}) {
+    const std::uint32_t e = st->epoch().bits();
+    struct Row {
+      const char* name;
+      std::uint64_t cell;
+      bool read_hit;   // [Read Same Epoch]
+      bool write_hit;  // [Write Same Epoch]
+    };
+    const Row kRows[] = {
+        {"bottom", 0, false, false},
+        {"e in R", pack(e, o), true, false},
+        {"e in W", pack(o, e), false, true},
+        {"e in both", pack(e, e), true, true},
+        {"other tid", pack(o, o), false, false},
+        {"ESCALATING", vft::PackedCell::kEscalating, false, false},
+        {"ESCALATED", vft::PackedCell::kEscalated, false, false},
+    };
+    for (const Row& row : kRows) {
+      SCOPED_TRACE(std::string(row.name) + " at epoch bits " +
+                   std::to_string(e));
+      page[3] = row.cell;
+      vft_tl_fastpath = vft_fastpath_s{};
+      vft_tl_fastpath.gen =
+          __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
+      vft_tl_fastpath.epoch_addr = st->epoch_bits_addr();
+      vft_tl_fastpath.page_base = base;
+      vft_tl_fastpath.cells = page;
+      EXPECT_EQ(vft_fastpath_try_read(addr, 8) == 1, row.read_hit);
+      EXPECT_EQ(vft_fastpath_try_write(addr, 8) == 1, row.write_hit);
+      vft_tl_fastpath = vft_fastpath_s{};
+
+      for (const bool is_write : {false, true}) {
+        vft::PackedCell cell;
+        std::uint64_t cur = 0;
+        while (!cell.cas_bits(cur, row.cell)) {
+        }
+        const vft::PackedCell::Fast f =
+            is_write ? cell.fast<true>(*st) : cell.fast<false>(*st);
+        EXPECT_EQ(f == vft::PackedCell::Fast::kSameEpoch,
+                  is_write ? row.write_hit : row.read_hit)
+            << (is_write ? "write" : "read");
+      }
+
+      EXPECT_EQ(vft::simd::cells_match_read_prefix(&row.cell, 1, e),
+                row.read_hit ? 1u : 0u);
+      EXPECT_EQ(vft::simd::cells_match_write_prefix(&row.cell, 1, e),
+                row.write_hit ? 1u : 0u);
+    }
+  }
 }
 
 }  // namespace

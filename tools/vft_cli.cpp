@@ -38,12 +38,15 @@
 //           [--sampling SPEC] -- <program> [args...]
 //       Run an *unmodified* binary under the analysis: LD_PRELOAD the
 //       interposition library (src/interpose/), select the detector via
-//       VFT_DETECTOR, collect the end-of-run report (text, or JSON when
-//       the path ends in .json), and print the verdict. A target that
-//       crashes or is killed mid-run still yields a verdict: the
-//       interposer's crash handler salvages a partial report
-//       (clean_exit=false) and the tolerant parser recovers every
-//       complete context even from a cut-short file. With --expect the
+//       VFT_DETECTOR, collect the end-of-run report, and print the
+//       verdict. The target always writes the v2 JSON report, which the
+//       verdict is read from; --report PATH keeps it when PATH ends in
+//       .json and otherwise writes its `vft report show` text there
+//       ("-": stdout). A target that crashes or is killed mid-run still
+//       yields a verdict: the interposer's crash handler salvages a
+//       partial report (clean_exit=false) and the tolerant parser
+//       recovers every complete context even from a cut-short file, in
+//       either report form. With --expect the
 //       exit code asserts the verdict (0 iff it matches), which is how
 //       the examples/native corpus runs under ctest and CI. --budget PCT
 //       (VFT_BUDGET) arms the always-on sampling mode with a target
@@ -324,57 +327,30 @@ std::optional<std::string> slurp(const std::string& path) {
   return all.str();
 }
 
-/// What `vft run` learned from the report file the target (or its crash
-/// handler) left behind.
-struct RunReport {
-  bool found = false;    ///< a report file existed and yielded a summary
-  bool partial = false;  ///< crash-path write or truncated file
-  long races = -1;
-  long suppressed = 0;
-  reportio::SamplingInfo sampling;  ///< .enabled iff the run was sampled
-};
-
-/// Race count scraped from the plain text form ("summary: races=N ...").
-/// -1 when there is no summary to scrape.
-long scrape_race_count(const std::string& text) {
-  const std::size_t sum = text.find("summary");
-  if (sum == std::string::npos) return -1;
-  const std::size_t key = text.find("races", sum);
-  if (key == std::string::npos) return -1;
-  std::size_t i = key + 5;
-  while (i < text.size() && (text[i] == '"' || text[i] == ':' ||
-                             text[i] == '=' || text[i] == ' ')) {
-    ++i;
+/// Write `text` to `out_path`, or to stdout for "" and "-".
+bool write_out(const std::string& out_path, const std::string& text) {
+  if (out_path.empty() || out_path == "-") {
+    std::fwrite(text.data(), 1, text.size(), stdout);
+    return true;
   }
-  if (i >= text.size() || text[i] < '0' || text[i] > '9') return -1;
-  return std::atol(text.c_str() + i);
+  std::ofstream out(out_path, std::ios::binary);
+  if (!out) {
+    std::fprintf(stderr, "vft: cannot write %s\n", out_path.c_str());
+    return false;
+  }
+  out << text;
+  return out.good();
 }
 
-/// Parse whatever the run left at `path`: the v2 JSON schema through the
-/// tolerant parser (which salvages complete contexts from a file a dying
-/// target cut short), or the plain text form by summary-scraping.
-RunReport load_run_report(const std::string& path) {
-  RunReport r;
+/// The v2 JSON report the target (or its crash handler) left at `path`,
+/// through the tolerant parser, which salvages complete contexts from a
+/// file a dying target cut short; nullopt when there is nothing to parse.
+std::optional<reportio::ReportDoc> load_run_report(const std::string& path) {
   const auto text = slurp(path);
-  if (!text.has_value()) return r;
-  std::size_t first = text->find_first_not_of(" \t\r\n");
-  if (first != std::string::npos && (*text)[first] == '{') {
-    reportio::ReportDoc doc;
-    if (reportio::parse_report(*text, &doc)) {
-      r.found = true;
-      r.partial = doc.truncated || !doc.clean_exit;
-      r.races = static_cast<long>(doc.summary.races);
-      r.suppressed = static_cast<long>(doc.summary.suppressed);
-      r.sampling = doc.sampling;
-      return r;
-    }
-  }
-  const long races = scrape_race_count(*text);
-  if (races >= 0) {
-    r.found = true;
-    r.races = races;
-  }
-  return r;
+  if (!text.has_value()) return std::nullopt;
+  reportio::ReportDoc doc;
+  if (!reportio::parse_report(*text, &doc)) return std::nullopt;
+  return doc;
 }
 
 int cmd_run(int argc, char** argv) {
@@ -438,14 +414,18 @@ int cmd_run(int argc, char** argv) {
     return 2;
   }
 
-  std::string report = arg_value(sep, argv, "--report", "");
-  bool temp_report = false;
-  if (report.empty()) {
+  // The target always writes v2 JSON: to --report when it names a .json
+  // file, else to a temp file whose parsed document a plain --report gets
+  // rendered from, so every report form carries the same verdict.
+  const std::string report = arg_value(sep, argv, "--report", "");
+  const bool report_json =
+      report.size() >= 5 && report.compare(report.size() - 5, 5, ".json") == 0;
+  std::string json_path = report;
+  if (!report_json) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "/tmp/vft-report-%d.json",
                   static_cast<int>(getpid()));
-    report = buf;
-    temp_report = true;
+    json_path = buf;
   }
 
   const pid_t pid = fork();
@@ -456,7 +436,7 @@ int cmd_run(int argc, char** argv) {
   if (pid == 0) {
     setenv("LD_PRELOAD", preload.c_str(), 1);
     setenv("VFT_DETECTOR", detector.c_str(), 1);
-    setenv("VFT_REPORT", report.c_str(), 1);
+    setenv("VFT_REPORT", json_path.c_str(), 1);
     if (!suppressions.empty()) {
       setenv("VFT_SUPPRESSIONS", suppressions.c_str(), 1);
     }
@@ -472,8 +452,9 @@ int cmd_run(int argc, char** argv) {
   const int target_rc = WIFEXITED(status) ? WEXITSTATUS(status)
                                           : 128 + WTERMSIG(status);
 
-  const RunReport rr = load_run_report(report);
-  if (!rr.found) {
+  const std::optional<reportio::ReportDoc> doc = load_run_report(json_path);
+  if (!report_json) std::remove(json_path.c_str());
+  if (!doc.has_value()) {
     // No salvageable report at all: the target died before the interposer
     // could write anything (e.g. SIGKILL, or a crash inside the crash
     // handler). Still give a verdict - just an inconclusive one.
@@ -481,29 +462,33 @@ int cmd_run(int argc, char** argv) {
       std::fprintf(stderr,
                    "vft run: target killed by signal %d before any report "
                    "could be written (%s); verdict: inconclusive\n",
-                   WTERMSIG(status), report.c_str());
+                   WTERMSIG(status), json_path.c_str());
     } else {
       std::fprintf(stderr,
                    "vft run: no report from the target (exit %d) at %s; "
                    "verdict: inconclusive\n",
-                   target_rc, report.c_str());
+                   target_rc, json_path.c_str());
     }
-    if (temp_report) std::remove(report.c_str());
     return expect.empty() ? target_rc : 1;
   }
+  if (!report.empty() && !report_json) {
+    write_out(report, reportio::render_plain(*doc));
+  }
+  const long races = static_cast<long>(doc->summary.races);
+  const bool partial = doc->truncated || !doc->clean_exit;
 
-  std::printf("vft run: detector=%s races=%ld suppressed=%ld "
+  std::printf("vft run: detector=%s races=%ld suppressed=%llu "
               "target-exit=%d%s%s%s\n",
-              detector.c_str(), rr.races, rr.suppressed, target_rc,
-              rr.partial ? " (partial)" : "",
-              temp_report ? "" : " report=",
-              temp_report ? "" : report.c_str());
+              detector.c_str(), races,
+              static_cast<unsigned long long>(doc->summary.suppressed),
+              target_rc, partial ? " (partial)" : "",
+              report.empty() ? "" : " report=", report.c_str());
   if (sampling_cfg.enabled) {
     std::printf("vft run: sampling: %s\n",
                 sampling::describe(sampling_cfg).c_str());
   }
-  if (rr.sampling.enabled) {
-    const reportio::SamplingInfo& sp = rr.sampling;
+  if (doc->sampling.enabled) {
+    const reportio::SamplingInfo& sp = doc->sampling;
     const double total = static_cast<double>(sp.sampled + sp.skipped);
     std::printf(
         "vft run: sampling achieved: rate=%.4f (now %.4f) overhead=%.2f%% "
@@ -517,29 +502,27 @@ int cmd_run(int argc, char** argv) {
         static_cast<unsigned long long>(sp.skipped),
         static_cast<unsigned long long>(sp.adjustments));
   }
-  if (rr.partial) {
+  if (partial) {
     std::printf("vft run: verdict from a PARTIAL report: the target %s "
                 "mid-run; counts cover everything detected before that\n",
                 signaled ? "was killed" : "crashed or was killed");
   }
-  if (temp_report) std::remove(report.c_str());
 
   if (expect == "race") {
-    if (rr.races > 0) return 0;
+    if (races > 0) return 0;
     std::fprintf(stderr, "vft run: expected a race, found none%s\n",
-                 rr.partial ? " (partial report)" : "");
+                 partial ? " (partial report)" : "");
     return 1;
   }
   if (expect == "none") {
-    if (rr.races == 0 && !rr.partial) return 0;
-    if (rr.races == 0) {
+    if (races == 0 && !partial) return 0;
+    if (races == 0) {
       std::fprintf(stderr,
                    "vft run: race-free so far, but the report is partial "
                    "(target died mid-run) - refusing a clean verdict\n");
       return 1;
     }
-    std::fprintf(stderr, "vft run: expected race-free, found %ld\n",
-                 rr.races);
+    std::fprintf(stderr, "vft run: expected race-free, found %ld\n", races);
     return 1;
   }
   return target_rc;
@@ -548,20 +531,6 @@ int cmd_run(int argc, char** argv) {
 // ---------------------------------------------------------------------
 // vft report: offline triage over vft-report-v2 JSON files.
 // ---------------------------------------------------------------------
-
-bool write_out(const std::string& out_path, const std::string& text) {
-  if (out_path.empty() || out_path == "-") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    return true;
-  }
-  std::ofstream out(out_path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "vft report: cannot write %s\n", out_path.c_str());
-    return false;
-  }
-  out << text;
-  return out.good();
-}
 
 bool load_doc(const std::string& path, reportio::ReportDoc* doc) {
   const auto text = slurp(path);
